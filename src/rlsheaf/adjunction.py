@@ -1,16 +1,16 @@
 """Finite function spaces with the compact-open topology and the adjunction law suites.
 
 Every subset of a finite space is compact, so the compact-open subbasis
-ranges over all subsets of the domain.  Continuity claims that need a
+ranges over all subsets of the domain; on a finite codomain the topology it
+generates is the pointwise specialization order.  Continuity claims that need a
 locally compact Hausdorff base are asserted only for finite discrete bases;
 an off-by-default flag allows exploratory checks elsewhere.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import bundle as bnd
 from . import fintop, rlcore
@@ -32,20 +32,29 @@ class FunctionSpace:
         return {m.id_str: m for m in self.maps}
 
 
-def _subsets(points: Iterable[str]) -> list[frozenset[str]]:
-    pts = sorted(points)
-    return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
+def _pointwise_topology(funcs: Mapping[str, Callable[[str], str]], dom: Iterable[str], cod: FiniteSpace) -> FiniteSpace:
+    """Compact-open topology on finitely many maps dom -> cod, named by id.
+
+    Every subset of a finite domain is compact, and the least subbasic set
+    S(C, U) around f is cut out by C = {p}, U = U_f(p); so
+    U_f = {g | g(p) in U_f(p) for every p}, the pointwise order.
+    """
+    mins = cod.min_nbhd_map
+    pts = sorted(dom)
+    values = {fid: tuple(f(p) for p in pts) for fid, f in funcs.items()}
+    return FiniteSpace(
+        frozenset(values),
+        {
+            fid: frozenset(gid for gid, w in values.items() if all(a in mins[b] for a, b in zip(w, v)))
+            for fid, v in values.items()
+        },
+    )
 
 
 def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
     """All continuous maps x -> y with the topology from the sets S(C,U)."""
     maps = tuple(sorted(fintop.continuous_maps(x, y), key=lambda m: m.id_str))
-    ids = [m.id_str for m in maps]
-    subbasis = []
-    for c in _subsets(x.points):
-        for u in y.opens:
-            subbasis.append(frozenset(m.id_str for m in maps if m.image(c) <= u))
-    space = fintop.topology_from_subbasis(ids, subbasis)
+    space = _pointwise_topology({m.id_str: m for m in maps}, x.points, y)
     return FunctionSpace(x, y, maps, space)
 
 
@@ -84,20 +93,12 @@ def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -
 def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
     """Global sections with the subspace topology inherited from C(base, total).
 
-    The subspace topology is produced from the compact-open subbasis through
-    minimal neighbourhoods, so the ambient function space is never materialized.
+    A subspace of the pointwise order is ordered pointwise, so the ambient
+    function space is never built.
     """
     secs = bnd.sections(b, b.base.points)
     by_id = {s.id_str: s for s in secs}
-    mins: dict[str, set[str]] = {sid: set(by_id) for sid in by_id}
-    for c in _subsets(b.base.points):
-        images = {sid: frozenset(s(p) for p in c) for sid, s in by_id.items()}
-        for u in b.total.opens:
-            inside = {sid for sid, img in images.items() if img <= u}
-            for sid in inside:
-                mins[sid] &= inside
-    space = fintop.topology_from_basis(by_id, [frozenset(v) for v in mins.values()])
-    return space, by_id
+    return _pointwise_topology(by_id, b.base.points, b.total), by_id
 
 
 @dataclass
@@ -210,10 +211,6 @@ def product_rl_bundle(b: FiniteSpace, a: TopologicalRL) -> RLBundle:
 
 # ---------------------------------------------------------------------------
 # adjunction law suites
-
-
-def _continuous_count(dom: FiniteSpace, cod: FiniteSpace) -> int:
-    return len(fintop.continuous_maps(dom, cod))
 
 
 def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace, explore_nondiscrete: bool = False) -> dict:

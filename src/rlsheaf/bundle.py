@@ -130,24 +130,11 @@ def stalk_ops_from_proper_map(b: Bundle, rho: Mapping[str, str]) -> dict[str, di
     return out
 
 
-def _kernel_min_nbhds(b: Bundle) -> dict[str, Subset]:
-    """Minimal neighbourhoods of kernel-pair points in the subspace-of-product topology."""
-    mins = b.total.min_nbhd_map
-    pairs = kernel_pair_points(b)
-    out = {}
-    for k, (t1, t2) in pairs.items():
-        m1, m2 = mins[t1], mins[t2]
-        out[k] = frozenset(
-            kk for kk, (u1, u2) in pairs.items() if u1 in m1 and u2 in m2
-        )
-    return out
-
-
 def _proper_map_continuous(b: Bundle, rho: Mapping[str, str]) -> tuple[bool, str]:
     mins_t = b.total.min_nbhd_map
-    for k, nb in _kernel_min_nbhds(b).items():
+    for k, nb in kernel_pair(b).space.min_nbhds:
         target = mins_t[rho[k]]
-        for kk in nb:
+        for kk in sorted(nb):
             if rho[kk] not in target:
                 return False, f"{k} -> {kk}"
     return True, ""
@@ -247,10 +234,6 @@ class Section:
             raise ValueError("restriction escapes the domain")
         return Section(self.parent, s, {p: self.table[p] for p in s})
 
-    def as_map(self) -> SpaceMap:
-        sub = fintop.subspace(self.parent.base, self.domain)
-        return fintop.space_map(sub, self.parent.total, self.table)
-
 
 def sections(b: Bundle, x: Iterable[str]) -> list[Section]:
     """All sections over the subset x, in id order (exactly one empty section for x=empty)."""
@@ -291,15 +274,16 @@ def sections(b: Bundle, x: Iterable[str]) -> list[Section]:
 
 
 def section_through_point(e: Bundle, t: str) -> tuple[Subset, Section]:
-    """A basis-open witness (U, sigma) with sigma(proj(t)) = t; requires an etale."""
+    """A basis-open witness (U, sigma) with sigma(proj(t)) = t; requires an etale.
+
+    At an etale the projection maps U_t onto U_proj(t) bijectively, so sigma
+    is its inverse there, over the least open U that can carry it.
+    """
     if not is_etale(e):
         raise ValueError("bundle is not an etale")
-    for v in sorted(e.total.opens, key=lambda s: (len(s), sorted(s))):
-        if t in v and fintop._restriction_is_homeo_onto_open(e.proj, v):
-            u = e.proj.image(v)
-            inv = {e.proj(s): s for s in v}
-            return u, Section(e, u, inv)
-    raise AssertionError("etale admits no basis open through the point")
+    v = e.total.min_nbhd_map[t]
+    u = e.proj.image(v)
+    return u, Section(e, u, {e.proj(s): s for s in v})
 
 
 def equalizer(s1: Section, s2: Section) -> tuple[Subset, dict[str, bool]]:
@@ -309,11 +293,11 @@ def equalizer(s1: Section, s2: Section) -> tuple[Subset, dict[str, bool]]:
     common = s1.domain & s2.domain
     eq = frozenset(p for p in common if s1(p) == s2(p))
     base = s1.parent.base
+    within = fintop.subspace(base, common)
     facts = {
-        "domains_open": s1.domain in base.opens and s2.domain in base.opens,
-        "open_in_base": eq in base.opens,
-        "clopen_in_common": frozenset(common - eq) in {o & common for o in base.opens}
-        and eq in {o & common for o in base.opens},
+        "domains_open": base.is_open(s1.domain) and base.is_open(s2.domain),
+        "open_in_base": base.is_open(eq),
+        "clopen_in_common": within.is_open(common - eq) and within.is_open(eq),
     }
     return eq, facts
 
@@ -326,7 +310,7 @@ def section_image_basis(e: Bundle) -> list[Subset]:
     for u in e.base.sorted_opens():
         for s in sections(e, u):
             img = s.image()
-            if img not in e.total.opens:
+            if not e.total.is_open(img):
                 raise AssertionError(f"section image {fmt_set(img)} is not open")
             fam.add(img)
     for o in e.total.opens:

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from typing import Any
 
-from . import basechange, bundle, dot, fintop, fixtures, rlcore, sheafify, spectra, suites, workspace
+from . import basechange, bundle, dot, rlcore, sheafify, spectra, suites, workspace
 from .report import fmt_set
 
 
@@ -50,29 +50,16 @@ def _need(ws_dict: dict, name: str, kind: str) -> Any:
 
 
 def cmd_validate(ws: workspace.Workspace, args) -> dict:
-    lines = []
-    ok = True
-    for name, lat in sorted(ws.lattices.items()):
-        rep = rlcore.verify_rl(lat)
-        ok &= rep.ok
-        lines.append(f"lattice {name}: {'valid' if rep.ok else 'INVALID'}")
-    for name, sp in sorted(ws.spaces.items()):
-        rep = fintop.verify_topology(sp.points, sp.opens)
-        ok &= rep.ok
-        lines.append(f"space {name}: {'valid' if rep.ok else 'INVALID'}")
-    for name, b in sorted(ws.bundles.items()):
-        lines.append(f"bundle {name}: valid (continuous projection)")
-    for name, rb in sorted(ws.rl_bundles.items()):
-        rep = bundle.verify_rl_bundle(rb)
-        ok &= rep.ok
-        lines.append(f"rl_bundle {name}: {'valid' if rep.ok else 'INVALID: ' + str(rep.violations[0])}")
-    for name in sorted(ws.morphisms):
-        lines.append(f"morphism {name}: valid")
-    for name in sorted(ws.rle_spaces):
-        lines.append(f"rle_space {name}: valid")
-    for diag in ws.diagnostics:
-        ok = False
-        lines.append(f"diagnostic: {diag}")
+    # parse_workspace admits a lattice, space or rl-bundle only once its
+    # validator passed, and records every rejection as a diagnostic.
+    lines = [f"lattice {name}: valid" for name in sorted(ws.lattices)]
+    lines += [f"space {name}: valid" for name in sorted(ws.spaces)]
+    lines += [f"bundle {name}: valid (continuous projection)" for name in sorted(ws.bundles)]
+    lines += [f"rl_bundle {name}: valid" for name in sorted(ws.rl_bundles)]
+    lines += [f"morphism {name}: valid" for name in sorted(ws.morphisms)]
+    lines += [f"rle_space {name}: valid" for name in sorted(ws.rle_spaces)]
+    lines += [f"diagnostic: {diag}" for diag in ws.diagnostics]
+    ok = not ws.diagnostics
     exp = ws.expectations
     if exp:
         for lname, table in sorted(exp.get("filters", {}).items()):
@@ -340,6 +327,12 @@ def run(argv: list[str]) -> int:
         return 2
     except workspace.WorkspaceValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except ValueError as e:  # a library refusal inside a command
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except AssertionError as e:
+        print(f"error: failed assertion: {e}", file=sys.stderr)
         return 1
     if args.format == "machine-readable":
         payload = {k: v for k, v in result.items() if k != "lines"}

@@ -1,14 +1,21 @@
 """Finite topological spaces, continuous maps, and the local-homeomorphism calculus.
 
-Topologies are stored as the explicit family of open sets.  Every finite
-space is Alexandrov, so each point has a minimal open neighbourhood; the
-heavier constructions (products, pullbacks, generated topologies) go
-through those minimal neighbourhoods, which is exact in the finite case.
+Every finite space is Alexandrov: each point p has a least open set U_p,
+the intersection of the opens that contain it, and the opens are exactly
+the unions of the U_p.  A space is therefore stored as its points and the
+map p -> U_p (equivalently, its specialization preorder, q below p iff
+q is in U_p).  Builders produce U_p directly, continuity and the other map
+properties are read off it, and the open family is a view (`Opens`) that
+lists its members only when iterated.  `verify_topology` checks families
+that come from outside the program.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -17,7 +24,8 @@ from .report import ValidationReport, Violation, fmt_set
 
 PointSet = frozenset[str]
 
-# Masks guard against accidentally materializing huge topologies.
+# Guards the derived open family, which can be exponential in the points
+# (and the union closure in verify_topology, which can be too).
 MAX_OPENS = 1 << 20
 
 
@@ -48,6 +56,9 @@ def _to_mask(s: Iterable[str], idx: Mapping[str, int]) -> int:
 def _from_mask(m: int, pts: list[str]) -> PointSet:
     return frozenset(p for i, p in enumerate(pts) if m >> i & 1)
 
+def _bits(m: int) -> Iterable[int]:
+    return (i for i in range(m.bit_length()) if m >> i & 1)
+
 
 def _union_closure(masks: Iterable[int]) -> set[int]:
     """All unions of subfamilies (the empty union included)."""
@@ -66,28 +77,37 @@ def _union_closure(masks: Iterable[int]) -> set[int]:
     return seen
 
 
-def _mins_from_family(pts: list[str], idx: dict[str, int], family: Iterable[int]) -> list[int]:
-    """Minimal neighbourhood masks: intersection of all members containing the point."""
-    full = (1 << len(pts)) - 1
-    mins = [full] * len(pts)
+def _mins_from_family(n: int, family: Iterable[int]) -> list[int]:
+    """Minimal neighbourhood masks of n points: intersection of all members containing the point."""
+    mins = [(1 << n) - 1] * n
     for m in family:
-        for i in range(len(pts)):
-            if m >> i & 1:
-                mins[i] &= m
+        for i in _bits(m):
+            mins[i] &= m
     return mins
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite topological space: point ids plus the full open-set family."""
+    """A finite topological space: its points and each point's minimal open set U_p.
+
+    `min_nbhds` may be given as a mapping or as (point, U_p) pairs; it is
+    kept as pairs sorted by point, so two spaces are equal exactly when they
+    have the same points and the same topology.  The constructor checks that
+    the U_p form a preorder (p in U_p within the points, and q in U_p implies
+    U_q inside U_p), which is what makes their unions a topology.
+    """
 
     points: PointSet
-    opens: frozenset[PointSet]
+    min_nbhds: tuple[tuple[str, PointSet], ...]
 
     def __post_init__(self):
-        rep = verify_topology(self.points, self.opens)
-        if not rep.ok:
-            raise ValueError(str(rep))
+        mins = {p: frozenset(u) for p, u in dict(self.min_nbhds).items()}
+        object.__setattr__(self, "min_nbhds", tuple(sorted(mins.items())))
+        if set(mins) != self.points:
+            raise ValueError("minimal neighbourhoods must be given for exactly the points")
+        for p, u in mins.items():
+            if p not in u or not u <= self.points or any(not mins[q] <= u for q in u):
+                raise ValueError(f"{fmt_set(u)} cannot be the minimal neighbourhood of {p} in a preorder")
 
     @cached_property
     def sorted_points(self) -> tuple[str, ...]:
@@ -95,23 +115,71 @@ class FiniteSpace:
 
     @cached_property
     def min_nbhd_map(self) -> dict[str, PointSet]:
-        pts, idx = _index(self.points)
-        masks = [_to_mask(o, idx) for o in self.opens]
-        mins = _mins_from_family(pts, idx, masks)
-        return {p: _from_mask(mins[i], pts) for i, p in enumerate(pts)}
+        return dict(self.min_nbhds)
+
+    @cached_property
+    def opens(self) -> Opens:
+        """The open family as a set-like view; see `Opens`."""
+        return Opens(self)
 
     def is_open(self, s: Iterable[str]) -> bool:
-        return frozenset(s) in self.opens
+        s = frozenset(s)
+        mins = self.min_nbhd_map
+        return all(p in mins and mins[p] <= s for p in s)
 
     def is_discrete(self) -> bool:
-        return all(frozenset({p}) in self.opens for p in self.points)
-
-    def is_hausdorff(self) -> bool:
-        # finite Hausdorff == discrete
-        return self.is_discrete()
+        return all(len(u) == 1 for _, u in self.min_nbhds)
 
     def sorted_opens(self) -> list[PointSet]:
         return sorted(self.opens, key=_set_key)
+
+
+class Opens(Set):
+    """The open family of a space: membership is `is_open`, the size is counted
+    from the U_p, and only iterating derives the members (all unions of the U_p)."""
+
+    def __init__(self, space: FiniteSpace):
+        self.space = space
+        self.pts, idx = _index(space.points)
+        self.down = [_to_mask(space.min_nbhd_map[p], idx) for p in self.pts]
+
+    def __contains__(self, s) -> bool:
+        return isinstance(s, (set, frozenset)) and self.space.is_open(s)
+
+    @cached_property
+    def _members(self) -> frozenset[PointSet]:
+        if self._count > MAX_OPENS:
+            raise ValueError(f"refusing to materialize topology with {self._count} > 2^20 opens")
+        return frozenset(_from_mask(m, self.pts) for m in _union_closure(self.down))
+
+    def __iter__(self):
+        return iter(self._members)
+
+    @cached_property
+    def _count(self) -> int:
+        """Over each connected component, the opens that omit a pivot x (and so
+        every point above it) plus those that hold U_x, memoized on the points left."""
+        down = self.down
+        up = [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+        adj = [d | u for d, u in zip(down, up)]
+
+        @functools.cache
+        def count(s: int) -> int:
+            total, rest = 1, s
+            while rest:
+                comp, grow = 0, rest & -rest
+                while grow:
+                    comp |= grow
+                    grow = functools.reduce(operator.or_, (adj[i] for i in _bits(grow))) & rest & ~comp
+                rest &= ~comp
+                x = max(_bits(comp), key=lambda i: (adj[i] & comp).bit_count())
+                total *= count(comp & ~up[x]) + count(comp & ~down[x])
+            return total
+
+        return count((1 << len(down)) - 1)
+
+    def __len__(self) -> int:
+        return self._count
 
 
 def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> ValidationReport:
@@ -138,7 +206,7 @@ def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> V
         # minimal neighbourhoods, avoids the quadratic scan on huge families.
         plist, idx = _index(pts)
         masks = {_to_mask(s, idx) for s in famset}
-        mins = _mins_from_family(plist, idx, masks)
+        mins = _mins_from_family(len(plist), masks)
         regen = _union_closure(mins)
         if masks != regen:
             extra = next(iter(masks - regen), None)
@@ -158,51 +226,43 @@ def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> V
 
 
 def space_from_opens(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
-    return FiniteSpace(frozenset(points), frozenset(frozenset(o) for o in opens))
+    """The space with the given open family; a ValueError names the first violated axiom."""
+    pts = frozenset(points)
+    fam = [frozenset(o) for o in opens]
+    rep = verify_topology(pts, fam)
+    if not rep.ok:
+        raise ValueError(str(rep.violations[0]))
+    return topology_from_subbasis(pts, fam)
 
 
 def discrete(points: Iterable[str]) -> FiniteSpace:
     pts = frozenset(points)
-    plist, idx = _index(pts)
-    fam = _union_closure([1 << i for i in range(len(plist))])
-    return FiniteSpace(pts, frozenset(_from_mask(m, plist) for m in fam))
+    return FiniteSpace(pts, {p: frozenset({p}) for p in pts})
 
 
 def indiscrete(points: Iterable[str]) -> FiniteSpace:
     pts = frozenset(points)
-    return FiniteSpace(pts, frozenset({frozenset(), pts}))
+    return FiniteSpace(pts, {p: pts for p in pts})
 
 
 def sierpinski(open_point: str = "x", closed_point: str = "y") -> FiniteSpace:
     pts = frozenset({open_point, closed_point})
-    return FiniteSpace(pts, frozenset({frozenset(), frozenset({open_point}), pts}))
-
-
-def topology_from_basis(points: Iterable[str], basis: Iterable[Iterable[str]]) -> FiniteSpace:
-    """Generated topology: all unions of basis members, plus the whole space."""
-    pts = frozenset(points)
-    plist, idx = _index(pts)
-    fam = _union_closure([_to_mask(b, idx) for b in basis] + [(1 << len(plist)) - 1])
-    return FiniteSpace(pts, frozenset(_from_mask(m, plist) for m in fam))
+    return FiniteSpace(pts, {open_point: frozenset({open_point}), closed_point: pts})
 
 
 def topology_from_subbasis(points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> FiniteSpace:
-    """Generated topology: finite intersections of subbasis members, then unions.
-
-    Computed through minimal neighbourhoods (the intersection of all
-    subbasis members containing a point), which generate the same topology.
-    """
+    """Generated topology: U_p is the intersection of the members containing p (the whole space if none)."""
     pts = frozenset(points)
-    plist, idx = _index(pts)
-    full = (1 << len(plist)) - 1
-    mins = [full] * len(plist)
+    mins = dict.fromkeys(pts, pts)
     for s in subbasis:
-        m = _to_mask(s, idx)
-        for i in range(len(plist)):
-            if m >> i & 1:
-                mins[i] &= m
-    fam = _union_closure(mins + [full])
-    return FiniteSpace(pts, frozenset(_from_mask(m, plist) for m in fam))
+        s = frozenset(s)
+        for p in s & pts:
+            mins[p] &= s
+    return FiniteSpace(pts, mins)
+
+
+# On a finite set a basis generates the same U_p as it does as a subbasis.
+topology_from_basis = topology_from_subbasis
 
 
 @dataclass(frozen=True)
@@ -261,7 +321,8 @@ def subspace(s: FiniteSpace, carrier: Iterable[str]) -> FiniteSpace:
     sub = frozenset(carrier)
     if not sub <= s.points:
         raise ValueError(f"carrier {fmt_set(sub)} escapes the space")
-    return FiniteSpace(sub, frozenset(o & sub for o in s.opens))
+    mins = s.min_nbhd_map
+    return FiniteSpace(sub, {p: mins[p] & sub for p in sub})
 
 
 def restrict_map(m: SpaceMap, carrier: Iterable[str]) -> SpaceMap:
@@ -270,23 +331,19 @@ def restrict_map(m: SpaceMap, carrier: Iterable[str]) -> SpaceMap:
 
 
 def is_continuous(m: SpaceMap) -> bool:
-    return all(m.preimage(v) in m.dom.opens for v in m.cod.opens)
+    """f(U_x) inside U_f(x) for every x: f is monotone for the specialization preorders."""
+    cod = m.cod.min_nbhd_map
+    return all(m.image(u) <= cod[m(x)] for x, u in m.dom.min_nbhds)
 
 
 def is_open_map(m: SpaceMap) -> bool:
-    return all(m.image(u) in m.cod.opens for u in m.dom.opens)
+    """Every f(U_x) is open; images of unions are unions of images."""
+    return all(m.cod.is_open(m.image(u)) for _, u in m.dom.min_nbhds)
 
 
 def is_locally_injective(m: SpaceMap) -> bool:
-    for p in m.dom.points:
-        found = False
-        for u in m.dom.opens:
-            if p in u and len(m.image(u)) == len(u):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    """f is injective on each U_x, the least open neighbourhood of x."""
+    return all(len(m.image(u)) == len(u) for _, u in m.dom.min_nbhds)
 
 
 def _restriction_is_homeo_onto_open(m: SpaceMap, u: PointSet) -> bool:
@@ -318,7 +375,12 @@ def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
 
 
 def is_local_homeomorphism(m: SpaceMap) -> bool:
-    return is_continuous(m) and is_open_map(m) and is_locally_injective(m)
+    """f maps each U_x bijectively onto U_f(x): continuous, open and locally injective at once.
+
+    It follows that f is an order isomorphism from U_x onto U_f(x).
+    """
+    cod = m.cod.min_nbhd_map
+    return all(m.image(u) == cod[m(x)] and len(u) == len(cod[m(x)]) for x, u in m.dom.min_nbhds)
 
 
 def is_homeomorphism(m: SpaceMap) -> bool:
@@ -350,21 +412,19 @@ def minimal_neighborhood(s: FiniteSpace, p: str) -> PointSet:
     if p not in s.points:
         raise ValueError(f"unknown point {p}")
     m = s.min_nbhd_map[p]
-    if m not in s.opens:
+    if not s.is_open(m):
         raise AssertionError("minimal neighbourhood escaped the open family")
     return m
 
 
 def product(s1: FiniteSpace, s2: FiniteSpace) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
-    """Product space on pair ids `(p|q)` plus the two projections."""
+    """Product space on pair ids `(p|q)`, with U_(p|q) = U_p x U_q, plus the two projections."""
     pts = {pair_id(p, q): (p, q) for p in s1.points for q in s2.points}
-    basis = []
-    for p in s1.points:
-        for q in s2.points:
-            m1 = s1.min_nbhd_map[p]
-            m2 = s2.min_nbhd_map[q]
-            basis.append([pair_id(a, b) for a in m1 for b in m2])
-    space = topology_from_basis(pts, basis)
+    m1, m2 = s1.min_nbhd_map, s2.min_nbhd_map
+    space = FiniteSpace(
+        frozenset(pts),
+        {k: frozenset(pair_id(a, b) for a in m1[p] for b in m2[q]) for k, (p, q) in pts.items()},
+    )
     p1 = space_map(space, s1, {k: v[0] for k, v in pts.items()})
     p2 = space_map(space, s2, {k: v[1] for k, v in pts.items()})
     return space, p1, p2
@@ -388,11 +448,14 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
         u = _from_mask(bits, plist)
         if all(frozenset(p for p in src.points if t[p] in u) in src.opens for src, t in fams):
             opens.append(u)
-    return FiniteSpace(pts, frozenset(opens))
+    return topology_from_subbasis(pts, opens)
 
 
 def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
-    """Fiber product {(b,s) | f(b)=g(s)} with the subspace-of-product topology."""
+    """Fiber product {(b,s) | f(b)=g(s)} with the subspace-of-product topology.
+
+    U_(b|s) is (U_b x U_s) cut to the carrier; the product itself is not built.
+    """
     if f.cod != g.cod:
         raise ValueError("pullback codomains differ")
     pairs = {
@@ -402,11 +465,8 @@ def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, Spa
         if f(b) == g(s)
     }
     carrier = frozenset(pairs)
-    pieces = set()
-    for u in f.dom.opens:
-        for v in g.dom.opens:
-            pieces.add(frozenset(k for k, (b, s) in pairs.items() if b in u and s in v))
-    space = topology_from_basis(carrier, pieces)
+    mb, ms = f.dom.min_nbhd_map, g.dom.min_nbhd_map
+    space = FiniteSpace(carrier, {k: carrier & {pair_id(c, t) for c in mb[b] for t in ms[s]} for k, (b, s) in pairs.items()})
     p1 = space_map(space, f.dom, {k: v[0] for k, v in pairs.items()})
     p2 = space_map(space, g.dom, {k: v[1] for k, v in pairs.items()})
     return space, p1, p2

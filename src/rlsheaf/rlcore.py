@@ -47,20 +47,9 @@ class ResiduatedLattice:
             acc = self.mul[a, acc]
         return acc
 
-    def upset(self, x: str) -> Subset:
-        return frozenset(y for y in self.carrier if self.le(x, y))
-
     @cached_property
     def size(self) -> int:
         return len(self.carrier)
-
-
-def negation(lat: ResiduatedLattice, a: str) -> str:
-    return lat.negation(a)
-
-
-def power(lat: ResiduatedLattice, a: str, n: int) -> str:
-    return lat.power(a, n)
 
 
 def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:

@@ -16,8 +16,6 @@ from .bundle import Bundle, BundleMorphism, RLBundle, Section, StalkOps
 from .fintop import FiniteSpace, SpaceMap
 from .report import fmt_set
 
-Subset = frozenset[str]
-
 
 def germ_id(base_point: str, table: dict[str, str]) -> str:
     body = ",".join(f"{k}:{v}" for k, v in sorted(table.items()))
@@ -46,7 +44,7 @@ class Germ:
 
 def germ_at(b: Bundle, s: Section, p: str) -> Germ:
     """Germ of a section over an open set at a point of that set."""
-    if s.domain not in b.base.opens:
+    if not b.base.is_open(s.domain):
         raise ValueError(f"section domain {fmt_set(s.domain)} is not open")
     if p not in s.domain:
         raise ValueError(f"{p} is outside the section domain")
@@ -76,22 +74,20 @@ class GermSpace:
         return Bundle(self.space, self.source.base, self.proj)
 
 
-def _min_sections(b: Bundle, p: str) -> list[Section]:
-    return bnd.sections(b, fintop.minimal_neighborhood(b.base, p))
-
-
 def etale_of(b: Bundle) -> GermSpace:
-    """Germ space with the topology generated by the section-image basis Im(s_U)."""
+    """Germ space with the topology generated by the section-image basis Im(s_U).
+
+    The least member around the germ of s at p is Im(s_{U_p}): the germs of
+    s at the points of U_p, where s is cut to U_p.
+    """
     germs: dict[str, Germ] = {}
+    mins: dict[str, frozenset[str]] = {}
     for p in sorted(b.base.points):
-        for s in _min_sections(b, p):
+        for s in bnd.sections(b, fintop.minimal_neighborhood(b.base, p)):
             g = Germ(p, s)
             germs[g.id_str] = g
-    basis: set[frozenset[str]] = {frozenset()}
-    for u in b.base.sorted_opens():
-        for s in bnd.sections(b, u):
-            basis.add(frozenset(germ_at(b, s, p).id_str for p in u))
-    space = fintop.topology_from_basis(germs, basis)
+            mins[g.id_str] = frozenset(germ_at(b, s, q).id_str for q in s.domain)
+    space = FiniteSpace(frozenset(germs), mins)
     proj = fintop.space_map(space, b.base, {k: g.base_point for k, g in germs.items()})
     gs = GermSpace(b, space, proj, germs)
     if not fintop.is_local_homeomorphism(proj):
@@ -126,27 +122,18 @@ def counit_report(b: Bundle, gs: GermSpace | None = None) -> dict[str, bool]:
             if eps.image(img_basis) != s.image():
                 rel_ok = False
             section_images.add(s.image())
-    landing = _unions(section_images)
+    # Images preserve unions, so it suffices that the image of each minimal
+    # open is a union of section images: the union of those it contains.
+    landing = all(
+        eps.image(u) == frozenset().union(*(si for si in section_images if si <= eps.image(u)))
+        for _, u in gs.space.min_nbhds
+    )
     return {
         "injective": len(set(values)) == len(values),
         "continuous": fintop.is_continuous(eps),
         "open_in_total": fintop.is_open_map(eps),
-        "open_relative": rel_ok and all(eps.image(o) in landing for o in gs.space.opens),
+        "open_relative": rel_ok and landing,
     }
-
-
-def _unions(fam: set[Subset]) -> set[Subset]:
-    basis = sorted(fam, key=lambda s: (len(s), sorted(s)))
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        cur = frontier.pop()
-        for piece in basis:
-            nxt = cur | piece
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def counit_is_iso(b: Bundle, gs: GermSpace | None = None) -> bool:

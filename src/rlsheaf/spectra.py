@@ -55,36 +55,21 @@ def default_names(pi: Iterable[Subset]) -> dict[Subset, str]:
 
 
 def spectral_space(cfg: SpectrumConfig, names: Mapping[Subset, str] | None = None) -> fintop.FiniteSpace:
-    """The chosen topology on pi, with filters rendered through `names`."""
+    """The chosen topology on pi, with filters rendered through `names`.
+
+    The hulls h(x) generate the closed sets of `hull` and the opens of
+    `dual`; `patch` is generated by both families.
+    """
     nm = dict(names) if names else default_names(cfg.pi)
     points = [nm[p] for p in cfg.pi]
 
     def named(fam: Iterable[tuple[Subset, ...]]) -> list[frozenset[str]]:
         return [frozenset(nm[p] for p in f) for f in fam]
 
-    hulls = [hull(cfg, [x]) for x in cfg.parent.carrier]
+    hulls = named(hull(cfg, [x]) for x in cfg.parent.carrier)
+    complements = [frozenset(points) - h for h in hulls]
     if cfg.flavor == "hull":
-        closed = _close_family(points, named(hulls))
-        opens = [frozenset(points) - c for c in closed]
-        return fintop.space_from_opens(points, opens)
+        return fintop.topology_from_subbasis(points, complements)
     if cfg.flavor == "dual":
-        return fintop.topology_from_subbasis(points, named(hulls))
-    hull_opens = spectral_space(SpectrumConfig(cfg.parent, cfg.pi, "hull"), names).opens
-    dual_opens = spectral_space(SpectrumConfig(cfg.parent, cfg.pi, "dual"), names).opens
-    return fintop.topology_from_subbasis(points, list(hull_opens) + list(dual_opens))
-
-
-def _close_family(points: Iterable[str], fam: list[frozenset[str]]) -> set[frozenset[str]]:
-    """Close a closed-basis under finite union and intersection, adding the bounds."""
-    out = set(fam) | {frozenset(), frozenset(points)}
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(out, key=lambda s: (len(s), sorted(s)))
-        for a in items:
-            for b in items:
-                for c in (a | b, a & b):
-                    if c not in out:
-                        out.add(c)
-                        changed = True
-    return out
+        return fintop.topology_from_subbasis(points, hulls)
+    return fintop.topology_from_subbasis(points, hulls + complements)

@@ -147,8 +147,9 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
             bnd.section_image_basis(b)
         except AssertionError:
             basis_ok = False
+        pts = sorted(b.base.points)
         all_secs = []
-        for x in _subsets(sorted(b.base.points)):
+        for x in itertools.chain.from_iterable(itertools.combinations(pts, r) for r in range(len(pts) + 1)):
             sub = fintop.subspace(b.base, x)
             for s in bnd.sections(b, x):
                 all_secs.append((sub, dict(s.table)))
@@ -217,14 +218,6 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
     return rep
 
 
-def _subsets(points):
-    return [
-        frozenset(c)
-        for r in range(len(points) + 1)
-        for c in itertools.combinations(points, r)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # the adjunction suite
 
@@ -236,9 +229,7 @@ def adjunction_suite(seed: int | None = None) -> SuiteReport:
     d3 = fintop.discrete(["u", "v", "w"])
     sk = fixtures.space_sierpinski()
     t2 = fintop.discrete(["s", "t"])
-    chain3 = fintop.space_from_opens(
-        ["x", "y", "z"], [[], ["x"], ["x", "y"], ["x", "y", "z"]]
-    )
+    chain3 = fintop.topology_from_subbasis(["x", "y", "z"], [["x"], ["x", "y"]])
     four = fintop.discrete(["q0", "q1", "q2", "q3"])
 
     exp_ok = True

@@ -62,6 +62,19 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], path: str
         raise WorkspaceSyntaxError(f"{path}: missing keys {missing}")
 
 
+def _str_list(raw: Any, path: str) -> list[str]:
+    if not isinstance(raw, list):
+        raise WorkspaceSyntaxError(f"{path}: expected a list")
+    return [str(x) for x in raw]
+
+
+def _section(doc: dict, key: str) -> dict:
+    raw = doc.get(key, {})
+    if not isinstance(raw, dict):
+        raise WorkspaceSyntaxError(f"{key}: expected an object of named entries")
+    return raw
+
+
 def _parse_pairs(raw: Any, path: str) -> list[tuple[str, str]]:
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise WorkspaceSyntaxError(f"{path}: expected a list of [x,y] pairs")
@@ -100,7 +113,7 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     _require_keys(raw, {"carrier", "leq", "hasse", "mul", "imp", "bot", "top"}, {"carrier", "mul", "bot", "top"}, path)
     if ("leq" in raw) == ("hasse" in raw):
         raise WorkspaceSyntaxError(f"{path}: exactly one of 'leq'/'hasse' is required")
-    carrier = [str(x) for x in raw["carrier"]]
+    carrier = _str_list(raw["carrier"], f"{path}.carrier")
     if len(set(carrier)) != len(carrier):
         raise WorkspaceSyntaxError(f"{path}.carrier: duplicate elements")
     cset = set(carrier)
@@ -140,14 +153,14 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
 def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
     path = f"spaces.{name}"
     _require_keys(raw, {"points", "opens"}, {"points", "opens"}, path)
-    points = [str(p) for p in raw["points"]]
-    if not isinstance(raw["opens"], list):
+    points = _str_list(raw["points"], f"{path}.points")
+    if not isinstance(raw["opens"], list) or not all(isinstance(o, list) for o in raw["opens"]):
         raise WorkspaceSyntaxError(f"{path}.opens: expected a list of lists")
     opens = [[str(p) for p in o] for o in raw["opens"]]
-    rep = fintop.verify_topology(points, opens)
-    if not rep.ok:
-        raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
-    return fintop.space_from_opens(points, opens)
+    try:
+        return fintop.space_from_opens(points, opens)
+    except ValueError as e:
+        raise WorkspaceValidationError(f"{path}: {e}")
 
 
 def _parse_point_map(raw: Any, path: str) -> dict[str, str]:
@@ -208,7 +221,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             ws.diagnostics.append(f"{path}: {e}")
             return None
 
-    for name, raw in sorted(doc.get("lattices", {}).items()):
+    for name, raw in sorted(_section(doc, "lattices").items()):
         lat = guard(f"lattices.{name}", lambda: _parse_lattice(name, raw))
         if lat is not None:
             rep = rlcore.verify_rl(lat)
@@ -219,12 +232,12 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             else:
                 ws.diagnostics.append(f"lattices.{name}: {rep.violations[0]}")
 
-    for name, raw in sorted(doc.get("spaces", {}).items()):
+    for name, raw in sorted(_section(doc, "spaces").items()):
         sp = guard(f"spaces.{name}", lambda: _parse_space(name, raw))
         if sp is not None:
             ws.spaces[name] = sp
 
-    for name, raw in sorted(doc.get("maps", {}).items()):
+    for name, raw in sorted(_section(doc, "maps").items()):
         path = f"maps.{name}"
         _require_keys(raw, {"dom", "cod", "table"}, {"dom", "cod", "table"}, path)
         dom, cod = str(raw["dom"]), str(raw["cod"])
@@ -260,7 +273,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             return rb
         return guard(path, build)
 
-    for name, raw in sorted(doc.get("bundles", {}).items()):
+    for name, raw in sorted(_section(doc, "bundles").items()):
         b = parse_bundle_entry(name, raw, want_ops=False, section="bundles")
         if isinstance(b, bundle.RLBundle):
             ws.rl_bundles[name] = b
@@ -268,12 +281,12 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         elif b is not None:
             ws.bundles[name] = b
 
-    for name, raw in sorted(doc.get("rl_bundles", {}).items()):
+    for name, raw in sorted(_section(doc, "rl_bundles").items()):
         b = parse_bundle_entry(name, raw, want_ops=True, section="rl_bundles")
         if b is not None:
             ws.rl_bundles[name] = b
 
-    for name, raw in sorted(doc.get("rle_spaces", {}).items()):
+    for name, raw in sorted(_section(doc, "rle_spaces").items()):
         path = f"rle_spaces.{name}"
         _require_keys(raw, {"base", "etale"}, {"base", "etale"}, path)
         base, et = str(raw["base"]), str(raw["etale"])
@@ -285,7 +298,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         if x is not None:
             ws.rle_spaces[name] = x
 
-    for name, raw in sorted(doc.get("morphisms", {}).items()):
+    for name, raw in sorted(_section(doc, "morphisms").items()):
         path = f"morphisms.{name}"
         if not isinstance(raw, dict) or "kind" not in raw:
             raise WorkspaceSyntaxError(f"{path}: missing 'kind'")

@@ -83,3 +83,16 @@ def all_partitions(elems: list[str]):
         for i in range(len(part)):
             yield part[:i] + [part[i] | {first}] + part[i + 1 :]
         yield part + [{first}]
+
+
+def lattice_closure(points, family) -> frozenset:
+    """Oracle: close a family under pairwise union and intersection, adding the empty set and the whole space.
+
+    On a finite set that is the topology the family generates.
+    """
+    out = {frozenset(), frozenset(points)} | {frozenset(s) for s in family}
+    while True:
+        new = {a | b for a in out for b in out} | {a & b for a in out for b in out}
+        if new <= out:
+            return frozenset(out)
+        out |= new

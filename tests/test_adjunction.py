@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from conftest import rl_isomorphic, rl_product
-from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore
+from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore, suites
 
 PT = fixtures.space_point()
 SK = fixtures.space_sierpinski()
@@ -58,6 +61,24 @@ def test_compact_open_sierpinski_self_maps_oracle():
                     changed = True
     assert fs.space.opens == frozenset(opens)
     assert len(fs.space.opens) == 4
+    # the same raw subbasis on seed-drawn pairs of spaces with at most 3
+    # points; their function spaces have up to 27 points, so the generated
+    # topology is compared through its least opens: every subbasic set is
+    # open, and U_f is the intersection of the subbasic sets holding f
+    rng = random.Random(2024)
+    for _ in range(40):
+        x, y = suites.random_space(rng, 3, "x"), suites.random_space(rng, 3, "y")
+        fs = adjunction.compact_open_space(x, y)
+        ids = frozenset(m.id_str for m in fs.maps)
+        subbasis = [
+            frozenset(m.id_str for m in fs.maps if m.image(c) <= u)
+            for r in range(len(x.points) + 1)
+            for c in itertools.combinations(sorted(x.points), r)
+            for u in y.opens
+        ]
+        assert all(fs.space.is_open(s) for s in subbasis)
+        for f in ids:
+            assert fs.space.min_nbhd_map[f] == ids.intersection(*(s for s in subbasis if f in s))
 
 
 def test_curry_uncurry_round_trip_on_all_maps():

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -151,3 +152,27 @@ def test_seed_env_variable_accepted():
 def test_run_function_directly():
     assert cli.run(["filters", "A4"]) == 0
     assert cli.run(["check-etale", "indiscrete_a2_over_point"]) == 1
+
+
+def test_library_value_error_exits_2_with_one_error_line():
+    # incl_f2 lands in spec_h_a4, not in the one-point base of a2_over_point
+    r = run_cli("pullback", "incl_f2", "a2_over_point")
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    json.loads(GOLDEN.read_text("utf-8")),
+    ids=lambda e: " ".join(e["argv"]) + "".join(f" [{k}={v}]" for k, v in e["env"].items()),
+)
+def test_machine_readable_output_matches_golden_capture(entry, monkeypatch, capsys):
+    """Byte equality with scripts/capture_cli_golden.py's record of the corpus commands."""
+    for key, value in entry["env"].items():
+        monkeypatch.setenv(key, value)
+    rc = cli.run(["--format", "machine-readable", *entry["argv"]])
+    assert (rc, capsys.readouterr().out) == (entry["exit"], entry["stdout"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_closure
 from rlsheaf import fintop, fixtures
 
 
@@ -245,3 +246,105 @@ def test_space_map_totality_errors():
         fintop.space_map(s, s, {"x": "x"})
     with pytest.raises(ValueError):
         fintop.space_map(s, s, {"x": "x", "y": "zzz"})
+
+
+# ---------------------------------------------------------------------------
+# differential: the minimal-neighbourhood representation against open families
+
+
+@st.composite
+def generated_spaces(draw, max_points=6):
+    """A space from one of the generating builders, with its generated open family."""
+    pts = [f"p{i}" for i in range(draw(st.integers(min_value=0, max_value=max_points)))]
+    family = draw(st.lists(st.sets(st.sampled_from(pts)) if pts else st.just(set()), max_size=5))
+    kind = draw(st.sampled_from(["discrete", "indiscrete", "sierpinski", "subbasis", "basis", "opens"]))
+    if kind == "discrete":
+        return fintop.discrete(pts), lattice_closure(pts, [{p} for p in pts])
+    if kind == "indiscrete":
+        return fintop.indiscrete(pts), lattice_closure(pts, [])
+    if kind == "sierpinski":
+        return fintop.sierpinski("o", "c"), lattice_closure(["o", "c"], [{"o"}])
+    if kind == "subbasis":
+        return fintop.topology_from_subbasis(pts, family), lattice_closure(pts, family)
+    if kind == "basis":
+        return fintop.topology_from_basis(pts, family), lattice_closure(pts, family)
+    opens = lattice_closure(pts, family)
+    return fintop.space_from_opens(pts, opens), opens
+
+
+def random_table(draw, dom, cod):
+    return {p: draw(st.sampled_from(sorted(cod.points))) for p in sorted(dom.points)}
+
+
+@st.composite
+def built_spaces(draw):
+    """A space from any builder (derived ones included), at most 6 points, with its oracle open family."""
+    kind = draw(st.sampled_from(["generated", "subspace", "product", "pullback"]))
+    if kind == "generated":
+        return draw(generated_spaces())
+    if kind == "subspace":
+        x, x_opens = draw(generated_spaces())
+        carrier = draw(st.sets(st.sampled_from(sorted(x.points)))) if x.points else set()
+        return fintop.subspace(x, carrier), lattice_closure(carrier, [o & carrier for o in x_opens])
+    if kind == "product":
+        (x, x_opens), (y, y_opens) = draw(generated_spaces(2)), draw(generated_spaces(3))
+        space, _, _ = fintop.product(x, y)
+        rects = [{fintop.pair_id(a, b) for a in u for b in v} for u in x_opens for v in y_opens]
+        return space, lattice_closure(space.points, rects)
+    (x, x_opens), (y, y_opens), (z, _) = draw(generated_spaces(3)), draw(generated_spaces(3)), draw(generated_spaces(2))
+    if not z.points:
+        z = fintop.discrete(["z"])
+    f = fintop.space_map(x, z, random_table(draw, x, z))
+    g = fintop.space_map(y, z, random_table(draw, y, z))
+    space, _, _ = fintop.pullback_space(f, g)
+    pieces = [
+        {fintop.pair_id(a, b) for a in u for b in v if fintop.pair_id(a, b) in space.points}
+        for u in x_opens
+        for v in y_opens
+    ]
+    return space, lattice_closure(space.points, pieces)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_builders_and_map_predicates_match_open_family_oracles(data):
+    x, x_opens = data.draw(built_spaces())
+    assert x.opens == x_opens
+    assert len(x.opens) == len(x_opens)
+    assert fintop.verify_topology(x.points, x.opens).ok
+    pts = sorted(x.points)
+    for r in range(len(pts) + 1):
+        for s in itertools.combinations(pts, r):
+            assert (frozenset(s) in x.opens) == x.is_open(s) == (frozenset(s) in x_opens)
+    y, y_opens = data.draw(built_spaces())
+    if x.points and not y.points:
+        return
+    m = fintop.space_map(x, y, random_table(data.draw, x, y))
+    assert fintop.is_continuous(m) == all(m.preimage(v) in x_opens for v in y_opens)
+    assert fintop.is_open_map(m) == all(m.image(u) in y_opens for u in x_opens)
+    assert fintop.is_local_homeomorphism(m) == fintop.is_local_homeomorphism_direct(m)
+
+
+def test_opens_are_counted_without_deriving_them():
+    big = fintop.discrete([f"p{i}" for i in range(40)])
+    assert len(big.opens) == 2**40
+    assert frozenset({"p1", "p7"}) in big.opens
+    with pytest.raises(ValueError, match="refusing to materialize"):
+        next(iter(big.opens))
+    chain = fintop.FiniteSpace(frozenset("abcd"), {"a": "a", "b": "ab", "c": "abc", "d": "abcd"})
+    assert len(chain.opens) == 5
+
+
+def test_constructor_rejects_neighbourhoods_that_are_not_a_preorder():
+    xyz = frozenset({"x", "y", "z"})
+    assert fintop.FiniteSpace(xyz, {"x": {"x", "y", "z"}, "y": {"y", "z"}, "z": {"z"}}).opens == {
+        frozenset(), frozenset({"z"}), frozenset({"y", "z"}), xyz
+    }
+    for mins in [
+        {"x": {"y"}, "y": {"y"}, "z": {"z"}},  # x outside U_x
+        {"x": {"x", "w"}, "y": {"y"}, "z": {"z"}},  # U_x leaves the space
+        {"x": {"x", "y"}, "y": {"y", "z"}, "z": {"z"}},  # U_y not inside U_x
+        {"x": {"x"}, "y": {"y"}},  # z has no neighbourhood
+    ]:
+        with pytest.raises(ValueError):
+            fintop.FiniteSpace(xyz, mins)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_closure
 from rlsheaf import fintop, fixtures, rlcore, spectra
 
 A4 = fixtures.rl_a4()
@@ -91,3 +94,23 @@ def test_spectral_space_passes_verify_topology():
             for flavor in ["hull", "dual", "patch"]:
                 sp = fixtures.spectrum_space(name, which, flavor)
                 assert fintop.verify_topology(sp.points, sp.opens).ok
+
+
+@pytest.mark.parametrize("lat", [A4, A6, A8], ids=["A4", "A6", "A8"])
+def test_every_flavour_matches_the_literal_closure_of_the_hulls(lat):
+    primes = rlcore.all_filters(lat).select("spec")
+    for r in range(len(primes) + 1):
+        for pi in itertools.combinations(primes, r):
+            names = spectra.default_names(pi)
+            points = frozenset(names.values())
+            hulls = [frozenset(names[p] for p in pi if x in p) for x in lat.carrier]
+            closed = lattice_closure(points, hulls)
+            expected = {
+                "hull": frozenset(points - c for c in closed),
+                "dual": closed,
+                "patch": lattice_closure(points, hulls + [points - h for h in hulls]),
+            }
+            for flavor, opens in expected.items():
+                sp = spectra.spectral_space(spectra.SpectrumConfig(lat, pi, flavor))
+                assert sp.points == points
+                assert sp.opens == opens, (pi, flavor)

@@ -118,3 +118,19 @@ def test_round_trip_serialize_parse():
     assert all(ws2.lattices[k] == ws.lattices[k] for k in ws.lattices)
     assert all(ws2.spaces[k] == ws.spaces[k] for k in ws.spaces)
     assert set(ws2.rl_bundles) == set(ws.rl_bundles)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"lattices": []},
+        {"lattices": {"L": {"carrier": 5, "hasse": [], "mul": {}, "bot": "0", "top": "0"}}},
+        {"spaces": {"S": {"points": "xy", "opens": [[], ["x", "y"]]}}},
+    ],
+    ids=["section-not-object", "carrier-not-list", "points-not-list"],
+)
+def test_malformed_shapes_are_syntax_errors(doc):
+    with pytest.raises(workspace.WorkspaceSyntaxError):
+        workspace.parse_workspace(json.dumps(doc))
+    with pytest.raises(workspace.WorkspaceSyntaxError):
+        workspace.parse_workspace(json.dumps(doc), strict=False)
