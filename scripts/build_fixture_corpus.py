@@ -50,7 +50,8 @@ def bundle_doc(rb: bundle.RLBundle, total_name: str, base_name: str) -> dict:
     }
 
 
-def main() -> None:
+def corpus_text() -> str:
+    """The corpus document, exactly as the bundled file holds it."""
     doc: dict = {"lattices": {}, "spaces": {}, "maps": {}, "bundles": {}, "rl_bundles": {}, "morphisms": {}, "rle_spaces": {}}
 
     for name, fn in fixtures.LATTICES.items():
@@ -191,7 +192,11 @@ def main() -> None:
         },
     }
 
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def main() -> None:
+    text = corpus_text()
     ws = workspace.parse_workspace(text)
     assert not ws.diagnostics
     again = json.dumps(workspace.serialize_workspace(ws), sort_keys=True)
@@ -199,8 +204,8 @@ def main() -> None:
     assert workspace.serialize_workspace(ws2) == workspace.serialize_workspace(ws)
 
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "rlsheaf" / "data" / "paper_fixtures.json"
-    out.write_text(text + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(text)} bytes); round-trip OK")
+    out.write_text(text, encoding="utf-8")
+    print(f"wrote {out} ({len(text) - 1} bytes); round-trip OK")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import bundle as bnd
-from . import fintop, rlcore
+from . import fintop, fixtures, rlcore
 from .bundle import Bundle, RLBundle, Section
 from .fintop import FiniteSpace, SpaceMap, pair_id
 from .report import ValidationReport, Violation
@@ -186,27 +186,7 @@ def gamma_topological_rl(rb: RLBundle) -> TopologicalRL:
 
 def product_rl_bundle(b: FiniteSpace, a: TopologicalRL) -> RLBundle:
     """pi_B lifted: B x A with the stalkwise copied operations."""
-    space, p1, p2 = fintop.product(b, a.topology)
-    proj = fintop.space_map(space, b, {k: p1(k) for k in space.points})
-    bd = Bundle(space, b, proj)
-
-    def lift(tab) -> dict[str, dict[tuple[str, str], str]]:
-        return {
-            pt: {
-                (pair_id(pt, x), pair_id(pt, y)): pair_id(pt, tab[x, y])
-                for x in a.algebra.carrier
-                for y in a.algebra.carrier
-            }
-            for pt in b.points
-        }
-
-    ops = bnd.StalkOps(
-        join=lift(a.algebra.join), meet=lift(a.algebra.meet),
-        mul=lift(a.algebra.mul), imp=lift(a.algebra.imp),
-        zero={pt: pair_id(pt, a.algebra.bot) for pt in b.points},
-        one={pt: pair_id(pt, a.algebra.top) for pt in b.points},
-    )
-    return RLBundle(bd, ops)
+    return fixtures.constant_rl_bundle(b, a.algebra, total=fintop.product(b, a.topology)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from . import bundle as bnd
 from . import fintop, rlcore
-from .bundle import Bundle, BundleMorphism, RLBundle, SectionAlgebra, StalkOps
+from .bundle import Bundle, BundleMorphism, RLBundle, SectionAlgebra
 from .fintop import FiniteSpace, SpaceMap, pair_id
 
 
@@ -50,29 +51,8 @@ def pullback_morphism(f: SpaceMap, h: BundleMorphism) -> BundleMorphism:
 def pullback_rl_etale(f: SpaceMap, re: RLBundle) -> tuple[RLBundle, SpaceMap]:
     """Transport stalk operations componentwise along the pullback."""
     pe = pullback_etale(f, re.bundle)
-    result = pe.result
-
-    def lift(tabs: dict[str, dict[tuple[str, str], str]]) -> dict[str, dict[tuple[str, str], str]]:
-        out: dict[str, dict[tuple[str, str], str]] = {}
-        for b in result.base.points:
-            c = f(b)
-            src_tab = tabs[c]
-            t = {}
-            for s1 in re.bundle.stalk_points(c):
-                for s2 in re.bundle.stalk_points(c):
-                    t[pair_id(b, s1), pair_id(b, s2)] = pair_id(b, src_tab[s1, s2])
-            out[b] = t
-        return out
-
-    ops = StalkOps(
-        join=lift(re.ops.join),
-        meet=lift(re.ops.meet),
-        mul=lift(re.ops.mul),
-        imp=lift(re.ops.imp),
-        zero={b: pair_id(b, re.ops.zero[f(b)]) for b in result.base.points},
-        one={b: pair_id(b, re.ops.one[f(b)]) for b in result.base.points},
-    )
-    return RLBundle(result, ops), pe.fprime
+    ops = bnd.relabelled_ops({b: (bnd.stalk_rl(re, f(b)), partial(pair_id, b)) for b in pe.result.base.points})
+    return RLBundle(pe.result, ops), pe.fprime
 
 
 def lambda_iso(f: SpaceMap, g: SpaceMap, e: Bundle) -> SpaceMap:

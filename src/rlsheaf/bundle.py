@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import fintop, rlcore
 from .fintop import FiniteSpace, SpaceMap, pair_id
@@ -82,6 +82,18 @@ class StalkOps:
 
     def op(self, name: str) -> dict[str, dict[tuple[str, str], str]]:
         return getattr(self, name)
+
+
+def relabelled_ops(stalks: Mapping[str, tuple[rlcore.ResiduatedLattice, Callable[[str], str]]]) -> StalkOps:
+    """Stalk operations copied, at each base point b, from an algebra through an injective renaming of its carrier."""
+    tabs: dict[str, dict[str, dict[tuple[str, str], str]]] = {name: {} for name in StalkOps.OPS}
+    zero, one = {}, {}
+    for b, (alg, rename) in stalks.items():
+        r = {x: rename(x) for x in alg.carrier}
+        for name in StalkOps.OPS:
+            tabs[name][b] = {(r[x], r[y]): r[v] for (x, y), v in getattr(alg, name).items()}
+        zero[b], one[b] = r[alg.bot], r[alg.top]
+    return StalkOps(**tabs, zero=zero, one=one)
 
 
 @dataclass
@@ -240,37 +252,8 @@ def sections(b: Bundle, x: Iterable[str]) -> list[Section]:
     dom = frozenset(x)
     if not dom <= b.base.points:
         raise ValueError("section domain escapes the base")
-    pts = sorted(dom)
-    choices = [sorted(b.stalk_points(p)) for p in pts]
-    if any(not c for c in choices):
-        return []
-    sub = fintop.subspace(b.base, dom)
-    mins_sub = sub.min_nbhd_map
-    mins_tot = b.total.min_nbhd_map
-    out = []
-    assign: dict[str, str] = {}
-
-    def compatible(p: str, t: str) -> bool:
-        for q, u in assign.items():
-            if q in mins_sub[p] and u not in mins_tot[t]:
-                return False
-            if p in mins_sub[q] and t not in mins_tot[u]:
-                return False
-        return True
-
-    def rec(i: int):
-        if i == len(pts):
-            out.append(Section(b, dom, dict(assign)))
-            return
-        p = pts[i]
-        for t in choices[i]:
-            if compatible(p, t):
-                assign[p] = t
-                rec(i + 1)
-                del assign[p]
-
-    rec(0)
-    return sorted(out, key=lambda s: s.id_str)
+    tables = fintop.monotone_tables(fintop.subspace(b.base, dom), b.total, {p: b.stalk_points(p) for p in dom})
+    return sorted((Section(b, dom, t) for t in tables), key=lambda s: s.id_str)
 
 
 def section_through_point(e: Bundle, t: str) -> tuple[Subset, Section]:
@@ -410,47 +393,14 @@ def base_compatible_tables(src: Bundle, dst: Bundle) -> Iterable[dict[str, str]]
         yield dict(zip(pts, combo))
 
 
-def constrained_continuous_tables(
-    src: FiniteSpace, dst: FiniteSpace, choices: Mapping[str, Iterable[str]]
-) -> Iterable[dict[str, str]]:
-    """Continuous tables src->dst with per-point value constraints, by pruned search.
-
-    Continuity is the specialization-monotonicity criterion, exact on finite spaces.
-    """
-    pts = sorted(src.points)
-    opts = [sorted(choices[p]) for p in pts]
-    if any(not o for o in opts):
-        return
-    mins_s = src.min_nbhd_map
-    mins_d = dst.min_nbhd_map
-    assign: dict[str, str] = {}
-
-    def ok(p: str, v: str) -> bool:
-        for q, w in assign.items():
-            if q in mins_s[p] and w not in mins_d[v]:
-                return False
-            if p in mins_s[q] and v not in mins_d[w]:
-                return False
-        return True
-
-    def rec(i: int):
-        if i == len(pts):
-            yield dict(assign)
-            return
-        p = pts[i]
-        for v in opts[i]:
-            if ok(p, v):
-                assign[p] = v
-                yield from rec(i + 1)
-                del assign[p]
-
-    yield from rec(0)
+# The old name of the constrained search, kept for callers outside the package.
+constrained_continuous_tables = fintop.monotone_tables
 
 
 def bundle_morphisms(src: Bundle, dst: Bundle) -> list[BundleMorphism]:
     choices = {t: dst.stalk_points(src.proj(t)) for t in src.total.points}
     out = []
-    for table in constrained_continuous_tables(src.total, dst.total, choices):
+    for table in fintop.monotone_tables(src.total, dst.total, choices):
         m = fintop.space_map(src.total, dst.total, table)
         out.append(BundleMorphism(src, dst, m))
     return out

@@ -184,8 +184,9 @@ def cmd_sheafify(ws: workspace.Workspace, args) -> dict:
 
 def cmd_counit_check(ws: workspace.Workspace, args) -> dict:
     b = ws.bundle_like(args.bundle, "counit-check")
-    crep = sheafify.counit_report(b)
-    iso = bundle.is_etale(b) and sheafify.counit_is_iso(b)
+    gs = sheafify.etale_of(b)
+    crep = sheafify.counit_report(b, gs)
+    iso = bundle.is_etale(b) and sheafify.counit_is_iso(b, gs)
     lines = [f"{k}: {'yes' if v else 'no'}" for k, v in sorted(crep.items())]
     lines.append(f"isomorphism (etale inputs): {'yes' if iso else 'n/a' if not bundle.is_etale(b) else 'no'}")
     ok = crep["injective"] and crep["continuous"] and crep["open_relative"]

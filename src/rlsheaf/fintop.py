@@ -18,7 +18,7 @@ import operator
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .report import ValidationReport, Violation, fmt_set
 
@@ -489,34 +489,36 @@ def pullback_universal_check(
     return u
 
 
-def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[SpaceMap]:
-    """All continuous maps dom -> cod, enumerated with min-neighbourhood pruning."""
-    pts = list(dom.sorted_points)
-    mins_d = dom.min_nbhd_map
-    mins_c = cod.min_nbhd_map
-    cod_pts = sorted(cod.points)
-    out: list[SpaceMap] = []
-    assign: dict[str, str] = {}
+def monotone_tables(
+    dom: FiniteSpace, cod: FiniteSpace, choices: Mapping[str, Iterable[str]] | None = None
+) -> Iterator[dict[str, str]]:
+    """Every continuous table dom -> cod taking each point p into choices[p] (anywhere in cod when None).
 
-    def ok(p: str, v: str) -> bool:
-        # continuity == specialization monotone: q in min(p) forces f(q) in min(f(p))
-        for q, w in assign.items():
-            if q in mins_d[p] and w not in mins_c[v]:
-                return False
-            if p in mins_d[q] and v not in mins_c[w]:
-                return False
-        return True
+    Continuity is specialization monotonicity: q in U_p forces f(q) in U_f(p).
+    The points are assigned in sorted order, each checked only against the
+    earlier points comparable to it, so the tables come out lexicographic in
+    the sorted points with each point's values in sorted order.
+    """
+    pts = dom.sorted_points
+    mins_d, mins_c = dom.min_nbhd_map, cod.min_nbhd_map
+    opts = [sorted(cod.points if choices is None else choices[p]) for p in pts]
+    below = [[j for j in range(i) if pts[j] in mins_d[p]] for i, p in enumerate(pts)]
+    above = [[j for j in range(i) if p in mins_d[pts[j]]] for i, p in enumerate(pts)]
+    vals: list[str] = [""] * len(pts)
 
-    def rec(i: int):
+    def rec(i: int) -> Iterator[dict[str, str]]:
         if i == len(pts):
-            out.append(space_map(dom, cod, dict(assign)))
+            yield dict(zip(pts, vals))
             return
-        p = pts[i]
-        for v in cod_pts:
-            if ok(p, v):
-                assign[p] = v
-                rec(i + 1)
-                del assign[p]
+        for v in opts[i]:
+            u = mins_c[v]
+            if all(vals[j] in u for j in below[i]) and all(v in mins_c[vals[j]] for j in above[i]):
+                vals[i] = v
+                yield from rec(i + 1)
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[SpaceMap]:
+    """All continuous maps dom -> cod, in lexicographic order of their tables."""
+    return [space_map(dom, cod, t) for t in monotone_tables(dom, cod)]

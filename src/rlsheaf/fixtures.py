@@ -6,7 +6,7 @@ so the derived structure is exercised on every construction.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import bundle, fintop, rlcore, spectra
 
@@ -136,27 +136,11 @@ def space_sierpinski() -> fintop.FiniteSpace:
 
 def _disjoint_stalk_bundle(base: fintop.FiniteSpace, stalks: dict[str, rlcore.ResiduatedLattice], suffixes: dict[str, str]) -> bundle.RLBundle:
     """Discrete disjoint union of stalk algebras over a base, one copy per point."""
-    points = {}
-    for b, lat in stalks.items():
-        for x in lat.carrier:
-            points[f"{x}_{suffixes[b]}"] = (b, x)
+    copies = {b: (lat, lambda x, sfx=suffixes[b]: f"{x}_{sfx}") for b, lat in stalks.items()}
+    points = {rename(x): b for b, (lat, rename) in copies.items() for x in lat.carrier}
     total = fintop.discrete(points)
-    proj = fintop.space_map(total, base, {t: b for t, (b, _) in points.items()})
-    bnd = bundle.Bundle(total, base, proj)
-
-    def lift_tab(b: str, tab) -> dict[tuple[str, str], str]:
-        sfx = suffixes[b]
-        return {(f"{x}_{sfx}", f"{y}_{sfx}"): f"{tab[x, y]}_{sfx}" for (x, y) in tab}
-
-    ops = bundle.StalkOps(
-        join={b: lift_tab(b, lat.join) for b, lat in stalks.items()},
-        meet={b: lift_tab(b, lat.meet) for b, lat in stalks.items()},
-        mul={b: lift_tab(b, lat.mul) for b, lat in stalks.items()},
-        imp={b: lift_tab(b, lat.imp) for b, lat in stalks.items()},
-        zero={b: f"{lat.bot}_{suffixes[b]}" for b, lat in stalks.items()},
-        one={b: f"{lat.top}_{suffixes[b]}" for b, lat in stalks.items()},
-    )
-    return bundle.RLBundle(bnd, ops)
+    proj = fintop.space_map(total, base, points)
+    return bundle.RLBundle(bundle.Bundle(total, base, proj), bundle.relabelled_ops(copies))
 
 
 @lru_cache(maxsize=None)
@@ -193,21 +177,7 @@ def constant_rl_bundle(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice, 
         raise ValueError("total must live on the canonical pair carrier")
     proj = fintop.space_map(total, base, {t: b for t, (b, _) in points.items()})
     bnd = bundle.Bundle(total, base, proj)
-
-    def lift(tab) -> dict[str, dict[tuple[str, str], str]]:
-        return {
-            b: {
-                (fintop.pair_id(b, x), fintop.pair_id(b, y)): fintop.pair_id(b, tab[x, y])
-                for (x, y) in tab
-            }
-            for b in base.points
-        }
-
-    ops = bundle.StalkOps(
-        join=lift(lat.join), meet=lift(lat.meet), mul=lift(lat.mul), imp=lift(lat.imp),
-        zero={b: fintop.pair_id(b, lat.bot) for b in base.points},
-        one={b: fintop.pair_id(b, lat.top) for b in base.points},
-    )
+    ops = bundle.relabelled_ops({b: (lat, partial(fintop.pair_id, b)) for b in base.points})
     return bundle.RLBundle(bnd, ops)
 
 

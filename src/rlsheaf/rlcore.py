@@ -115,8 +115,20 @@ def make_lattice(
     imp: Mapping[tuple[str, str], str] | None = None,
 ) -> ResiduatedLattice:
     """Build from a Hasse diagram and a (symmetric) mul table; imp derived when absent."""
+    carrier = tuple(carrier)
+    return lattice_from_order(carrier, _leq_from_hasse(carrier, hasse), mul, bot, top, imp)
+
+
+def lattice_from_order(
+    carrier: Iterable[str],
+    leq: frozenset[tuple[str, str]],
+    mul: Mapping[tuple[str, str], str],
+    bot: str,
+    top: str,
+    imp: Mapping[tuple[str, str], str] | None = None,
+) -> ResiduatedLattice:
+    """Build from a full order relation and a mul table: join and meet derived, imp derived when absent."""
     elems = tuple(sorted(carrier))
-    leq = _leq_from_hasse(elems, hasse)
     join: Table = {}
     meet: Table = {}
     for x in elems:

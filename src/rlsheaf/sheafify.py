@@ -7,12 +7,11 @@ neighbourhood equivalence (that coincidence is itself under test).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import bundle as bnd
 from . import fintop
-from .bundle import Bundle, BundleMorphism, RLBundle, Section, StalkOps
+from .bundle import Bundle, BundleMorphism, RLBundle, Section
 from .fintop import FiniteSpace, SpaceMap
 from .report import fmt_set
 
@@ -161,11 +160,11 @@ def coreflect_morphism(h: BundleMorphism) -> SpaceMap:
     return m
 
 
-def couniversal_factorization(h: BundleMorphism) -> SpaceMap:
+def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) -> SpaceMap:
     """Unique etale morphism hbar with counit . hbar = h, for etale source."""
     if not bnd.is_etale(h.src):
         raise ValueError("source bundle is not an etale")
-    gs = etale_of(h.dst)
+    gs = gs or etale_of(h.dst)
     table = {}
     for y in sorted(h.src.total.points):
         u, s = bnd.section_through_point(h.src, y)
@@ -182,9 +181,9 @@ def couniversal_factorization(h: BundleMorphism) -> SpaceMap:
     return m
 
 
-def factorizations_by_search(h: BundleMorphism) -> list[SpaceMap]:
+def factorizations_by_search(h: BundleMorphism, gs: GermSpace | None = None) -> list[SpaceMap]:
     """All base-compatible continuous maps k with counit . k = h (uniqueness oracle)."""
-    gs = etale_of(h.dst)
+    gs = gs or etale_of(h.dst)
     eps = counit(h.dst, gs)
     choices = {
         y: [k for k, g in gs.germs.items() if g.base_point == h.src.proj(y) and eps(k) == h(y)]
@@ -192,38 +191,18 @@ def factorizations_by_search(h: BundleMorphism) -> list[SpaceMap]:
     }
     return [
         fintop.space_map(h.src.total, gs.space, table)
-        for table in bnd.constrained_continuous_tables(h.src.total, gs.space, choices)
+        for table in fintop.monotone_tables(h.src.total, gs.space, choices)
     ]
 
 
 def rl_germ_ops(rb: RLBundle) -> tuple[RLBundle, GermSpace]:
-    """Transport stalk operations to the germ space through pointwise operations on representatives."""
-    b = rb.bundle
-    gs = etale_of(b)
-    by_point: dict[str, list[str]] = {}
-    for k, g in gs.germs.items():
-        by_point.setdefault(g.base_point, []).append(k)
-
-    join: dict[str, dict[tuple[str, str], str]] = {}
-    meet: dict[str, dict[tuple[str, str], str]] = {}
-    mul: dict[str, dict[tuple[str, str], str]] = {}
-    imp: dict[str, dict[tuple[str, str], str]] = {}
-    zero: dict[str, str] = {}
-    one: dict[str, str] = {}
-    for p, keys in by_point.items():
-        dom = fintop.minimal_neighborhood(b.base, p)
-        for name, store in [("join", join), ("meet", meet), ("mul", mul), ("imp", imp)]:
-            tabs = rb.ops.op(name)
-            t = {}
-            for k1, k2 in itertools.product(keys, repeat=2):
-                r1, r2 = gs.germs[k1].rep, gs.germs[k2].rep
-                combined = {q: tabs[q][r1(q), r2(q)] for q in dom}
-                t[k1, k2] = germ_id(p, combined)
-            store[p] = t
-        zero[p] = germ_id(p, {q: rb.ops.zero[q] for q in dom})
-        one[p] = germ_id(p, {q: rb.ops.one[q] for q in dom})
-    ops = StalkOps(join=join, meet=meet, mul=mul, imp=imp, zero=zero, one=one)
-    return RLBundle(gs.as_bundle, ops), gs
+    """Germ stalks as algebras: the stalk at p is Gamma(U_p) under pointwise operations, one germ per section."""
+    gs = etale_of(rb.bundle)
+    stalks = {}
+    for p in rb.base.points:
+        sa = bnd.pointwise_rl_on_sections(rb, fintop.minimal_neighborhood(rb.base, p))
+        stalks[p] = (sa.algebra, lambda sid, p=p, secs=sa.sections: germ_id(p, secs[sid].table))
+    return RLBundle(gs.as_bundle, bnd.relabelled_ops(stalks)), gs
 
 
 def coreflection_hom_counts(t: Bundle, x: Bundle) -> tuple[int, int, bool]:
@@ -233,7 +212,7 @@ def coreflection_hom_counts(t: Bundle, x: Bundle) -> tuple[int, int, bool]:
     homs_etale = bnd.bundle_morphisms(t, gs.as_bundle)
     lifted = set()
     for h in homs_bundle:
-        lifted.add(couniversal_factorization(h).id_str)
+        lifted.add(couniversal_factorization(h, gs).id_str)
     etale_ids = {m.map.id_str for m in homs_etale}
     bijective = len(lifted) == len(homs_bundle) and lifted == etale_ids
     return len(homs_bundle), len(homs_etale), bijective

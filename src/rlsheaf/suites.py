@@ -176,12 +176,12 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
             details.append(name)
         t = gs.as_bundle
         choices = {p: b.stalk_points(t.proj(p)) for p in t.total.points}
-        tables = bnd.constrained_continuous_tables(t.total, b.total, choices)
+        tables = fintop.monotone_tables(t.total, b.total, choices)
         checked = 0
         for table in itertools.islice(tables, 8):
             h = bnd.BundleMorphism(t, b, fintop.space_map(t.total, b.total, table))
-            m = sheafify.couniversal_factorization(h)
-            wits = sheafify.factorizations_by_search(h)
+            m = sheafify.couniversal_factorization(h, gs)
+            wits = sheafify.factorizations_by_search(h, gs)
             if len(wits) != 1 or wits[0].table != m.table:
                 sheaf_ok = False
                 details.append(f"{name}:factorization")

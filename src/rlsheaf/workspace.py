@@ -125,29 +125,14 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     if bot not in cset or top not in cset:
         raise WorkspaceSyntaxError(f"{path}: bot/top outside the carrier")
     if "hasse" in raw:
-        hasse = _parse_pairs(raw["hasse"], f"{path}.hasse")
-        try:
-            return rlcore.make_lattice(carrier, hasse, mul, bot, top, imp)
-        except (ValueError, rlcore.NotResiduated) as e:
-            raise WorkspaceValidationError(f"{path}: {e}")
-    pairs = _parse_pairs(raw["leq"], f"{path}.leq")
-    leq = frozenset(pairs) | frozenset((x, x) for x in carrier)
-    elems = tuple(sorted(carrier))
-    join: dict[tuple[str, str], str] = {}
-    meet: dict[tuple[str, str], str] = {}
-    for x in elems:
-        for y in elems:
-            j = rlcore.lub(elems, leq, [x, y])
-            m = rlcore.glb(elems, leq, [x, y])
-            if j is None or m is None:
-                raise WorkspaceValidationError(f"{path}.leq: not a lattice at ({x},{y})")
-            join[x, y] = j
-            meet[x, y] = m
+        build, order = rlcore.make_lattice, _parse_pairs(raw["hasse"], f"{path}.hasse")
+    else:
+        leq = frozenset(_parse_pairs(raw["leq"], f"{path}.leq")) | frozenset((x, x) for x in carrier)
+        build, order = rlcore.lattice_from_order, leq
     try:
-        derived = imp if imp is not None else rlcore.derive_residual(elems, leq, mul)
-    except rlcore.NotResiduated as e:
+        return build(carrier, order, mul, bot, top, imp)
+    except (ValueError, rlcore.NotResiduated) as e:
         raise WorkspaceValidationError(f"{path}: {e}")
-    return rlcore.ResiduatedLattice(elems, leq, join, meet, mul, derived, bot, top)
 
 
 def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
@@ -368,9 +353,7 @@ def serialize_workspace(ws: Workspace) -> dict:
     if ws.maps:
         doc["maps"] = {}
         for name, m in sorted(ws.maps.items()):
-            dom = next(k for k, v in ws.spaces.items() if v == m.dom)
-            cod = next(k for k, v in ws.spaces.items() if v == m.cod)
-            doc["maps"][name] = {"dom": dom, "cod": cod, "table": dict(m.table)}
+            doc["maps"][name] = {"dom": _name_of(ws.spaces, m.dom), "cod": _name_of(ws.spaces, m.cod), "table": dict(m.table)}
     plain = {n: b for n, b in ws.bundles.items() if n not in ws.rl_bundles}
     if plain:
         doc["bundles"] = {}
@@ -383,9 +366,7 @@ def serialize_workspace(ws: Workspace) -> dict:
     if ws.rle_spaces:
         doc["rle_spaces"] = {}
         for name, x in sorted(ws.rle_spaces.items()):
-            base = next(k for k, v in ws.spaces.items() if v == x.base)
-            et = next(k for k, v in ws.rl_bundles.items() if v is x.etale or v == x.etale)
-            doc["rle_spaces"][name] = {"base": base, "etale": et}
+            doc["rle_spaces"][name] = {"base": _name_of(ws.spaces, x.base), "etale": _name_of(ws.rl_bundles, x.etale)}
     if ws.morphisms:
         doc["morphisms"] = {name: ws.morphism_docs[name] for name in sorted(ws.morphisms)}
     if ws.expectations:
@@ -393,10 +374,13 @@ def serialize_workspace(ws: Workspace) -> dict:
     return doc
 
 
+def _name_of(registry: Mapping[str, Any], obj: Any) -> str:
+    """The name the parser registered this very object under; equal objects may carry other names."""
+    return next(k for k, v in registry.items() if v is obj)
+
+
 def _serialize_bundle(ws: Workspace, b: bundle.Bundle, ops: bundle.StalkOps | None) -> dict:
-    total = next(k for k, v in ws.spaces.items() if v == b.total)
-    base = next(k for k, v in ws.spaces.items() if v == b.base)
-    out = {"total": total, "base": base, "proj": dict(b.proj.table)}
+    out = {"total": _name_of(ws.spaces, b.total), "base": _name_of(ws.spaces, b.base), "proj": dict(b.proj.table)}
     if ops is not None:
         out["stalk_ops"] = {
             p: {

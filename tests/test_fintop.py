@@ -325,6 +325,38 @@ def test_builders_and_map_predicates_match_open_family_oracles(data):
     assert fintop.is_local_homeomorphism(m) == fintop.is_local_homeomorphism_direct(m)
 
 
+def _brute_force_tables(dom, cod, choices):
+    """Oracle: every table in the product of the choices, kept when continuous, in product order."""
+    pts = sorted(dom.points)
+    out = []
+    for combo in itertools.product(*(sorted(choices[p]) for p in pts)):
+        table = dict(zip(pts, combo))
+        if fintop.is_continuous(fintop.space_map(dom, cod, table)):
+            out.append(table)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_monotone_tables_match_the_brute_force_product(data):
+    dom, _ = data.draw(built_spaces())
+    cod, _ = data.draw(built_spaces())
+    cod_pts = sorted(cod.points)
+    choices = {
+        p: data.draw(st.sets(st.sampled_from(cod_pts)) if cod_pts else st.just(set()))
+        for p in sorted(dom.points)
+    }
+    got = list(fintop.monotone_tables(dom, cod, choices))
+    want = _brute_force_tables(dom, cod, choices)
+    assert {tuple(sorted(t.items())) for t in got} == {tuple(sorted(t.items())) for t in want}
+    key = lambda t: [t[p] for p in sorted(dom.points)]
+    assert [key(t) for t in got] == sorted(key(t) for t in got)
+    unconstrained = [m.mapping for m in fintop.continuous_maps(dom, cod)]
+    assert unconstrained == list(fintop.monotone_tables(dom, cod))
+    if len(cod_pts) ** len(dom.points) <= 4096:
+        assert unconstrained == _brute_force_tables(dom, cod, dict.fromkeys(dom.points, cod_pts))
+
+
 def test_opens_are_counted_without_deriving_them():
     big = fintop.discrete([f"p{i}" for i in range(40)])
     assert len(big.opens) == 2**40

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import rl_isomorphic
-from rlsheaf import bundle, fintop, fixtures, rlcore, sheafify
+from rlsheaf import bundle, cli, fintop, fixtures, rlcore, sheafify
 
 ET4 = fixtures.et_spec_h_a4()
 INDIS = fixtures.indiscrete_a2_over_point()
@@ -220,3 +220,21 @@ def test_gamma_of_germ_space_isomorphic_to_gamma_of_source():
             g_src = bundle.pointwise_rl_on_sections(rb, u)
             g_germ = bundle.pointwise_rl_on_sections(grb, u)
             assert rl_isomorphic(g_src.algebra, g_germ.algebra)
+
+
+@pytest.mark.parametrize("name", ["indiscrete_a2_over_point", "etspecha4"])
+def test_counit_check_builds_the_germ_space_once(monkeypatch, name):
+    calls = []
+    real = sheafify.etale_of
+    monkeypatch.setattr(sheafify, "etale_of", lambda b: calls.append(b) or real(b))
+    assert cli.run(["--format", "machine-readable", "counit-check", name]) == 0
+    assert len(calls) == 1
+
+
+def test_coreflection_hom_counts_builds_the_germ_space_once(monkeypatch):
+    calls = []
+    real = sheafify.etale_of
+    monkeypatch.setattr(sheafify, "etale_of", lambda b: calls.append(b) or real(b))
+    nb, ne, bij = sheafify.coreflection_hom_counts(fixtures.a2_over_point().bundle, INDIS.bundle)
+    assert nb == ne > 0 and bij
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -134,3 +135,22 @@ def test_malformed_shapes_are_syntax_errors(doc):
         workspace.parse_workspace(json.dumps(doc))
     with pytest.raises(workspace.WorkspaceSyntaxError):
         workspace.parse_workspace(json.dumps(doc), strict=False)
+
+
+def test_serializing_the_parsed_corpus_gives_back_the_corpus():
+    """Every reference keeps its name, though some spaces of the corpus are equal (spec_h_a4 == max_d_a6)."""
+    doc = json.loads(bundled_text())
+    out = workspace.serialize_workspace(workspace.parse_workspace(doc))
+    for lat in out["lattices"].values():
+        del lat["imp"]  # derived on loading, so the corpus leaves it out
+    assert out == {key: section for key, section in doc.items() if section}
+
+
+def test_fixture_corpus_regenerates_byte_identically():
+    import importlib.util
+
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "build_fixture_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_fixture_corpus", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.corpus_text() == bundled_text()
