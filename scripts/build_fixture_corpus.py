@@ -11,68 +11,25 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from rlsheaf import basechange, bundle, fintop, fixtures, rlcore, workspace
-
-
-def lattice_doc(lat: rlcore.ResiduatedLattice) -> dict:
-    # imp intentionally omitted: loading re-derives it from the order and mul
-    return {
-        "carrier": list(lat.carrier),
-        "leq": sorted([x, y] for (x, y) in lat.leq),
-        "mul": {f"{x},{y}": lat.mul[x, y] for x in lat.carrier for y in lat.carrier},
-        "bot": lat.bot,
-        "top": lat.top,
-    }
-
-
-def space_doc(sp: fintop.FiniteSpace) -> dict:
-    return {"points": sorted(sp.points), "opens": [sorted(o) for o in sp.sorted_opens()]}
-
-
-def bundle_doc(rb: bundle.RLBundle, total_name: str, base_name: str) -> dict:
-    ops = rb.ops
-    return {
-        "total": total_name,
-        "base": base_name,
-        "proj": dict(rb.proj.table),
-        "stalk_ops": {
-            p: {
-                name: {f"{x},{y}": tab[x, y] for (x, y) in sorted(tab)}
-                for name, tab in [
-                    ("join", ops.join[p]), ("meet", ops.meet[p]),
-                    ("mul", ops.mul[p]), ("imp", ops.imp[p]),
-                ]
-            }
-            for p in sorted(ops.zero)
-        },
-        "zero": dict(sorted(ops.zero.items())),
-        "one": dict(sorted(ops.one.items())),
-    }
+from rlsheaf import basechange, bundle, fintop, fixtures, workspace
 
 
 def corpus_text() -> str:
     """The corpus document, exactly as the bundled file holds it."""
-    doc: dict = {"lattices": {}, "spaces": {}, "maps": {}, "bundles": {}, "rl_bundles": {}, "morphisms": {}, "rle_spaces": {}}
-
-    for name, fn in fixtures.LATTICES.items():
-        doc["lattices"][name] = lattice_doc(fn())
-
     spec_h_a4 = fixtures.spectrum_space("A4", "spec", "hull")
-    max_d_a6 = fixtures.spectrum_space("A6", "max", "dual")
-    min_p_a8 = fixtures.spectrum_space("A8", "min", "patch")
-    pt = fixtures.space_point()
     pt_f2 = fintop.subspace(spec_h_a4, ["F2"])
-
     spaces = {
-        "point": pt,
+        "point": fixtures.space_point(),
         "sierpinski": fixtures.space_sierpinski(),
         "disc2": fintop.discrete(["m", "n"]),
         "spec_h_a4": spec_h_a4,
-        "max_d_a6": max_d_a6,
-        "min_p_a8": min_p_a8,
+        "max_d_a6": fixtures.spectrum_space("A6", "max", "dual"),
+        "min_p_a8": fixtures.spectrum_space("A8", "min", "patch"),
         "pt_f2": pt_f2,
     }
 
+    incl = fintop.space_map(pt_f2, spec_h_a4, {"F2": "F2"})
+    stalk_f2, _ = basechange.pullback_rl_etale(incl, fixtures.et_spec_h_a4())
     rl_bundles = {
         "etspecha4": (fixtures.et_spec_h_a4(), "spec_h_a4"),
         "etmaxda6": (fixtures.et_max_d_a6(), "max_d_a6"),
@@ -80,18 +37,18 @@ def corpus_text() -> str:
         "a2_over_point": (fixtures.a2_over_point(), "point"),
         "indiscrete_a2_over_point": (fixtures.indiscrete_a2_over_point(), "point"),
         "trivial_a2_over_spec_h_a4": (fixtures.trivial_a2_over_spec_h_a4(), "spec_h_a4"),
+        "stalk_f2": (stalk_f2, "pt_f2"),
     }
-    incl = fintop.space_map(pt_f2, spec_h_a4, {"F2": "F2"})
-    stalk_f2, _ = basechange.pullback_rl_etale(incl, fixtures.et_spec_h_a4())
-    rl_bundles["stalk_f2"] = (stalk_f2, "pt_f2")
-
+    ws = workspace.Workspace(lattices={name: fn() for name, fn in fixtures.LATTICES.items()}, spaces=spaces)
     for name, (rb, base_name) in rl_bundles.items():
-        total_name = f"total_{name}"
-        spaces[total_name] = rb.total
-        doc["rl_bundles"][name] = bundle_doc(rb, total_name, base_name)
+        # the serializer names a bundle's spaces by identity, so each bundle is put over the registered ones
+        ws.spaces[f"total_{name}"] = rb.total
+        ws.rl_bundles[name] = bundle.RLBundle(bundle.Bundle(rb.total, ws.spaces[base_name], rb.proj), rb.ops)
 
-    for name, sp in spaces.items():
-        doc["spaces"][name] = space_doc(sp)
+    doc = workspace.serialize_workspace(ws)
+    for lat in doc["lattices"].values():
+        del lat["imp"]  # derived on loading, so the corpus leaves it out
+    doc["bundles"] = {}  # the corpus keeps the section, empty
 
     doc["maps"] = {
         "id_spec_h_a4": {"dom": "spec_h_a4", "cod": "spec_h_a4", "table": {"F2": "F2", "F3": "F3"}},

@@ -225,9 +225,8 @@ class Section:
         for p, t in self.table.items():
             if self.parent.proj(t) != p:
                 raise ValueError(f"not a right inverse at {p}")
-        sub = fintop.subspace(self.parent.base, self.domain)
-        m = fintop.space_map(sub, self.parent.total, self.table)
-        if not fintop.is_continuous(m):
+        base, total = self.parent.base.min_nbhd_map, self.parent.total.min_nbhd_map
+        if any(self.table[q] not in total[t] for p, t in self.table.items() for q in base[p] & self.domain):
             raise ValueError("section is not continuous")
 
     def __call__(self, p: str) -> str:

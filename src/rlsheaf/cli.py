@@ -35,12 +35,15 @@ def load_workspace(path: str | None, strict: bool = True) -> workspace.Workspace
     return workspace.parse_workspace(text, strict=strict)
 
 
-def _filter_names_for(ws: workspace.Workspace, name: str, lat: rlcore.ResiduatedLattice) -> dict[frozenset[str], str]:
+def _filter_names_for(ws: workspace.Workspace, name: str, fl: rlcore.FilterLattice) -> dict[frozenset[str], str]:
     exp = ws.expectations.get("filters", {}).get(name)
-    if exp:
-        return {frozenset(v): k for k, v in exp.items()}
-    fam = rlcore.all_filters(lat).filters
-    return {f: f"F{i + 1}" for i, f in enumerate(fam)}
+    if not exp:
+        return {f: f"F{i + 1}" for i, f in enumerate(fl.filters)}
+    names = {frozenset(v): k for k, v in exp.items()}
+    unnamed = [f for f in fl.filters if f not in names]
+    if unnamed:
+        raise CommandError(f"expectations.filters.{name} does not name the filter {fmt_set(unnamed[0])}", 1)
+    return names
 
 
 def _need(ws_dict: dict, name: str, kind: str) -> Any:
@@ -77,7 +80,7 @@ def cmd_validate(ws: workspace.Workspace, args) -> dict:
 def cmd_filters(ws: workspace.Workspace, args) -> dict:
     lat = _need(ws.lattices, args.name, "lattice")
     fl = rlcore.all_filters(lat)
-    names = _filter_names_for(ws, args.name, lat)
+    names = _filter_names_for(ws, args.name, fl)
     rows = sorted((names[f], sorted(f)) for f in fl.filters)
     return {
         "ok": True,
@@ -89,7 +92,7 @@ def cmd_filters(ws: workspace.Workspace, args) -> dict:
 def cmd_classify(ws: workspace.Workspace, args) -> dict:
     lat = _need(ws.lattices, args.name, "lattice")
     fl = rlcore.all_filters(lat)
-    names = _filter_names_for(ws, args.name, lat)
+    names = _filter_names_for(ws, args.name, fl)
     rows = []
     for f in fl.filters:
         flags = fl.classification[f]
@@ -126,7 +129,7 @@ def cmd_spectrum(ws: workspace.Workspace, args) -> dict:
     fl = rlcore.all_filters(lat)
     pi = fl.select(args.set)
     cfg = spectra.SpectrumConfig(lat, pi, args.flavor)
-    names = _filter_names_for(ws, args.name, lat)
+    names = _filter_names_for(ws, args.name, fl)
     sp = spectra.spectral_space(cfg, names)
     opens = [sorted(o) for o in sp.sorted_opens()]
     lines = [f"points: {fmt_set(sp.points)}"] + [f"open: {fmt_set(o)}" for o in opens]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping
 
 from .report import ValidationReport, Violation, fmt_set
@@ -67,19 +67,32 @@ def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) ->
     return frozenset((x, y) for x in elems for y in above[x])
 
 
+def _order_bounds(carrier: Iterable[str], leq: frozenset[tuple[str, str]]):
+    """(sup, inf) under any relation `leq`, read off up- and down-rows built once: the bounds of
+    xs are the carrier elements in every x's row, and the extremum is the bound whose own row
+    holds every bound (None unless exactly one does)."""
+    up: dict[str, set[str]] = {}
+    down: dict[str, set[str]] = {}
+    for x, y in leq:
+        up.setdefault(x, set()).add(y)
+        down.setdefault(y, set()).add(x)
+    elems = frozenset(carrier)
+    return partial(_extremum, elems, up), partial(_extremum, elems, down)
+
+
+def _extremum(elems: Subset, rows: dict[str, set[str]], xs: Iterable[str]) -> str | None:
+    bounds = elems.intersection(*(rows.get(x, ()) for x in xs))
+    best = [b for b in bounds if bounds <= rows.get(b, set())]
+    return best[0] if len(best) == 1 else None
+
+
 def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
     """Least upper bound of a subset, None when it does not exist."""
-    xs = list(xs)
-    ubs = [u for u in carrier if all((x, u) in leq for x in xs)]
-    least = [u for u in ubs if all((u, v) in leq for v in ubs)]
-    return least[0] if len(least) == 1 else None
+    return _order_bounds(carrier, leq)[0](xs)
 
 
 def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    xs = list(xs)
-    lbs = [u for u in carrier if all((u, x) in leq for x in xs)]
-    greatest = [u for u in lbs if all((v, u) in leq for v in lbs)]
-    return greatest[0] if len(greatest) == 1 else None
+    return _order_bounds(carrier, leq)[1](xs)
 
 
 def derive_residual(
@@ -92,11 +105,12 @@ def derive_residual(
     Assumes the bounded-lattice and commutative-monoid axioms already hold.
     """
     elems = sorted(carrier)
+    sup, _ = _order_bounds(elems, leq)
     imp: Table = {}
     for x in elems:
         for y in elems:
             zs = [z for z in elems if (mul[x, z], y) in leq]
-            j = lub(elems, leq, zs)
+            j = sup(zs)
             if j is None:
                 raise NotResiduated(f"sup of {fmt_set(zs)} does not exist for {x}->{y}")
             imp[x, y] = j
@@ -129,12 +143,13 @@ def lattice_from_order(
 ) -> ResiduatedLattice:
     """Build from a full order relation and a mul table: join and meet derived, imp derived when absent."""
     elems = tuple(sorted(carrier))
+    sup, inf = _order_bounds(elems, leq)
     join: Table = {}
     meet: Table = {}
     for x in elems:
         for y in elems:
-            j = lub(elems, leq, [x, y])
-            m = glb(elems, leq, [x, y])
+            j = sup([x, y])
+            m = inf([x, y])
             if j is None or m is None:
                 raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
             join[x, y] = j
@@ -184,10 +199,11 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
         if not lat.le(x, lat.top):
             bad.append(Violation("top-not-greatest", x))
 
+    sup, inf = _order_bounds(elems, lat.leq)
     for x, y in itertools.product(elems, repeat=2):
-        if lat.join[x, y] != lub(elems, lat.leq, [x, y]):
+        if lat.join[x, y] != sup([x, y]):
             bad.append(Violation("join-not-lub", f"({x},{y})"))
-        if lat.meet[x, y] != glb(elems, lat.leq, [x, y]):
+        if lat.meet[x, y] != inf([x, y]):
             bad.append(Violation("meet-not-glb", f"({x},{y})"))
 
     for x, y in itertools.product(elems, repeat=2):
@@ -226,23 +242,16 @@ def is_filter(lat: ResiduatedLattice, s: Iterable[str]) -> bool:
 
 
 def generated_filter(lat: ResiduatedLattice, xs: Iterable[str]) -> Subset:
-    """Least filter containing xs, by closure iteration."""
-    cur = set(xs) | {lat.top}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in itertools.product(list(cur), repeat=2):
-            v = lat.mul[x, y]
-            if v not in cur:
-                cur.add(v)
-                changed = True
-        for x in list(cur):
-            for y in lat.carrier:
-                v = lat.join[x, y]
-                if v not in cur:
-                    cur.add(v)
-                    changed = True
-    return frozenset(cur)
+    """Least filter containing xs: `↑e` for the idempotent e that the squares of their product reach.
+
+    `lat` must pass `verify_rl`, whose unit check makes `top` the unit: the algebra is integral.
+    """
+    e = lat.top
+    for x in xs:
+        e = lat.mul[e, x]
+    while lat.mul[e, e] != e:
+        e = lat.mul[e, e]
+    return frozenset(y for y in lat.carrier if lat.le(e, y))
 
 
 def principal_filter(lat: ResiduatedLattice, x: str) -> Subset:
@@ -278,22 +287,9 @@ class FilterLattice:
         return tuple(f for f in self.filters if getattr(self.classification[f], key))
 
 
-def _antichains(lat: ResiduatedLattice) -> Iterable[tuple[str, ...]]:
-    elems = lat.carrier
-
-    def rec(i: int, chosen: tuple[str, ...]):
-        yield chosen
-        for j in range(i, len(elems)):
-            x = elems[j]
-            if all(not lat.le(x, c) and not lat.le(c, x) for c in chosen):
-                yield from rec(j + 1, chosen + (x,))
-
-    yield from rec(0, ())
-
-
 def all_filters(lat: ResiduatedLattice) -> FilterLattice:
-    """Exhaustive filter family via closures of antichain seeds, classified."""
-    found = {generated_filter(lat, a) for a in _antichains(lat)}
+    """Every filter, classified: each is `↑e` for an idempotent e (see `generated_filter`)."""
+    found = {generated_filter(lat, [e]) for e in lat.carrier if lat.mul[e, e] == e}
     fam = tuple(sorted(found, key=lambda f: (len(f), sorted(f))))
     return FilterLattice(lat, fam, classify_filters(lat, fam))
 

@@ -22,9 +22,9 @@ class SpectrumConfig:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        flags = rlcore.classify_filters(self.parent, rlcore.all_filters(self.parent).filters)
+        primes = set(rlcore.all_filters(self.parent).select("spec"))
         for p in self.pi:
-            if p not in flags or not flags[p].prime:
+            if p not in primes:
                 raise ValueError(f"{fmt_set(p)} is not a prime filter")
         self.pi = tuple(sorted(set(self.pi), key=lambda f: (len(f), sorted(f))))
 

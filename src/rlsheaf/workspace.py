@@ -124,11 +124,15 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     bot, top = str(raw["bot"]), str(raw["top"])
     if bot not in cset or top not in cset:
         raise WorkspaceSyntaxError(f"{path}: bot/top outside the carrier")
-    if "hasse" in raw:
-        build, order = rlcore.make_lattice, _parse_pairs(raw["hasse"], f"{path}.hasse")
+    key = "hasse" if "hasse" in raw else "leq"
+    pairs = _parse_pairs(raw[key], f"{path}.{key}")
+    stray = sorted({el for pair in pairs for el in pair} - cset)
+    if stray:
+        raise WorkspaceSyntaxError(f"{path}.{key}: {stray[0]!r} is not a carrier element")
+    if key == "hasse":
+        build, order = rlcore.make_lattice, pairs
     else:
-        leq = frozenset(_parse_pairs(raw["leq"], f"{path}.leq")) | frozenset((x, x) for x in carrier)
-        build, order = rlcore.lattice_from_order, leq
+        build, order = rlcore.lattice_from_order, frozenset(pairs) | frozenset((x, x) for x in carrier)
     try:
         return build(carrier, order, mul, bot, top, imp)
     except (ValueError, rlcore.NotResiduated) as e:
@@ -323,11 +327,43 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             ws.morphism_docs[name] = raw
 
     if "expectations" in doc:
-        exp = doc["expectations"]
-        _require_keys(exp, {"filters", "classification", "spectra", "deviations"}, set(), "expectations")
-        ws.expectations = exp
+        ws.expectations = _check_expectations(doc["expectations"])
 
     return ws
+
+
+def _check_expectations(exp: Any) -> dict:
+    """Shape-check the expectation kinds against what the CLI reads from them; returned unchanged."""
+    _require_keys(exp, {"filters", "classification", "spectra", "deviations"}, set(), "expectations")
+
+    def named(raw: Any, path: str) -> dict:
+        if not isinstance(raw, dict):
+            raise WorkspaceSyntaxError(f"{path}: expected an object of named entries")
+        return raw
+
+    def names(raw: Any, path: str) -> None:
+        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+            raise WorkspaceSyntaxError(f"{path}: expected a list of names")
+
+    def family(raw: Any, path: str) -> None:
+        if not isinstance(raw, list):
+            raise WorkspaceSyntaxError(f"{path}: expected a list of lists of names")
+        for i, member in enumerate(raw):
+            names(member, f"{path}[{i}]")
+
+    for kind in ("filters", "classification"):
+        for lname, table in named(exp.get(kind, {}), f"expectations.{kind}").items():
+            for key, els in named(table, f"expectations.{kind}.{lname}").items():
+                names(els, f"expectations.{kind}.{lname}.{key}")
+    for key, fam in named(exp.get("spectra", {}), "expectations.spectra").items():
+        family(fam, f"expectations.spectra.{key}")
+    for key, dev in named(exp.get("deviations", {}), "expectations.deviations").items():
+        path = f"expectations.deviations.{key}"
+        _require_keys(dev, {"computed", "listed", "note"}, {"computed", "note"}, path)
+        family(dev["computed"], f"{path}.computed")
+        if not isinstance(dev["note"], str):
+            raise WorkspaceSyntaxError(f"{path}.note: expected a string")
+    return exp
 
 
 def serialize_workspace(ws: Workspace) -> dict:

@@ -20,6 +20,22 @@ def brute_force_filters(lat: rlcore.ResiduatedLattice) -> set[frozenset[str]]:
     return out
 
 
+def scan_lub(carrier, leq, xs) -> str | None:
+    """Oracle: the least upper bound by a literal scan of the carrier, None unless exactly one exists."""
+    xs = list(xs)
+    ubs = [u for u in carrier if all((x, u) in leq for x in xs)]
+    least = [u for u in ubs if all((u, v) in leq for v in ubs)]
+    return least[0] if len(least) == 1 else None
+
+
+def scan_glb(carrier, leq, xs) -> str | None:
+    """Oracle: the greatest lower bound by a literal scan of the carrier, None unless exactly one exists."""
+    xs = list(xs)
+    lbs = [u for u in carrier if all((u, x) in leq for x in xs)]
+    greatest = [u for u in lbs if all((v, u) in leq for v in lbs)]
+    return greatest[0] if len(greatest) == 1 else None
+
+
 def residual_by_formula(lat: rlcore.ResiduatedLattice, x: str, y: str) -> str:
     """Independent evaluation of sup{z | x*z <= y} by scanning upper bounds."""
     zs = [z for z in lat.carrier if lat.le(lat.mul[x, z], y)]

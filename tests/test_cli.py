@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rlsheaf import cli
 
@@ -176,3 +181,95 @@ def test_machine_readable_output_matches_golden_capture(entry, monkeypatch, caps
         monkeypatch.setenv(key, value)
     rc = cli.run(["--format", "machine-readable", *entry["argv"]])
     assert (rc, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
+
+
+CORPUS = resources.files("rlsheaf.data").joinpath("paper_fixtures.json").read_text("utf-8")
+
+
+def corpus_with(path, value):
+    """The corpus document with the entry at `path` (a key sequence) replaced by `value`."""
+    doc = json.loads(CORPUS)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def run_in_process(doc, argv, tmp_path):
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(["--workspace", str(ws), *argv])
+    return rc, err.getvalue()
+
+
+SPECTRUM_A4 = ["spectrum", "A4", "--set", "spec", "--flavor", "hull"]
+
+
+@pytest.mark.parametrize(
+    "doc,argv",
+    [
+        ({"lattices": {"L": {"carrier": ["a", "b"], "hasse": [["a", "c"]], "mul": {"a,a": "a", "a,b": "a", "b,b": "b"},
+                             "bot": "a", "top": "b"}}}, ["validate"]),
+        ({"lattices": {"L": {"carrier": ["a", "b"], "leq": [["c", "b"]], "mul": {"a,a": "a", "a,b": "a", "b,b": "b"},
+                             "bot": "a", "top": "b"}}}, ["validate"]),
+        (corpus_with(["expectations", "filters"], []), ["validate"]),
+        (corpus_with(["expectations", "filters", "A4"], {"F": 3}), ["filters", "A4"]),
+        (corpus_with(["expectations", "filters", "A4"], [1]), ["classify", "A4"]),
+        (corpus_with(["expectations", "spectra", "A4:spec:hull"], 5), SPECTRUM_A4),
+        (corpus_with(["expectations", "spectra"], []), SPECTRUM_A4),
+        (corpus_with(["expectations", "deviations", "A4:spec:hull"], {}), SPECTRUM_A4),
+    ],
+    ids=["hasse-stray-element", "leq-stray-element", "filters-not-object", "filter-not-list", "filter-table-not-object",
+         "spectrum-not-list", "spectra-not-object", "deviation-without-computed"],
+)
+def test_malformed_documents_exit_2_with_one_error_line(doc, argv, tmp_path):
+    rc, err = run_in_process(doc, argv, tmp_path)
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["filters", "A4"], ["classify", "A4"], SPECTRUM_A4])
+def test_filter_names_that_miss_a_filter_exit_1(argv, tmp_path):
+    doc = corpus_with(["expectations", "filters", "A4"], {"F1": ["1"], "F2": ["0", "1", "a", "b"]})
+    rc, err = run_in_process(doc, argv, tmp_path)
+    assert (rc, err) == (1, "error: expectations.filters.A4 does not name the filter {1,a}\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def corpus_variants(draw):
+    """The corpus with one section, one entry of a section or one entry of an entry replaced by any JSON value."""
+    node, path = json.loads(CORPUS), []
+    for _ in range(draw(st.integers(1, 3))):
+        if path and not isinstance(node, dict):
+            break
+        key = draw(st.sampled_from(sorted(node)) | st.text(max_size=4)) if node else draw(st.text(max_size=4))
+        path.append(key)
+        node = node.get(key) if isinstance(node, dict) else None
+    return corpus_with(path, draw(JSON_VALUES))
+
+
+@given(
+    doc=corpus_variants(),
+    lattice=st.sampled_from(["A4", "A6", "A8"]),
+    spectrum=st.sampled_from(["A4:spec:hull", "A6:max:dual", "A8:min:patch"]),
+    lenient=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_corpus_edit_keeps_the_exit_code_contract(tmp_path_factory, doc, lattice, spectrum, lenient):
+    name, kind, flavor = spectrum.split(":")
+    commands = [["validate"], ["filters", lattice], ["classify", lattice], ["spectrum", name, "--set", kind, "--flavor", flavor]]
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for argv in commands:
+        rc, err = run_in_process(doc, ["--lenient"] * lenient + argv, tmp)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err

@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions, brute_force_filters, residual_by_formula, rl_isomorphic
+from conftest import all_partitions, brute_force_filters, residual_by_formula, rl_isomorphic, rl_product, scan_glb, scan_lub
 from rlsheaf import fixtures, rlcore
 
 A4 = fixtures.rl_a4()
@@ -264,3 +265,61 @@ def test_filter_congruence_order_isomorphism(name, lat):
     for f1 in filters:
         for f2 in filters:
             assert (f1 <= f2) == refines(image[f1], image[f2])
+
+
+UNIVERSE = ["a", "b", "c", "d", "e"]
+PAIRS = st.tuples(st.sampled_from(UNIVERSE), st.sampled_from(UNIVERSE))
+
+
+@given(
+    carrier=st.lists(st.sampled_from(UNIVERSE), unique=True),
+    leq=st.one_of(
+        st.frozensets(PAIRS),
+        st.lists(PAIRS).map(lambda hasse: rlcore._leq_from_hasse(UNIVERSE, hasse)),
+    ),
+    xs=st.lists(st.sampled_from(UNIVERSE), max_size=4),
+)
+@settings(max_examples=400, deadline=None)
+def test_bounds_agree_with_the_literal_scan(carrier, leq, xs):
+    """Any relation, transitive and antisymmetric or not, and elements inside or outside the carrier."""
+    assert rlcore.lub(carrier, leq, xs) == scan_lub(carrier, leq, xs)
+    assert rlcore.glb(carrier, leq, xs) == scan_glb(carrier, leq, xs)
+
+
+SMALL_PRODUCTS = ["A2xA2", "A2xA3", "A2xA4", "A2xA6", "A3xA3", "A3xA4", "A2xA2xA2", "A2xA2xA3"]
+
+
+@functools.lru_cache(maxsize=None)
+def small_product(name):
+    return functools.reduce(rl_product, [FIXTURE_LATTICES[part] for part in name.split("x")])
+
+
+@functools.lru_cache(maxsize=None)
+def small_product_filters(name):
+    return frozenset(brute_force_filters(small_product(name)))
+
+
+@pytest.mark.parametrize("name", SMALL_PRODUCTS)
+def test_all_filters_of_products_match_brute_force(name):
+    lat = small_product(name)
+    assert len(lat.carrier) <= 12 and rlcore.verify_rl(lat).ok
+    fl = rlcore.all_filters(lat)
+    assert set(fl.filters) == small_product_filters(name)
+    assert all(fl.classification[f].principal for f in fl.filters)
+
+
+@given(st.sampled_from(SMALL_PRODUCTS).flatmap(
+    lambda name: st.tuples(st.just(name), st.sets(st.sampled_from(small_product(name).carrier)))))
+@settings(max_examples=150, deadline=None)
+def test_generated_filter_of_products_is_the_least_brute_force_filter(case):
+    name, xs = case
+    holding = [f for f in small_product_filters(name) if xs <= f]
+    assert rlcore.generated_filter(small_product(name), xs) == frozenset.intersection(*holding)
+
+
+def test_filters_of_a4_cubed_are_the_products_of_a4_filters():
+    cube = rl_product(rl_product(A4, A4), A4)
+    a4 = rlcore.all_filters(A4).filters
+    products = {frozenset(f"{x}*{y}*{z}" for x in f1 for y in f2 for z in f3) for f1 in a4 for f2 in a4 for f3 in a4}
+    assert len(products) == 64
+    assert set(rlcore.all_filters(cube).filters) == products
