@@ -39,7 +39,12 @@ def _filter_names_for(ws: workspace.Workspace, name: str, fl: rlcore.FilterLatti
     exp = ws.expectations.get("filters", {}).get(name)
     if not exp:
         return {f: f"F{i + 1}" for i, f in enumerate(fl.filters)}
-    names = {frozenset(v): k for k, v in exp.items()}
+    names: dict[frozenset[str], str] = {}
+    for k, v in exp.items():
+        f = frozenset(v)
+        if f in names:
+            raise CommandError(f"expectations.filters.{name} names the filter {fmt_set(f)} twice ({names[f]}, {k})", 1)
+        names[f] = k
     unnamed = [f for f in fl.filters if f not in names]
     if unnamed:
         raise CommandError(f"expectations.filters.{name} does not name the filter {fmt_set(unnamed[0])}", 1)

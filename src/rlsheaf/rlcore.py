@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterable, Mapping
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_
+from typing import Iterable, Iterator, Mapping
 
 from .report import ValidationReport, Violation, fmt_set
 
@@ -52,47 +54,89 @@ class ResiduatedLattice:
         return len(self.carrier)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    elems = sorted(carrier)
-    above: dict[str, set[str]] = {x: {x} for x in elems}
-    edges = [(a, b) for a, b in hasse]
+    elems = sorted(set(carrier))
+    pos = {x: i for i, x in enumerate(elems)}
+    above = [1 << i for i in range(len(elems))]
+    edges = [(pos[a], pos[b]) for a, b in hasse]
+    # Rows only grow, so this stops on cyclic diagrams too.
     changed = True
     while changed:
         changed = False
         for a, b in edges:
-            new = above[b] - above[a]
-            if new:
-                above[a] |= new
+            if above[b] & ~above[a]:
+                above[a] |= above[b]
                 changed = True
-    return frozenset((x, y) for x in elems for y in above[x])
+    return frozenset((x, elems[j]) for x, row in zip(elems, above) for j in _bits(row))
 
 
-def _order_bounds(carrier: Iterable[str], leq: frozenset[tuple[str, str]]):
-    """(sup, inf) under any relation `leq`, read off up- and down-rows built once: the bounds of
-    xs are the carrier elements in every x's row, and the extremum is the bound whose own row
-    holds every bound (None unless exactly one does)."""
-    up: dict[str, set[str]] = {}
-    down: dict[str, set[str]] = {}
+class _Bounds:
+    """One side of a relation as bitmask rows over the carrier: up-rows give sups, down-rows infs.
+
+    The bounds of xs are the carrier elements in every x's row, and the extremum is the bound
+    whose own row holds every bound (None unless exactly one does). Positions run by decreasing
+    row size, so under a partial order the extremum of any bounds is their lowest set bit.
+    """
+
+    def __init__(self, elems: list[str], rows: dict[str, list[str]], other: dict[str, list[str]]):
+        self.names = sorted(elems, key=lambda x: -len(rows.get(x, ())))
+        pos = {x: i for i, x in enumerate(self.names)}
+        powers = [1 << i for i in range(len(self.names))]
+
+        def mask(zs: Iterable[str]) -> int:
+            return sum({powers[pos[z]] for z in zs if z in pos})
+
+        self.full = (1 << len(self.names)) - 1
+        self.rows = {x: mask(zs) for x, zs in rows.items()}
+        self.own = [self.rows.get(x, 0) for x in self.names]
+        self.other = [mask(other.get(x, ())) for x in self.names]
+
+    def row(self, x: str) -> int:
+        return self.rows.get(x, 0)
+
+    def extremum(self, xs: Iterable[str]) -> str | None:
+        bounds = self.full
+        for x in xs:
+            bounds &= self.rows.get(x, 0)
+        return self.pick(bounds)
+
+    def pick(self, bounds: int) -> str | None:
+        """The extremum of a set of bounds. The lowest bit is the only candidate when its row holds
+        every bound and no other bound relates to it the other way; otherwise scan them all."""
+        low = bounds & -bounds
+        c = low.bit_length() - 1
+        if bounds and not bounds & ~self.own[c] and bounds & self.other[c] == low:
+            return self.names[c]
+        best = [b for b in _bits(bounds) if not bounds & ~self.own[b]]
+        return self.names[best[0]] if len(best) == 1 else None
+
+
+def _order_bounds(carrier: Iterable[str], leq: frozenset[tuple[str, str]]) -> tuple[_Bounds, _Bounds]:
+    """The (sup, inf) sides of any relation `leq` on the carrier, each built once."""
+    up: dict[str, list[str]] = {}
+    down: dict[str, list[str]] = {}
     for x, y in leq:
-        up.setdefault(x, set()).add(y)
-        down.setdefault(y, set()).add(x)
-    elems = frozenset(carrier)
-    return partial(_extremum, elems, up), partial(_extremum, elems, down)
-
-
-def _extremum(elems: Subset, rows: dict[str, set[str]], xs: Iterable[str]) -> str | None:
-    bounds = elems.intersection(*(rows.get(x, ()) for x in xs))
-    best = [b for b in bounds if bounds <= rows.get(b, set())]
-    return best[0] if len(best) == 1 else None
+        up.setdefault(x, []).append(y)
+        down.setdefault(y, []).append(x)
+    elems = list(dict.fromkeys(carrier))
+    return _Bounds(elems, up, down), _Bounds(elems, down, up)
 
 
 def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
     """Least upper bound of a subset, None when it does not exist."""
-    return _order_bounds(carrier, leq)[0](xs)
+    return _order_bounds(carrier, leq)[0].extremum(xs)
 
 
 def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    return _order_bounds(carrier, leq)[1](xs)
+    return _order_bounds(carrier, leq)[1].extremum(xs)
 
 
 def derive_residual(
@@ -102,21 +146,39 @@ def derive_residual(
 ) -> Table:
     """imp[x,y] = sup{z | x*z <= y}; NotResiduated when adjointness fails afterwards.
 
-    Assumes the bounded-lattice and commutative-monoid axioms already hold.
+    Assumes the bounded-lattice and commutative-monoid axioms already hold. Works on carrier
+    positions: `{z | x*z <= y}` is row x of mul read through the column of y, and adjointness
+    for (x, y) is that row being equal to the column of x->y.
     """
     elems = sorted(carrier)
+    n = len(elems)
     sup, _ = _order_bounds(elems, leq)
+    ups = [sup.row(z) for z in elems]
+    # Products outside the carrier get positions after it, so that every product has a column entry.
+    vals = list(elems)
+    vpos = {v: i for i, v in enumerate(vals)}
+    for v in mul.values():
+        if v not in vpos:
+            vpos[v] = len(vals)
+            vals.append(v)
+    cols = [[(v, y) in leq for v in vals] for y in elems]
+    below_of = [col[:n] for col in cols]
     imp: Table = {}
+    # Every sup is taken before any adjointness failure is raised: the first one found waits.
+    unadjoint = None
     for x in elems:
-        for y in elems:
-            zs = [z for z in elems if (mul[x, z], y) in leq]
-            j = sup(zs)
+        row = [vpos[mul[x, z]] for z in elems]
+        for y, col in zip(elems, cols):
+            below = list(map(col.__getitem__, row))
+            j = sup.pick(reduce(and_, compress(ups, below), sup.full))
             if j is None:
-                raise NotResiduated(f"sup of {fmt_set(zs)} does not exist for {x}->{y}")
+                raise NotResiduated(f"sup of {fmt_set(compress(elems, below))} does not exist for {x}->{y}")
             imp[x, y] = j
-    for x, y, z in itertools.product(elems, repeat=3):
-        if ((mul[x, z], y) in leq) != ((z, imp[x, y]) in leq):
-            raise NotResiduated(f"adjointness fails at x={x}, y={y}, z={z}")
+            if unadjoint is None and below != below_of[vpos[j]]:
+                z = next(z for z, a, b in zip(elems, below, below_of[vpos[j]]) if a != b)
+                unadjoint = f"adjointness fails at x={x}, y={y}, z={z}"
+    if unadjoint is not None:
+        raise NotResiduated(unadjoint)
     return imp
 
 
@@ -144,12 +206,14 @@ def lattice_from_order(
     """Build from a full order relation and a mul table: join and meet derived, imp derived when absent."""
     elems = tuple(sorted(carrier))
     sup, inf = _order_bounds(elems, leq)
+    ups = [sup.row(x) for x in elems]
+    downs = [inf.row(x) for x in elems]
     join: Table = {}
     meet: Table = {}
-    for x in elems:
-        for y in elems:
-            j = sup([x, y])
-            m = inf([x, y])
+    for x, ux, dx in zip(elems, ups, downs):
+        for y, uy, dy in zip(elems, ups, downs):
+            j = sup.pick(ux & uy)
+            m = inf.pick(dx & dy)
             if j is None or m is None:
                 raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
             join[x, y] = j
@@ -160,7 +224,12 @@ def lattice_from_order(
 
 
 def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
-    """Report every failed residuated-lattice axiom with witnesses."""
+    """Report every failed residuated-lattice axiom with witnesses.
+
+    Once the tables are complete they are read as rows over carrier positions, and each cubic
+    axiom compares whole rows; single elements are visited only where two rows differ, to name
+    the witnesses in carrier order.
+    """
     bad: list[Violation] = []
     elems = lat.carrier
     eset = set(elems)
@@ -184,41 +253,64 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
     if not all(tab_ok(n, t) for n, t in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]):
         return ValidationReport("residuated-lattice", tuple(bad))
 
-    for x in elems:
-        if not lat.le(x, x):
+    pos = {x: i for i, x in enumerate(elems)}
+    leq = lat.leq
+    le = [[(x, y) in leq for y in elems] for x in elems]
+    col = [list(c) for c in zip(*le)]
+    powers = [1 << i for i in range(len(elems))]
+    up = [sum(compress(powers, r)) for r in le]
+    mul = [[pos[lat.mul[x, y]] for y in elems] for x in elems]
+    imp = [[pos[lat.imp[x, y]] for y in elems] for x in elems]
+
+    for i, x in enumerate(elems):
+        if not le[i][i]:
             bad.append(Violation("order-not-reflexive", x))
-    for x, y in itertools.product(elems, repeat=2):
-        if x != y and lat.le(x, y) and lat.le(y, x):
-            bad.append(Violation("order-not-antisymmetric", f"({x},{y})"))
-    for x, y, z in itertools.product(elems, repeat=3):
-        if lat.le(x, y) and lat.le(y, z) and not lat.le(x, z):
-            bad.append(Violation("order-not-transitive", f"({x},{y},{z})"))
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if x != y and le[i][j] and le[j][i]:
+                bad.append(Violation("order-not-antisymmetric", f"({x},{y})"))
+    for i, x in enumerate(elems):
+        for j in _bits(up[i]):
+            for k in _bits(up[j] & ~up[i]):
+                bad.append(Violation("order-not-transitive", f"({x},{elems[j]},{elems[k]})"))
     for x in elems:
         if not lat.le(lat.bot, x):
             bad.append(Violation("bot-not-least", x))
         if not lat.le(x, lat.top):
             bad.append(Violation("top-not-greatest", x))
 
-    sup, inf = _order_bounds(elems, lat.leq)
-    for x, y in itertools.product(elems, repeat=2):
-        if lat.join[x, y] != sup([x, y]):
-            bad.append(Violation("join-not-lub", f"({x},{y})"))
-        if lat.meet[x, y] != inf([x, y]):
-            bad.append(Violation("meet-not-glb", f"({x},{y})"))
+    sup, inf = _order_bounds(elems, leq)
+    ups = [sup.row(x) for x in elems]
+    downs = [inf.row(x) for x in elems]
+    for x, ux, dx in zip(elems, ups, downs):
+        for y, uy, dy in zip(elems, ups, downs):
+            if lat.join[x, y] != sup.pick(ux & uy):
+                bad.append(Violation("join-not-lub", f"({x},{y})"))
+            if lat.meet[x, y] != inf.pick(dx & dy):
+                bad.append(Violation("meet-not-glb", f"({x},{y})"))
 
-    for x, y in itertools.product(elems, repeat=2):
-        if lat.mul[x, y] != lat.mul[y, x]:
-            bad.append(Violation("mul-not-commutative", f"({x},{y})"))
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if mul[i][j] != mul[j][i]:
+                bad.append(Violation("mul-not-commutative", f"({x},{y})"))
     for x in elems:
         if lat.mul[lat.top, x] != x:
             bad.append(Violation("unit-fails", x))
-    for x, y, z in itertools.product(elems, repeat=3):
-        if lat.mul[lat.mul[x, y], z] != lat.mul[x, lat.mul[y, z]]:
-            bad.append(Violation("mul-not-associative", f"({x},{y},{z})"))
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            left, right = mul[mul[i][j]], list(map(mul[i].__getitem__, mul[j]))
+            if left != right:
+                for z, a, b in zip(elems, left, right):
+                    if a != b:
+                        bad.append(Violation("mul-not-associative", f"({x},{y},{z})"))
 
-    for x, y, z in itertools.product(elems, repeat=3):
-        if (lat.le(lat.mul[x, z], y)) != (lat.le(z, lat.imp[x, y])):
-            bad.append(Violation("adjointness-fails", f"(x={x},y={y},z={z})"))
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            below, under = list(map(col[j].__getitem__, mul[i])), col[imp[i][j]]
+            if below != under:
+                for z, a, b in zip(elems, below, under):
+                    if a != b:
+                        bad.append(Violation("adjointness-fails", f"(x={x},y={y},z={z})"))
 
     return ValidationReport("residuated-lattice", tuple(bad))
 
@@ -294,6 +386,16 @@ def all_filters(lat: ResiduatedLattice) -> FilterLattice:
     return FilterLattice(lat, fam, classify_filters(lat, fam))
 
 
+def is_prime_filter(lat: ResiduatedLattice, f: Subset) -> bool:
+    """A proper filter `f` is prime when `x v y` in f puts x or y in f."""
+    if f == frozenset(lat.carrier):
+        return False
+    for x, y in itertools.product(lat.carrier, repeat=2):
+        if lat.join[x, y] in f and x not in f and y not in f:
+            return False
+    return True
+
+
 def classify_filters(lat: ResiduatedLattice, fam: Iterable[Subset]) -> dict[Subset, FilterFlags]:
     fam = list(fam)
     principal_sets = {principal_filter(lat, x) for x in lat.carrier}
@@ -301,15 +403,7 @@ def classify_filters(lat: ResiduatedLattice, fam: Iterable[Subset]) -> dict[Subs
     whole = frozenset(lat.carrier)
     propers = [f for f in fam if f != whole]
 
-    def prime(f: Subset) -> bool:
-        if f == whole:
-            return False
-        for x, y in itertools.product(lat.carrier, repeat=2):
-            if lat.join[x, y] in f and x not in f and y not in f:
-                return False
-        return True
-
-    primes = [f for f in fam if prime(f)]
+    primes = [f for f in fam if is_prime_filter(lat, f)]
     for f in fam:
         is_prime = f in primes
         flags[f] = FilterFlags(

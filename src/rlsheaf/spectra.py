@@ -22,9 +22,8 @@ class SpectrumConfig:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        primes = set(rlcore.all_filters(self.parent).select("spec"))
         for p in self.pi:
-            if p not in primes:
+            if not (rlcore.is_filter(self.parent, p) and rlcore.is_prime_filter(self.parent, p)):
                 raise ValueError(f"{fmt_set(p)} is not a prime filter")
         self.pi = tuple(sorted(set(self.pi), key=lambda f: (len(f), sorted(f))))
 

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from rlsheaf import rlcore
+from rlsheaf.report import Violation, fmt_set
 
 
 def brute_force_filters(lat: rlcore.ResiduatedLattice) -> set[frozenset[str]]:
@@ -34,6 +35,86 @@ def scan_glb(carrier, leq, xs) -> str | None:
     lbs = [u for u in carrier if all((u, x) in leq for x in xs)]
     greatest = [u for u in lbs if all((v, u) in leq for v in lbs)]
     return greatest[0] if len(greatest) == 1 else None
+
+
+def derive_residual_literal(carrier, leq, mul) -> dict:
+    """Oracle: `rlcore.derive_residual` as a literal scan over string triples, with the literal `scan_lub`."""
+    elems = sorted(carrier)
+    imp = {}
+    for x in elems:
+        for y in elems:
+            zs = [z for z in elems if (mul[x, z], y) in leq]
+            j = scan_lub(elems, leq, zs)
+            if j is None:
+                raise rlcore.NotResiduated(f"sup of {fmt_set(zs)} does not exist for {x}->{y}")
+            imp[x, y] = j
+    for x, y, z in itertools.product(elems, repeat=3):
+        if ((mul[x, z], y) in leq) != ((z, imp[x, y]) in leq):
+            raise rlcore.NotResiduated(f"adjointness fails at x={x}, y={y}, z={z}")
+    return imp
+
+
+def verify_rl_literal(lat: rlcore.ResiduatedLattice) -> tuple[Violation, ...]:
+    """Oracle: the violations of `rlcore.verify_rl`, found by literal loops over string pairs and triples."""
+    bad: list[Violation] = []
+    elems = lat.carrier
+    eset = set(elems)
+
+    def tab_ok(name, tab) -> bool:
+        complete = True
+        for x in elems:
+            for y in elems:
+                v = tab.get((x, y))
+                if v is None:
+                    bad.append(Violation(f"{name}-missing", f"({x},{y})"))
+                    complete = False
+                elif v not in eset:
+                    bad.append(Violation(f"{name}-escapes", f"({x},{y})->{v}"))
+                    complete = False
+        return complete
+
+    if lat.bot not in eset or lat.top not in eset:
+        bad.append(Violation("constants-escape", f"bot={lat.bot}, top={lat.top}"))
+        return tuple(bad)
+    if not all(tab_ok(n, t) for n, t in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]):
+        return tuple(bad)
+
+    for x in elems:
+        if not lat.le(x, x):
+            bad.append(Violation("order-not-reflexive", x))
+    for x, y in itertools.product(elems, repeat=2):
+        if x != y and lat.le(x, y) and lat.le(y, x):
+            bad.append(Violation("order-not-antisymmetric", f"({x},{y})"))
+    for x, y, z in itertools.product(elems, repeat=3):
+        if lat.le(x, y) and lat.le(y, z) and not lat.le(x, z):
+            bad.append(Violation("order-not-transitive", f"({x},{y},{z})"))
+    for x in elems:
+        if not lat.le(lat.bot, x):
+            bad.append(Violation("bot-not-least", x))
+        if not lat.le(x, lat.top):
+            bad.append(Violation("top-not-greatest", x))
+
+    for x, y in itertools.product(elems, repeat=2):
+        if lat.join[x, y] != scan_lub(elems, lat.leq, [x, y]):
+            bad.append(Violation("join-not-lub", f"({x},{y})"))
+        if lat.meet[x, y] != scan_glb(elems, lat.leq, [x, y]):
+            bad.append(Violation("meet-not-glb", f"({x},{y})"))
+
+    for x, y in itertools.product(elems, repeat=2):
+        if lat.mul[x, y] != lat.mul[y, x]:
+            bad.append(Violation("mul-not-commutative", f"({x},{y})"))
+    for x in elems:
+        if lat.mul[lat.top, x] != x:
+            bad.append(Violation("unit-fails", x))
+    for x, y, z in itertools.product(elems, repeat=3):
+        if lat.mul[lat.mul[x, y], z] != lat.mul[x, lat.mul[y, z]]:
+            bad.append(Violation("mul-not-associative", f"({x},{y},{z})"))
+
+    for x, y, z in itertools.product(elems, repeat=3):
+        if (lat.le(lat.mul[x, z], y)) != (lat.le(z, lat.imp[x, y])):
+            bad.append(Violation("adjointness-fails", f"(x={x},y={y},z={z})"))
+
+    return tuple(bad)
 
 
 def residual_by_formula(lat: rlcore.ResiduatedLattice, x: str, y: str) -> str:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rlsheaf import cli
+from conftest import verify_rl_literal
+from rlsheaf import cli, fixtures, rlcore
 
 RUN = [sys.executable, "-m", "rlsheaf"]
 
@@ -196,13 +197,18 @@ def corpus_with(path, value):
     return doc
 
 
-def run_in_process(doc, argv, tmp_path):
+def run_with_output(doc, argv, tmp_path):
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.run(["--workspace", str(ws), *argv])
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run_in_process(doc, argv, tmp_path):
+    rc, _, err = run_with_output(doc, argv, tmp_path)
+    return rc, err
 
 
 SPECTRUM_A4 = ["spectrum", "A4", "--set", "spec", "--flavor", "hull"]
@@ -236,6 +242,40 @@ def test_filter_names_that_miss_a_filter_exit_1(argv, tmp_path):
     doc = corpus_with(["expectations", "filters", "A4"], {"F1": ["1"], "F2": ["0", "1", "a", "b"]})
     rc, err = run_in_process(doc, argv, tmp_path)
     assert (rc, err) == (1, "error: expectations.filters.A4 does not name the filter {1,a}\n")
+
+
+@pytest.mark.parametrize("argv", [["filters", "A4"], ["classify", "A4"], SPECTRUM_A4])
+def test_two_names_for_one_filter_exit_1(argv, tmp_path):
+    names = {"F1": ["1"], "F2": ["1", "a"], "F3": ["1", "b"], "F4": ["0", "1", "a", "b"], "X": ["a", "1"]}
+    rc, err = run_in_process(corpus_with(["expectations", "filters", "A4"], names), argv, tmp_path)
+    assert (rc, err) == (1, "error: expectations.filters.A4 names the filter {1,a} twice (F2, X)\n")
+
+
+def lattice_of(raw):
+    """The lattice the workspace builds from a corpus `leq` entry, with the library's own constructor."""
+    carrier = raw["carrier"]
+    leq = frozenset(map(tuple, raw["leq"])) | frozenset((x, x) for x in carrier)
+
+    def table(tab):
+        return {tuple(key.split(",")): v for key, v in tab.items()}
+
+    return rlcore.lattice_from_order(carrier, leq, table(raw["mul"]), raw["bot"], raw["top"], table(raw["imp"]))
+
+
+def test_lenient_validate_reports_the_first_violation_of_the_literal_check(tmp_path):
+    doc = json.loads(CORPUS)
+    a6, a8 = doc["lattices"]["A6"], doc["lattices"]["A8"]
+    a6["mul"]["a,c"] = a6["mul"]["c,a"] = "c"
+    # explicit imp tables, so that verify_rl and not derive_residual judges the corrupted lattices
+    for raw, lat in [(a6, fixtures.rl_a6()), (a8, fixtures.rl_a8())]:
+        raw["imp"] = {f"{x},{y}": v for (x, y), v in lat.imp.items()}
+    a8["imp"]["a,0"] = "f"
+    del doc["morphisms"]["f_a6_a4"]  # it would name a lattice the lenient parse leaves out
+    rc, out, _ = run_with_output(doc, ["--lenient", "validate"], tmp_path)
+    diagnostics = [line for line in out.splitlines() if line.startswith("diagnostic: ")]
+    expected = [f"diagnostic: lattices.{name}: {verify_rl_literal(lattice_of(raw))[0]}" for name, raw in [("A6", a6), ("A8", a8)]]
+    assert rc == 1
+    assert diagnostics == expected
 
 
 JSON_VALUES = st.recursive(

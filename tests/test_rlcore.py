@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions, brute_force_filters, residual_by_formula, rl_isomorphic, rl_product, scan_glb, scan_lub
+from conftest import (
+    all_partitions,
+    brute_force_filters,
+    derive_residual_literal,
+    residual_by_formula,
+    rl_isomorphic,
+    rl_product,
+    scan_glb,
+    scan_lub,
+    verify_rl_literal,
+)
 from rlsheaf import fixtures, rlcore
 
 A4 = fixtures.rl_a4()
@@ -323,3 +333,90 @@ def test_filters_of_a4_cubed_are_the_products_of_a4_filters():
     products = {frozenset(f"{x}*{y}*{z}" for x in f1 for y in f2 for z in f3) for f1 in a4 for f2 in a4 for f3 in a4}
     assert len(products) == 64
     assert set(rlcore.all_filters(cube).filters) == products
+
+
+OUTSIDE = "z"
+
+
+@st.composite
+def corrupted_lattices(draw):
+    """A fixture lattice with a few table entries and order pairs changed, dropped or pointed outside the carrier,
+    and its carrier sometimes shuffled."""
+    lat = FIXTURE_LATTICES[draw(st.sampled_from(sorted(FIXTURE_LATTICES)))]
+    carrier = list(lat.carrier)
+    tables = {name: dict(getattr(lat, name)) for name in ("join", "meet", "mul", "imp")}
+    leq = set(lat.leq)
+    elems = st.sampled_from(carrier)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(sorted(tables) + ["leq"]))
+        if kind == "leq":
+            # an order pair with the outside element lets a product outside the carrier lie below something
+            leq ^= {(draw(elems | st.just(OUTSIDE)), draw(elems))}
+            continue
+        cell = (draw(elems), draw(elems))
+        change = draw(st.integers(0, 9))
+        if change == 0:
+            tables[kind].pop(cell, None)
+        else:
+            tables[kind][cell] = OUTSIDE if change == 1 else draw(elems)
+    if draw(st.booleans()):
+        carrier = draw(st.permutations(carrier))
+    return rlcore.ResiduatedLattice(tuple(carrier), frozenset(leq), bot=lat.bot, top=lat.top, **tables)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (rlcore.NotResiduated, KeyError) as e:
+        return type(e), str(e)
+
+
+@given(corrupted_lattices())
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_agree_with_the_literal_loops(lat):
+    """Every violation, in order, and every residual or first failure, as the literal string-triple loops give them."""
+    assert rlcore.verify_rl(lat).violations == verify_rl_literal(lat)
+    assert outcome(rlcore.derive_residual, lat.carrier, lat.leq, lat.mul) == outcome(
+        derive_residual_literal, lat.carrier, lat.leq, lat.mul
+    )
+
+
+def hasse_of(carrier, leq):
+    """The covering pairs of a partial order."""
+    return [
+        (p, q)
+        for p, q in leq
+        if p != q and not any(r not in (p, q) and (p, r) in leq and (r, q) in leq for r in carrier)
+    ]
+
+
+def lukasiewicz_chain(n):
+    """Carrier, order, product, bottom and top of the n-element Łukasiewicz chain."""
+    names = [f"l{i:02d}" for i in range(n)]
+    leq = frozenset((names[i], names[j]) for i in range(n) for j in range(i, n))
+    mul = {(names[i], names[j]): names[max(0, i + j - (n - 1))] for i in range(n) for j in range(n)}
+    return names, leq, mul, names[0], names[-1]
+
+
+def product_parts(name):
+    lat = small_product(name)
+    return lat.carrier, lat.leq, lat.mul, lat.bot, lat.top
+
+
+BUILT_LATTICES = {
+    **{name: functools.partial(product_parts, name) for name in ["A2xA8", "A3xA4", "A4xA4", "A2xA2xA4", "A2xA2xA2xA2"]},
+    **{f"L_{n}": functools.partial(lukasiewicz_chain, n) for n in (2, 3, 5, 9, 16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_LATTICES))
+def test_make_lattice_tables_match_the_literal_scans(name):
+    carrier, leq, mul, bot, top = BUILT_LATTICES[name]()
+    assert len(carrier) <= 16
+    lat = rlcore.make_lattice(carrier, hasse_of(carrier, leq), mul, bot, top)
+    assert lat.leq == leq
+    for x, y in itertools.product(lat.carrier, repeat=2):
+        assert lat.join[x, y] == scan_lub(lat.carrier, lat.leq, [x, y])
+        assert lat.meet[x, y] == scan_glb(lat.carrier, lat.leq, [x, y])
+        assert lat.imp[x, y] == residual_by_formula(lat, x, y)
+    assert rlcore.verify_rl(lat).ok
