@@ -10,7 +10,7 @@ an off-by-default flag allows exploratory checks elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from . import bundle as bnd
 from . import fintop, fixtures, rlcore
@@ -32,21 +32,19 @@ class FunctionSpace:
         return {m.id_str: m for m in self.maps}
 
 
-def _pointwise_topology(funcs: Mapping[str, Callable[[str], str]], dom: Iterable[str], cod: FiniteSpace) -> FiniteSpace:
-    """Compact-open topology on finitely many maps dom -> cod, named by id.
+def _pointwise_topology(members: Mapping[str, tuple[str, ...]], cod: FiniteSpace) -> FiniteSpace:
+    """Compact-open topology on finitely many maps into cod, given by id as their values at the sorted points.
 
     Every subset of a finite domain is compact, and the least subbasic set
     S(C, U) around f is cut out by C = {p}, U = U_f(p); so
     U_f = {g | g(p) in U_f(p) for every p}, the pointwise order.
     """
     mins = cod.min_nbhd_map
-    pts = sorted(dom)
-    values = {fid: tuple(f(p) for p in pts) for fid, f in funcs.items()}
     return FiniteSpace(
-        frozenset(values),
+        frozenset(members),
         {
-            fid: frozenset(gid for gid, w in values.items() if all(a in mins[b] for a, b in zip(w, v)))
-            for fid, v in values.items()
+            fid: frozenset(gid for gid, w in members.items() if all(a in mins[b] for a, b in zip(w, v)))
+            for fid, v in members.items()
         },
     )
 
@@ -54,7 +52,7 @@ def _pointwise_topology(funcs: Mapping[str, Callable[[str], str]], dom: Iterable
 def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
     """All continuous maps x -> y with the topology from the sets S(C,U)."""
     maps = tuple(sorted(fintop.continuous_maps(x, y), key=lambda m: m.id_str))
-    space = _pointwise_topology({m.id_str: m for m in maps}, x.points, y)
+    space = _pointwise_topology({m.id_str: tuple(v for _, v in m.table) for m in maps}, y)
     return FunctionSpace(x, y, maps, space)
 
 
@@ -96,9 +94,13 @@ def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
     A subspace of the pointwise order is ordered pointwise, so the ambient
     function space is never built.
     """
-    secs = bnd.sections(b, b.base.points)
-    by_id = {s.id_str: s for s in secs}
-    return _pointwise_topology(by_id, b.base.points, b.total), by_id
+    by_id = {s.id_str: s for s in bnd.sections(b, b.base.points)}
+    return _section_space(b, by_id), by_id
+
+
+def _section_space(b: Bundle, by_id: Mapping[str, Section]) -> FiniteSpace:
+    pts = b.base.sorted_points
+    return _pointwise_topology({i: tuple(s.table[p] for p in pts) for i, s in by_id.items()}, b.total)
 
 
 @dataclass
@@ -131,13 +133,8 @@ def verify_topological_rl(trl: TopologicalRL) -> ValidationReport:
     rep = rlcore.verify_rl(trl.algebra)
     if not rep.ok:
         bad.extend(Violation(f"algebra[{v.rule}]", v.witness) for v in rep.violations[:3])
-    for name, tab in [
-        ("join", trl.algebra.join),
-        ("meet", trl.algebra.meet),
-        ("mul", trl.algebra.mul),
-        ("imp", trl.algebra.imp),
-    ]:
-        if not binary_op_continuous(trl.topology, trl.topology, trl.topology, tab):
+    for name in bnd.StalkOps.OPS:
+        if not binary_op_continuous(trl.topology, trl.topology, trl.topology, getattr(trl.algebra, name)):
             bad.append(Violation("operation-discontinuous", name))
     return ValidationReport("topological-rl", tuple(bad))
 
@@ -145,27 +142,21 @@ def verify_topological_rl(trl: TopologicalRL) -> ValidationReport:
 def lift_compact_open_rl(b: FiniteSpace, a: TopologicalRL) -> tuple[TopologicalRL, FunctionSpace]:
     """Pointwise operations on C(b, A), verified continuous for the compact-open topology."""
     fs = compact_open_space(b, a.topology)
-    by_id = fs.by_id()
-    carrier = tuple(sorted(by_id))
+    n = len(b.points)
 
-    def lift(tab) -> dict[tuple[str, str], str]:
-        out = {}
-        for i1, m1 in by_id.items():
-            for i2, m2 in by_id.items():
-                combined = {p: tab[m1(p), m2(p)] for p in b.points}
-                m = fintop.space_map(b, a.topology, combined)
-                if m.id_str not in by_id:
-                    raise AssertionError("pointwise combination left the function space")
-                out[i1, i2] = m.id_str
-        return out
+    def escaped(name: str, operands: tuple[str, ...]) -> AssertionError:
+        # The result rebuilt as a SpaceMap raises the ValueError of a value outside A (a missing entry, its KeyError).
+        if operands:
+            m1, m2 = (fs.by_id()[i] for i in operands)
+            table = {p: getattr(a.algebra, name)[m1(p), m2(p)] for p in b.points}
+        else:
+            table = dict.fromkeys(b.points, a.algebra.bot if name == "zero" else a.algebra.top)
+        fintop.space_map(b, a.topology, table)
+        return AssertionError("pointwise combination left the function space")
 
-    join, meet = lift(a.algebra.join), lift(a.algebra.meet)
-    mul, imp = lift(a.algebra.mul), lift(a.algebra.imp)
-    const = lambda v: fintop.space_map(b, a.topology, {p: v for p in b.points}).id_str
-    leq = frozenset((i, j) for i in carrier for j in carrier if meet[i, j] == i)
-    alg = rlcore.ResiduatedLattice(
-        carrier, leq, join, meet, mul, imp, const(a.algebra.bot), const(a.algebra.top)
-    )
+    values = {m.id_str: tuple(v for _, v in m.table) for m in fs.maps}
+    tables = {name: [getattr(a.algebra, name)] * n for name in bnd.StalkOps.OPS}
+    alg = bnd.pointwise_rl(values, tables, (a.algebra.bot,) * n, (a.algebra.top,) * n, escaped)
     trl = TopologicalRL(alg, fs.space)
     rep = verify_topological_rl(trl)
     if not rep.ok:
@@ -175,9 +166,8 @@ def lift_compact_open_rl(b: FiniteSpace, a: TopologicalRL) -> tuple[TopologicalR
 
 def gamma_topological_rl(rb: RLBundle) -> TopologicalRL:
     """Gamma(base, -) lifted: pointwise algebra on global sections, subspace topology."""
-    space, _ = gamma_space(rb.bundle)
-    alg = bnd.pointwise_rl_on_sections(rb, rb.base.points).algebra
-    trl = TopologicalRL(alg, space)
+    sa = bnd.pointwise_rl_on_sections(rb, rb.base.points)
+    trl = TopologicalRL(sa.algebra, _section_space(rb.bundle, sa.sections))
     rep = verify_topological_rl(trl)
     if not rep.ok:
         raise AssertionError(f"section algebra failed: {rep.violations[0]}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fintop, rlcore
 from .fintop import FiniteSpace, SpaceMap, pair_id
@@ -94,6 +94,37 @@ def relabelled_ops(stalks: Mapping[str, tuple[rlcore.ResiduatedLattice, Callable
             tabs[name][b] = {(r[x], r[y]): r[v] for (x, y), v in getattr(alg, name).items()}
         zero[b], one[b] = r[alg.bot], r[alg.top]
     return StalkOps(**tabs, zero=zero, one=one)
+
+
+def pointwise_rl(
+    members: Mapping[str, tuple], tables: Mapping[str, Sequence[Mapping]], zero: tuple, one: tuple, escaped: Callable
+) -> rlcore.ResiduatedLattice:
+    """The algebra of value tuples under pointwise operations, carried by their ids.
+
+    `members` maps each id to its values at the sorted points; `tables` maps
+    each name in `StalkOps.OPS` to one table per point.  The callers enumerate
+    exactly the continuous tuples, so every result is looked up among them.
+    The first result that is not a member (a missing entry included), taking
+    the operations in order with operand ids sorted, then zero, then one,
+    raises `escaped(name, operand_ids)`.  The order is read off `meet`.
+    """
+    ids = {v: k for k, v in members.items()}
+    carrier = tuple(sorted(members))
+
+    def close(name: str, operands: tuple[str, ...], values: tuple) -> str:
+        if values not in ids:
+            raise escaped(name, operands)
+        return ids[values]
+
+    ops = {}
+    for name in StalkOps.OPS:
+        tabs = tables[name]
+        ops[name] = {
+            (a, b): close(name, (a, b), tuple(t.get(xy) for t, xy in zip(tabs, zip(members[a], members[b]))))
+            for a in carrier for b in carrier
+        }
+    leq = frozenset((a, b) for a in carrier for b in carrier if ops["meet"][a, b] == a)
+    return rlcore.ResiduatedLattice(carrier, leq, **ops, bot=close("zero", (), zero), top=close("one", (), one))
 
 
 @dataclass
@@ -315,41 +346,26 @@ class SectionAlgebra:
 def pointwise_rl_on_sections(rb: RLBundle, x: Iterable[str]) -> SectionAlgebra:
     """Gamma(x) as a residuated lattice under pointwise stalk operations."""
     dom = frozenset(x)
-    secs = sections(rb.bundle, dom)
-    by_id = {s.id_str: s for s in secs}
-    carrier = tuple(sorted(by_id))
+    by_id = {s.id_str: s for s in sections(rb.bundle, dom)}
+    pts = sorted(dom)
 
-    def combine(name: str, s1: Section, s2: Section) -> str:
-        tabs = rb.ops.op(name)
-        table = {p: tabs[p][s1(p), s2(p)] for p in dom}
-        try:
-            out = Section(rb.bundle, dom, table)
-        except ValueError as e:
-            raise SectionClosureError(f"{name}({s1.id_str},{s2.id_str}) is not a section: {e}")
-        if out.id_str not in by_id:
-            raise SectionClosureError(f"{name} escaped the enumerated section set")
-        return out.id_str
-
-    tables = {}
-    for name in StalkOps.OPS:
-        tables[name] = {
-            (a, b): combine(name, by_id[a], by_id[b]) for a in carrier for b in carrier
-        }
-    for cname, tab in [("zero", rb.ops.zero), ("one", rb.ops.one)]:
-        try:
-            sec = Section(rb.bundle, dom, {p: tab[p] for p in dom})
-        except ValueError as e:
-            raise SectionClosureError(f"constant {cname} is not a section: {e}")
-        if sec.id_str not in by_id:
-            raise SectionClosureError(f"constant {cname} escaped the section set")
-        if cname == "zero":
-            bot = sec.id_str
+    def escaped(name: str, operands: tuple[str, ...]) -> SectionClosureError:
+        # The result rebuilt as a Section words the error (a missing entry raises its KeyError).
+        if operands:
+            s1, s2 = (by_id[i] for i in operands)
+            what, table = f"{name}({s1.id_str},{s2.id_str})", {p: rb.ops.op(name)[p][s1(p), s2(p)] for p in dom}
         else:
-            top = sec.id_str
-    leq = frozenset((a, b) for a in carrier for b in carrier if tables["meet"][a, b] == a)
-    alg = rlcore.ResiduatedLattice(
-        carrier, leq, tables["join"], tables["meet"], tables["mul"], tables["imp"], bot, top
-    )
+            what, table = f"constant {name}", {p: getattr(rb.ops, name)[p] for p in dom}
+        try:
+            Section(rb.bundle, dom, table)
+        except ValueError as e:
+            return SectionClosureError(f"{what} is not a section: {e}")
+        return SectionClosureError(f"{name} escaped the enumerated section set" if operands else f"{what} escaped the section set")
+
+    values = {i: tuple(s.table[p] for p in pts) for i, s in by_id.items()}
+    tables = {name: [rb.ops.op(name).get(p, {}) for p in pts] for name in StalkOps.OPS}
+    zero, one = (tuple(getattr(rb.ops, c).get(p) for p in pts) for c in ("zero", "one"))
+    alg = pointwise_rl(values, tables, zero, one, escaped)
     rep = rlcore.verify_rl(alg)
     if not rep.ok:
         raise SectionClosureError(f"pointwise algebra failed verification: {rep.violations[0]}")

@@ -202,27 +202,15 @@ def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> V
             if a & b not in famset:
                 bad.append(Violation("intersection-escapes", f"{fmt_set(a)} * {fmt_set(b)} -> {fmt_set(a & b)}"))
     else:
-        # Alexandrov route: closure under union+intersection, checked via
-        # minimal neighbourhoods, avoids the quadratic scan on huge families.
+        # Without the pairwise scan: a member inside the points is the union of
+        # the U_p of its points, so the family is a topology iff it holds every
+        # union of the U_p.  Members outside the points are reported above.
         plist, idx = _index(pts)
-        masks = {_to_mask(s, idx) for s in famset}
-        mins = _mins_from_family(len(plist), masks)
-        regen = _union_closure(mins)
-        if masks != regen:
-            extra = next(iter(masks - regen), None)
-            missing = next(iter(regen - masks), None)
-            if extra is not None:
-                bad.append(Violation("family-not-closed", fmt_set(_from_mask(extra, plist))))
-            if missing is not None:
-                bad.append(Violation("family-incomplete", fmt_set(_from_mask(missing, plist))))
-    # deduplicate violations, keep deterministic order
-    seen = set()
-    uniq = []
-    for v in bad:
-        if (v.rule, v.witness) not in seen:
-            seen.add((v.rule, v.witness))
-            uniq.append(v)
-    return ValidationReport("topology", tuple(uniq))
+        masks = {_to_mask(s, idx) for s in famset if s <= pts}
+        missing = next(iter(_union_closure(_mins_from_family(len(plist), masks)) - masks), None)
+        if missing is not None:
+            bad.append(Violation("family-incomplete", fmt_set(_from_mask(missing, plist))))
+    return ValidationReport("topology", tuple(dict.fromkeys(bad)))  # each violation once, in order
 
 
 def space_from_opens(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
@@ -297,7 +285,7 @@ class SpaceMap:
         t = set(s)
         return frozenset(p for p, v in self.table if v in t)
 
-    @property
+    @cached_property
     def id_str(self) -> str:
         return "{" + ",".join(f"{k}:{v}" for k, v in self.table) + "}"
 

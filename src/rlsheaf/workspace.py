@@ -134,9 +134,13 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     else:
         build, order = rlcore.lattice_from_order, frozenset(pairs) | frozenset((x, x) for x in carrier)
     try:
-        return build(carrier, order, mul, bot, top, imp)
+        lat = build(carrier, order, mul, bot, top, imp)
     except (ValueError, rlcore.NotResiduated) as e:
         raise WorkspaceValidationError(f"{path}: {e}")
+    rep = rlcore.verify_rl(lat)
+    if not rep.ok:
+        raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
+    return lat
 
 
 def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
@@ -161,23 +165,18 @@ def _parse_point_map(raw: Any, path: str) -> dict[str, str]:
 def _parse_stalk_ops(raw: Any, bnd: bundle.Bundle, path: str) -> bundle.StalkOps:
     if not isinstance(raw, dict):
         raise WorkspaceSyntaxError(f"{path}: expected per-point operation tables")
-    join: dict[str, dict] = {}
-    meet: dict[str, dict] = {}
-    mul: dict[str, dict] = {}
-    imp: dict[str, dict] = {}
+    tables: dict[str, dict[str, dict]] = {name: {} for name in bundle.StalkOps.OPS}
     for pt, tabs in raw.items():
         if pt not in bnd.base.points:
             raise WorkspaceReferenceError(f"{path}.{pt}: not a base point")
-        _require_keys(tabs, {"join", "meet", "mul", "imp"}, {"join", "meet", "mul", "imp"}, f"{path}.{pt}")
+        _require_keys(tabs, set(tables), set(tables), f"{path}.{pt}")
         stalk = set(bnd.stalk_points(pt))
-        join[pt] = _parse_binary_table(tabs["join"], stalk, f"{path}.{pt}.join", symmetrize=True)
-        meet[pt] = _parse_binary_table(tabs["meet"], stalk, f"{path}.{pt}.meet", symmetrize=True)
-        mul[pt] = _parse_binary_table(tabs["mul"], stalk, f"{path}.{pt}.mul", symmetrize=True)
-        imp[pt] = _parse_binary_table(tabs["imp"], stalk, f"{path}.{pt}.imp", symmetrize=False)
+        for name, out in tables.items():
+            out[pt] = _parse_binary_table(tabs[name], stalk, f"{path}.{pt}.{name}", symmetrize=name != "imp")
     missing = sorted(set(bnd.base.points) - set(raw))
     if missing:
         raise WorkspaceSyntaxError(f"{path}: missing stalk tables for {missing}")
-    return bundle.StalkOps(join=join, meet=meet, mul=mul, imp=imp, zero={}, one={})
+    return bundle.StalkOps(**tables, zero={}, one={})
 
 
 def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
@@ -203,23 +202,33 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         except (WorkspaceSyntaxError, WorkspaceReferenceError):
             raise
         except (WorkspaceValidationError, ValueError) as e:
+            err = e if isinstance(e, WorkspaceValidationError) else WorkspaceValidationError(f"{path}: {e}")
             if strict:
-                if isinstance(e, WorkspaceValidationError):
-                    raise
-                raise WorkspaceValidationError(f"{path}: {e}")
-            ws.diagnostics.append(f"{path}: {e}")
+                raise err
+            ws.diagnostics.append(str(err))
             return None
+
+    def admitted(path: str, *refs: tuple[str, str]) -> bool:
+        """Whether each (kind, name) reference names an admitted object.  A name no section declares is a
+        reference error; a declared one that lenient parsing left out (referenced sections are parsed
+        first) leaves this entry out too, with a diagnostic of its own."""
+        dropped = []
+        for kind, ref in refs:
+            if ref in getattr(ws, f"{kind}s") or kind == "bundle" and ref in ws.rl_bundles:
+                continue
+            sections = ("bundles", "rl_bundles") if kind.endswith("bundle") else (f"{kind}s",)
+            left_out = [f"{s}.{ref}" for s in sections if ref in _section(doc, s) and ref not in getattr(ws, s)]
+            if not left_out:
+                raise WorkspaceReferenceError(f"{path}: unknown {kind} {ref!r}")
+            dropped += left_out
+        if dropped:
+            ws.diagnostics.append(f"{path}: depends on {dropped[0]}, which has a diagnostic")
+        return not dropped
 
     for name, raw in sorted(_section(doc, "lattices").items()):
         lat = guard(f"lattices.{name}", lambda: _parse_lattice(name, raw))
         if lat is not None:
-            rep = rlcore.verify_rl(lat)
-            if rep.ok:
-                ws.lattices[name] = lat
-            elif strict:
-                raise WorkspaceValidationError(f"lattices.{name}: {rep.violations[0]}")
-            else:
-                ws.diagnostics.append(f"lattices.{name}: {rep.violations[0]}")
+            ws.lattices[name] = lat
 
     for name, raw in sorted(_section(doc, "spaces").items()):
         sp = guard(f"spaces.{name}", lambda: _parse_space(name, raw))
@@ -230,9 +239,8 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         path = f"maps.{name}"
         _require_keys(raw, {"dom", "cod", "table"}, {"dom", "cod", "table"}, path)
         dom, cod = str(raw["dom"]), str(raw["cod"])
-        for ref in (dom, cod):
-            if ref not in ws.spaces:
-                raise WorkspaceReferenceError(f"{path}: unknown space {ref!r}")
+        if not admitted(path, ("space", dom), ("space", cod)):
+            continue
         m = guard(path, lambda: fintop.space_map(ws.spaces[dom], ws.spaces[cod], _parse_point_map(raw["table"], f"{path}.table")))
         if m is not None:
             ws.maps[name] = m
@@ -242,9 +250,8 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         allowed = {"total", "base", "proj", "stalk_ops", "zero", "one"}
         required = {"total", "base", "proj"} | ({"stalk_ops", "zero", "one"} if want_ops else set())
         _require_keys(raw, allowed, required, path)
-        for ref in (str(raw["total"]), str(raw["base"])):
-            if ref not in ws.spaces:
-                raise WorkspaceReferenceError(f"{path}: unknown space {ref!r}")
+        if not admitted(path, ("space", str(raw["total"])), ("space", str(raw["base"]))):
+            return None
         total, base = ws.spaces[str(raw["total"])], ws.spaces[str(raw["base"])]
 
         def build():
@@ -279,10 +286,8 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         path = f"rle_spaces.{name}"
         _require_keys(raw, {"base", "etale"}, {"base", "etale"}, path)
         base, et = str(raw["base"]), str(raw["etale"])
-        if base not in ws.spaces:
-            raise WorkspaceReferenceError(f"{path}: unknown space {base!r}")
-        if et not in ws.rl_bundles:
-            raise WorkspaceReferenceError(f"{path}: unknown rl_bundle {et!r}")
+        if not admitted(path, ("space", base), ("rl_bundle", et)):
+            continue
         x = guard(path, lambda: basechange.RLESpace(ws.spaces[base], ws.rl_bundles[et]))
         if x is not None:
             ws.rle_spaces[name] = x
@@ -294,23 +299,23 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         kind = raw["kind"]
         if kind == "rl":
             _require_keys(raw, {"kind", "dom", "cod", "table"}, {"kind", "dom", "cod", "table"}, path)
-            for ref in (str(raw["dom"]), str(raw["cod"])):
-                if ref not in ws.lattices:
-                    raise WorkspaceReferenceError(f"{path}: unknown lattice {ref!r}")
+            if not admitted(path, ("lattice", str(raw["dom"])), ("lattice", str(raw["cod"]))):
+                continue
             m = guard(path, lambda: rlcore.RLMorphism(
                 ws.lattices[str(raw["dom"])], ws.lattices[str(raw["cod"])],
                 _parse_point_map(raw["table"], f"{path}.table")))
         elif kind == "bundle":
             _require_keys(raw, {"kind", "src", "dst", "table"}, {"kind", "src", "dst", "table"}, path)
+            if not admitted(path, ("bundle", str(raw["src"])), ("bundle", str(raw["dst"]))):
+                continue
             src = ws.bundle_like(str(raw["src"]), path)
             dst = ws.bundle_like(str(raw["dst"]), path)
             m = guard(path, lambda: bundle.BundleMorphism(
                 src, dst, fintop.space_map(src.total, dst.total, _parse_point_map(raw["table"], f"{path}.table"))))
         elif kind == "rle_inv":
             _require_keys(raw, {"kind", "src", "dst", "base_map", "alpha"}, {"kind", "src", "dst", "base_map", "alpha"}, path)
-            for ref in (str(raw["src"]), str(raw["dst"])):
-                if ref not in ws.rle_spaces:
-                    raise WorkspaceReferenceError(f"{path}: unknown rle_space {ref!r}")
+            if not admitted(path, ("rle_space", str(raw["src"])), ("rle_space", str(raw["dst"]))):
+                continue
             src_x = ws.rle_spaces[str(raw["src"])]
             dst_x = ws.rle_spaces[str(raw["dst"])]
 

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from rlsheaf import rlcore
+from rlsheaf import adjunction, bundle, fintop, rlcore
 from rlsheaf.report import Violation, fmt_set
 
 
@@ -193,3 +193,78 @@ def lattice_closure(points, family) -> frozenset:
         if new <= out:
             return frozenset(out)
         out |= new
+
+
+def pointwise_rl_on_sections_literal(rb: bundle.RLBundle, x) -> bundle.SectionAlgebra:
+    """Oracle: `bundle.pointwise_rl_on_sections` with a `Section` built for every pair, operation and constant."""
+    dom = frozenset(x)
+    secs = bundle.sections(rb.bundle, dom)
+    by_id = {s.id_str: s for s in secs}
+    carrier = tuple(sorted(by_id))
+
+    def combine(name: str, s1: bundle.Section, s2: bundle.Section) -> str:
+        tabs = rb.ops.op(name)
+        table = {p: tabs[p][s1(p), s2(p)] for p in dom}
+        try:
+            out = bundle.Section(rb.bundle, dom, table)
+        except ValueError as e:
+            raise bundle.SectionClosureError(f"{name}({s1.id_str},{s2.id_str}) is not a section: {e}")
+        if out.id_str not in by_id:
+            raise bundle.SectionClosureError(f"{name} escaped the enumerated section set")
+        return out.id_str
+
+    tables = {}
+    for name in bundle.StalkOps.OPS:
+        tables[name] = {
+            (a, b): combine(name, by_id[a], by_id[b]) for a in carrier for b in carrier
+        }
+    for cname, tab in [("zero", rb.ops.zero), ("one", rb.ops.one)]:
+        try:
+            sec = bundle.Section(rb.bundle, dom, {p: tab[p] for p in dom})
+        except ValueError as e:
+            raise bundle.SectionClosureError(f"constant {cname} is not a section: {e}")
+        if sec.id_str not in by_id:
+            raise bundle.SectionClosureError(f"constant {cname} escaped the section set")
+        if cname == "zero":
+            bot = sec.id_str
+        else:
+            top = sec.id_str
+    leq = frozenset((a, b) for a in carrier for b in carrier if tables["meet"][a, b] == a)
+    alg = rlcore.ResiduatedLattice(
+        carrier, leq, tables["join"], tables["meet"], tables["mul"], tables["imp"], bot, top
+    )
+    rep = rlcore.verify_rl(alg)
+    if not rep.ok:
+        raise bundle.SectionClosureError(f"pointwise algebra failed verification: {rep.violations[0]}")
+    return bundle.SectionAlgebra(alg, by_id)
+
+
+def lift_compact_open_rl_literal(b: fintop.FiniteSpace, a: adjunction.TopologicalRL):
+    """Oracle: `adjunction.lift_compact_open_rl` with a `SpaceMap` built for every pair, operation and constant."""
+    fs = adjunction.compact_open_space(b, a.topology)
+    by_id = fs.by_id()
+    carrier = tuple(sorted(by_id))
+
+    def lift(tab) -> dict[tuple[str, str], str]:
+        out = {}
+        for i1, m1 in by_id.items():
+            for i2, m2 in by_id.items():
+                combined = {p: tab[m1(p), m2(p)] for p in b.points}
+                m = fintop.space_map(b, a.topology, combined)
+                if m.id_str not in by_id:
+                    raise AssertionError("pointwise combination left the function space")
+                out[i1, i2] = m.id_str
+        return out
+
+    join, meet = lift(a.algebra.join), lift(a.algebra.meet)
+    mul, imp = lift(a.algebra.mul), lift(a.algebra.imp)
+    const = lambda v: fintop.space_map(b, a.topology, {p: v for p in b.points}).id_str
+    leq = frozenset((i, j) for i in carrier for j in carrier if meet[i, j] == i)
+    alg = rlcore.ResiduatedLattice(
+        carrier, leq, join, meet, mul, imp, const(a.algebra.bot), const(a.algebra.top)
+    )
+    trl = adjunction.TopologicalRL(alg, fs.space)
+    rep = adjunction.verify_topological_rl(trl)
+    if not rep.ok:
+        raise AssertionError(f"lifted algebra failed: {rep.violations[0]}")
+    return trl, fs

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rl_isomorphic, rl_product
+from conftest import lift_compact_open_rl_literal, pointwise_rl_on_sections_literal, rl_isomorphic, rl_product
 from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore, suites
 
 PT = fixtures.space_point()
@@ -206,3 +208,96 @@ def test_binary_op_continuity_matches_materialized_product():
             fast = adjunction.binary_op_continuous(topo, topo, topo, tab)
             m = fintop.space_map(prod, topo, {k: tab[p1(k), p2(k)] for k in prod.points})
             assert fast == fintop.is_continuous(m)
+
+
+OUTSIDE = "zz"
+BASES = [PT, D2, fintop.indiscrete(["m", "n"]), SK]
+
+
+def stalk_topologies(lat):
+    """Discrete, indiscrete and down-set topologies on a lattice's carrier."""
+    return [
+        fintop.discrete(lat.carrier),
+        fintop.indiscrete(lat.carrier),
+        fintop.FiniteSpace(frozenset(lat.carrier), {x: frozenset(y for y in lat.carrier if lat.le(y, x)) for x in lat.carrier}),
+    ]
+
+
+LATTICES = [fixtures.rl_a2(), fixtures.rl_a3(), fixtures.rl_a4()]
+RL_BUNDLES = list(fixtures.rl_bundle_fixtures().values()) + [
+    fixtures.constant_rl_bundle(base, lat, total=fintop.product(base, topo)[0])
+    for base in BASES[1:]
+    for lat in LATTICES
+    for topo in stalk_topologies(lat)
+]
+TOPOLOGICAL_RLS = [adjunction.TopologicalRL(lat, topo) for lat in LATTICES for topo in stalk_topologies(lat)]
+
+
+def subsets(points):
+    pts = sorted(points)
+    return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
+
+
+@st.composite
+def corrupted_section_calls(draw):
+    """Gamma(U) for every subset U of a fixture RL-bundle's base, with one stalk-op, zero or one entry
+    changed, dropped or pointed outside its stalk or the total space (or left as it is)."""
+    rb = draw(st.sampled_from(RL_BUNDLES))
+    tabs = {name: {p: dict(t) for p, t in rb.ops.op(name).items()} for name in bundle.StalkOps.OPS}
+    ops = bundle.StalkOps(**tabs, zero=dict(rb.ops.zero), one=dict(rb.ops.one))
+    kind = draw(st.sampled_from(bundle.StalkOps.OPS + ("zero", "one", "none")))
+    p = draw(st.sampled_from(sorted(rb.base.points)))
+    value = draw(st.sampled_from(sorted(rb.total.points)) | st.just(OUTSIDE) | st.none())
+    if kind in ("zero", "one"):
+        getattr(ops, kind)[p] = value
+    elif kind != "none":
+        tab = ops.op(kind)[p]
+        cell = draw(st.sampled_from(sorted(tab)))
+        if value is None:
+            del tab[cell]
+        else:
+            tab[cell] = value
+    changed = bundle.RLBundle(rb.bundle, ops)
+    return bundle.pointwise_rl_on_sections, pointwise_rl_on_sections_literal, [(changed, u) for u in subsets(rb.base.points)]
+
+
+@st.composite
+def corrupted_lift_calls(draw):
+    """C(U, A) for every subspace U of a base, with one table entry or constant of a fixture topological RL A
+    changed, dropped or pointed outside the carrier (or left as it is)."""
+    trl = draw(st.sampled_from(TOPOLOGICAL_RLS))
+    alg = trl.algebra
+    tables = {name: dict(getattr(alg, name)) for name in bundle.StalkOps.OPS}
+    consts = {"bot": alg.bot, "top": alg.top}
+    kind = draw(st.sampled_from(sorted(tables) + sorted(consts) + ["none"]))
+    value = draw(st.sampled_from(alg.carrier) | st.just(OUTSIDE))
+    if kind in consts:
+        consts[kind] = value
+    elif kind != "none":
+        cell = draw(st.sampled_from(sorted(tables[kind])))
+        if draw(st.booleans()):
+            del tables[kind][cell]
+        else:
+            tables[kind][cell] = value
+    changed = adjunction.TopologicalRL(rlcore.ResiduatedLattice(alg.carrier, alg.leq, **tables, **consts), trl.topology)
+    base = draw(st.sampled_from(BASES))
+    return adjunction.lift_compact_open_rl, lift_compact_open_rl_literal, [
+        (fintop.subspace(base, u), changed) for u in subsets(base.points)
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, AssertionError) as e:
+        return type(e), str(e)
+
+
+@given(st.one_of(corrupted_section_calls(), corrupted_lift_calls()))
+@settings(max_examples=200, deadline=None)
+def test_pointwise_kernel_agrees_with_the_per_pair_lifts(calls):
+    """Gamma(U) and C(U, A) equal the algebras built with a Section or SpaceMap per pair, or fail with the same
+    exception type and message, the first escape in the same order."""
+    fast, literal, inputs = calls
+    for args in inputs:
+        assert outcome(fast, *args) == outcome(literal, *args)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -276,6 +277,32 @@ def test_lenient_validate_reports_the_first_violation_of_the_literal_check(tmp_p
     expected = [f"diagnostic: lattices.{name}: {verify_rl_literal(lattice_of(raw))[0]}" for name, raw in [("A6", a6), ("A8", a8)]]
     assert rc == 1
     assert diagnostics == expected
+
+
+def test_lenient_validate_reports_a_morphism_on_a_left_out_lattice_after_the_lattice(tmp_path):
+    doc = json.loads(CORPUS)
+    a6 = doc["lattices"]["A6"]
+    a6["mul"]["a,c"] = a6["mul"]["c,a"] = "c"
+    rc, out, err = run_with_output(doc, ["--lenient", "validate"], tmp_path)
+    diagnostics = [line for line in out.splitlines() if line.startswith("diagnostic: ")]
+    assert (rc, err) == (1, "")
+    assert len(diagnostics) == 2 and diagnostics[0].startswith("diagnostic: lattices.A6: ")
+    assert diagnostics[1] == "diagnostic: morphisms.f_a6_a4: depends on lattices.A6, which has a diagnostic"
+    # a name no entry declares is still a reference error
+    doc["morphisms"]["f_a6_a4"]["cod"] = "A99"
+    rc, err = run_in_process(doc, ["--lenient", "validate"], tmp_path)
+    assert (rc, err) == (2, "error: morphisms.f_a6_a4: unknown lattice 'A99'\n")
+
+
+@pytest.mark.parametrize("n", [2, 13])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_open_family_with_a_member_outside_the_points_exits_1(n, lenient, tmp_path):
+    """13 points give 8,192 opens, past the size where verify_topology stops scanning pairs."""
+    pts = [f"p{i}" for i in range(n)]
+    opens = [list(c) for r in range(n + 1) for c in itertools.combinations(pts, r)] + [["p0", "zz"]]
+    rc, out, err = run_with_output({"spaces": {"s": {"points": pts, "opens": opens}}}, ["--lenient"] * lenient + ["validate"], tmp_path)
+    line = "spaces.s: member-not-subset: {p0,zz}"
+    assert (rc, out, err) == ((1, f"diagnostic: {line}\n", "") if lenient else (1, "", f"error: {line}\n"))
 
 
 JSON_VALUES = st.recursive(

@@ -31,6 +31,17 @@ def test_verify_topology_reports_missing_union_with_witness():
     assert "{x,y}" in witnesses
 
 
+@pytest.mark.parametrize("n", [3, 13])
+def test_verify_topology_names_a_member_outside_the_points_first(n):
+    """Below and above the 4,096 members where the pairwise scan gives way to the minimal-neighbourhood route."""
+    pts = [f"p{i}" for i in range(n)]
+    family = [list(c) for r in range(n + 1) for c in itertools.combinations(pts, r)] + [["p0", "zz"]]
+    rep = fintop.verify_topology(pts, family)
+    assert str(rep.violations[0]) == "member-not-subset: {p0,zz}"
+    with pytest.raises(ValueError, match=r"^member-not-subset: \{p0,zz\}$"):
+        fintop.space_from_opens(pts, family)
+
+
 def test_identity_is_continuous_open_local_homeo():
     s = fixtures.space_sierpinski()
     m = fintop.identity_map(s)
