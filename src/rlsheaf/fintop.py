@@ -24,6 +24,8 @@ from .report import ValidationReport, Violation, fmt_set
 
 PointSet = frozenset[str]
 
+_key, _value = operator.itemgetter(0), operator.itemgetter(1)
+
 # Guards the derived open family, which can be exponential in the points
 # (and the union closure in verify_topology, which can be too).
 MAX_OPENS = 1 << 20
@@ -118,6 +120,14 @@ class FiniteSpace:
         return dict(self.min_nbhds)
 
     @cached_property
+    def order_masks(self) -> tuple[list[int], list[int]]:
+        """Bitmask rows over `sorted_points`: down[i] is U_i, up[i] the points whose U holds i."""
+        idx = {p: i for i, p in enumerate(self.sorted_points)}
+        down = [_to_mask(self.min_nbhd_map[p], idx) for p in self.sorted_points]
+        up = [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+        return down, up
+
+    @cached_property
     def opens(self) -> Opens:
         """The open family as a set-like view; see `Opens`."""
         return Opens(self)
@@ -140,8 +150,8 @@ class Opens(Set):
 
     def __init__(self, space: FiniteSpace):
         self.space = space
-        self.pts, idx = _index(space.points)
-        self.down = [_to_mask(space.min_nbhd_map[p], idx) for p in self.pts]
+        self.pts = list(space.sorted_points)
+        self.down, self.up = space.order_masks
 
     def __contains__(self, s) -> bool:
         return isinstance(s, (set, frozenset)) and self.space.is_open(s)
@@ -159,8 +169,7 @@ class Opens(Set):
     def _count(self) -> int:
         """Over each connected component, the opens that omit a pivot x (and so
         every point above it) plus those that hold U_x, memoized on the points left."""
-        down = self.down
-        up = [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+        down, up = self.down, self.up
         adj = [d | u for d, u in zip(down, up)]
 
         @functools.cache
@@ -262,14 +271,17 @@ class SpaceMap:
     table: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        mapping = dict(self.table)
-        if set(mapping) != set(self.dom.points):
-            missing = sorted(set(self.dom.points) - set(mapping))
-            raise ValueError(f"map not total, missing {missing}" if missing else "map has extra keys")
-        stray = sorted(v for v in mapping.values() if v not in self.cod.points)
-        if stray:
+        # A table keyed by exactly the sorted points is total, has no extra
+        # keys and is already sorted; any other goes through a dict and a sort.
+        if tuple(map(_key, self.table)) != self.dom.sorted_points:
+            mapping = dict(self.table)
+            if set(mapping) != set(self.dom.points):
+                missing = sorted(set(self.dom.points) - set(mapping))
+                raise ValueError(f"map not total, missing {missing}" if missing else "map has extra keys")
+            object.__setattr__(self, "table", tuple(sorted(mapping.items())))
+        if not self.cod.points.issuperset(map(_value, self.table)):
+            stray = sorted(v for _, v in self.table if v not in self.cod.points)
             raise ValueError(f"map values escape codomain: {stray}")
-        object.__setattr__(self, "table", tuple(sorted(mapping.items())))
 
     @cached_property
     def mapping(self) -> dict[str, str]:
@@ -422,21 +434,24 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
     """Finest topology making every given map continuous.
 
     `family` pairs a source space with the table of a map into the carrier.
+    A set is open iff every preimage is a down-set, so the specialization
+    preorder is the reflexive-transitive closure of t(q) <= t(p) for q in
+    U_p, over every map; a point outside every image stays isolated.
     """
     pts = frozenset(points)
-    fams = []
+    plist, idx = _index(pts)
+    down = [1 << i for i in range(len(plist))]
     for src, table in family:
         t = dict(table)
         if set(t) != set(src.points) or not set(t.values()) <= pts:
             raise ValueError("family member is not a total map into the carrier")
-        fams.append((src, t))
-    plist, idx = _index(pts)
-    opens = []
-    for bits in range(1 << len(plist)):
-        u = _from_mask(bits, plist)
-        if all(frozenset(p for p in src.points if t[p] in u) in src.opens for src, t in fams):
-            opens.append(u)
-    return topology_from_subbasis(pts, opens)
+        for p, u in src.min_nbhds:
+            down[idx[t[p]]] |= _to_mask((t[q] for q in u), idx)
+    for k in range(len(down)):
+        for i in range(len(down)):
+            if down[i] >> k & 1:
+                down[i] |= down[k]
+    return FiniteSpace(pts, {p: _from_mask(d, plist) for p, d in zip(plist, down)})
 
 
 def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
@@ -477,6 +492,68 @@ def pullback_universal_check(
     return u
 
 
+def _outermost(s: int, beyond: list[int], back: list[int]) -> list[int]:
+    """The members j of mask s with no other member k of s in beyond[j]; of members
+    beyond each other (k also in back[j]) only the least index is kept.
+
+    Once the points of s hold monotone values, a bound by the values at these
+    members is a bound by the values at all of s.
+    """
+    return [j for j in _bits(s) if not s & beyond[j] & ~(1 << j) & (~back[j] | ((1 << j) - 1))]
+
+
+def _monotone_search(
+    dom: FiniteSpace, cod: FiniteSpace, choices: Mapping[str, Iterable[str]] | None
+) -> Iterator[tuple[tuple[str, str], ...]]:
+    """`monotone_tables` as (point, value) pair tuples, by one loop over an explicit stack.
+
+    Point i's candidates are a bitmask over `cod.sorted_points`: its choices cut
+    by up[f(q)] for the outermost earlier q below it and by down[f(q)] for the
+    outermost earlier q above it.  The lowest bit goes first, so values come in
+    sorted order.  The choices are read before the first table.
+    """
+    pts, cpts = dom.sorted_points, cod.sorted_points
+    n = len(pts)
+    cidx = {v: k for k, v in enumerate(cpts)}
+    opts = [(1 << len(cpts)) - 1 if choices is None else _to_mask(choices[p], cidx) for p in pts]
+    down_d, up_d = dom.order_masks
+    down_c, up_c = cod.order_masks
+    below = [_outermost(down_d[i] & ((1 << i) - 1), up_d, down_d) for i in range(n)]
+    above = [_outermost(up_d[i] & ((1 << i) - 1), down_d, up_d) for i in range(n)]
+    pairs = [[(p, v) for v in cpts] for p in pts]
+
+    def tables() -> Iterator[tuple[tuple[str, str], ...]]:
+        if not n:
+            yield ()
+            return
+        if not all(opts):  # an empty choice set admits no table: walk none of the others
+            return
+        vi, row, cand = [0] * n, [("", "")] * n, [0] * n
+        cand[0] = opts[0]
+        i = 0
+        while i >= 0:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            vi[i] = v = low.bit_length() - 1
+            row[i] = pairs[i][v]
+            if i == n - 1:
+                yield tuple(row)
+                continue
+            i += 1
+            m = opts[i]
+            for j in below[i]:
+                m &= up_c[vi[j]]
+            for j in above[i]:
+                m &= down_c[vi[j]]
+            cand[i] = m
+
+    return tables()
+
+
 def monotone_tables(
     dom: FiniteSpace, cod: FiniteSpace, choices: Mapping[str, Iterable[str]] | None = None
 ) -> Iterator[dict[str, str]]:
@@ -484,29 +561,12 @@ def monotone_tables(
 
     Continuity is specialization monotonicity: q in U_p forces f(q) in U_f(p).
     The points are assigned in sorted order, each checked only against the
-    earlier points comparable to it, so the tables come out lexicographic in
-    the sorted points with each point's values in sorted order.
+    outermost earlier points comparable to it, so the tables come out
+    lexicographic in the sorted points with each point's values in sorted order.
     """
-    pts = dom.sorted_points
-    mins_d, mins_c = dom.min_nbhd_map, cod.min_nbhd_map
-    opts = [sorted(cod.points if choices is None else choices[p]) for p in pts]
-    below = [[j for j in range(i) if pts[j] in mins_d[p]] for i, p in enumerate(pts)]
-    above = [[j for j in range(i) if p in mins_d[pts[j]]] for i, p in enumerate(pts)]
-    vals: list[str] = [""] * len(pts)
-
-    def rec(i: int) -> Iterator[dict[str, str]]:
-        if i == len(pts):
-            yield dict(zip(pts, vals))
-            return
-        for v in opts[i]:
-            u = mins_c[v]
-            if all(vals[j] in u for j in below[i]) and all(v in mins_c[vals[j]] for j in above[i]):
-                vals[i] = v
-                yield from rec(i + 1)
-
-    return rec(0)
+    return map(dict, _monotone_search(dom, cod, choices))
 
 
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[SpaceMap]:
     """All continuous maps dom -> cod, in lexicographic order of their tables."""
-    return [space_map(dom, cod, t) for t in monotone_tables(dom, cod)]
+    return [SpaceMap(dom, cod, table) for table in _monotone_search(dom, cod, None)]

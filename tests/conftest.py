@@ -195,6 +195,51 @@ def lattice_closure(points, family) -> frozenset:
         out |= new
 
 
+def monotone_tables_literal(dom: fintop.FiniteSpace, cod: fintop.FiniteSpace, choices=None):
+    """Oracle: `fintop.monotone_tables` as a recursive generator over sorted value lists.
+
+    Each point takes its sorted choices in turn and is checked against every
+    earlier point comparable to it, so the tables come out lexicographic.
+    """
+    pts = dom.sorted_points
+    mins_d, mins_c = dom.min_nbhd_map, cod.min_nbhd_map
+    opts = [sorted(cod.points if choices is None else choices[p]) for p in pts]
+    below = [[j for j in range(i) if pts[j] in mins_d[p]] for i, p in enumerate(pts)]
+    above = [[j for j in range(i) if p in mins_d[pts[j]]] for i, p in enumerate(pts)]
+    vals: list[str] = [""] * len(pts)
+
+    def rec(i: int):
+        if i == len(pts):
+            yield dict(zip(pts, vals))
+            return
+        for v in opts[i]:
+            u = mins_c[v]
+            if all(vals[j] in u for j in below[i]) and all(v in mins_c[vals[j]] for j in above[i]):
+                vals[i] = v
+                yield from rec(i + 1)
+
+    return rec(0)
+
+
+def final_topology_literal(points, family) -> fintop.FiniteSpace:
+    """Oracle: `fintop.final_topology` by walking every subset of the carrier and keeping
+    those whose preimage under every map of the family is open."""
+    pts = frozenset(points)
+    fams = []
+    for src, table in family:
+        t = dict(table)
+        if set(t) != set(src.points) or not set(t.values()) <= pts:
+            raise ValueError("family member is not a total map into the carrier")
+        fams.append((src, t))
+    plist = sorted(pts)
+    opens = []
+    for r in range(len(plist) + 1):
+        for u in map(frozenset, itertools.combinations(plist, r)):
+            if all(frozenset(p for p in src.points if t[p] in u) in src.opens for src, t in fams):
+                opens.append(u)
+    return fintop.topology_from_subbasis(pts, opens)
+
+
 def pointwise_rl_on_sections_literal(rb: bundle.RLBundle, x) -> bundle.SectionAlgebra:
     """Oracle: `bundle.pointwise_rl_on_sections` with a `Section` built for every pair, operation and constant."""
     dom = frozenset(x)

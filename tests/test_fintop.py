@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_closure
+from conftest import final_topology_literal, lattice_closure, monotone_tables_literal
 from rlsheaf import fintop, fixtures
 
 
@@ -357,15 +358,113 @@ def test_monotone_tables_match_the_brute_force_product(data):
         p: data.draw(st.sets(st.sampled_from(cod_pts)) if cod_pts else st.just(set()))
         for p in sorted(dom.points)
     }
-    got = list(fintop.monotone_tables(dom, cod, choices))
-    want = _brute_force_tables(dom, cod, choices)
-    assert {tuple(sorted(t.items())) for t in got} == {tuple(sorted(t.items())) for t in want}
     key = lambda t: [t[p] for p in sorted(dom.points)]
-    assert [key(t) for t in got] == sorted(key(t) for t in got)
-    unconstrained = [m.mapping for m in fintop.continuous_maps(dom, cod)]
-    assert unconstrained == list(fintop.monotone_tables(dom, cod))
+    # Pullbacks reach 9 points, so a listing is guarded by the size of the product it walks.
+    if math.prod(len(c) for c in choices.values()) <= 4096:
+        got = list(fintop.monotone_tables(dom, cod, choices))
+        want = _brute_force_tables(dom, cod, choices)
+        assert {tuple(sorted(t.items())) for t in got} == {tuple(sorted(t.items())) for t in want}
+        assert [key(t) for t in got] == sorted(key(t) for t in got)
+    else:
+        head = list(itertools.islice(fintop.monotone_tables(dom, cod, choices), 64))
+        assert head == list(itertools.islice(monotone_tables_literal(dom, cod, choices), 64))
     if len(cod_pts) ** len(dom.points) <= 4096:
+        unconstrained = [m.mapping for m in fintop.continuous_maps(dom, cod)]
+        assert unconstrained == list(fintop.monotone_tables(dom, cod))
         assert unconstrained == _brute_force_tables(dom, cod, dict.fromkeys(dom.points, cod_pts))
+    else:
+        # Too many maps to list: the first tables of the search and of the literal
+        # search, in lockstep, each one continuous and later than the one before.
+        head = list(itertools.islice(fintop.monotone_tables(dom, cod), 64))
+        assert head == list(itertools.islice(monotone_tables_literal(dom, cod), 64))
+        assert all(fintop.is_continuous(fintop.space_map(dom, cod, t)) for t in head)
+        assert [key(t) for t in head] == sorted(key(t) for t in head)
+
+
+def sierpinski_power(k, open_point="x", closed_point="y"):
+    s = fintop.sierpinski(open_point, closed_point)
+    space = fintop.discrete(["pt"]) if k == 0 else s
+    for _ in range(k - 1):
+        space, _, _ = fintop.product(space, s)
+    return space
+
+
+@st.composite
+def search_cases(draw):
+    """A domain, a codomain and the choices for `monotone_tables`: None, or a set per point, possibly empty."""
+    if draw(st.booleans()):
+        dom, _ = draw(built_spaces())
+        cod, _ = draw(built_spaces())
+    else:
+        labels = draw(st.sampled_from([("x", "y"), ("y", "x")]))
+        dom = sierpinski_power(draw(st.integers(0, 4)), *labels)
+        cod = sierpinski_power(draw(st.integers(1, 2)), *labels)
+    if len(cod.points) ** len(dom.points) > 1 << 16 or draw(st.booleans()):
+        return dom, cod, None
+    cod_pts = sorted(cod.points)
+    sets = st.sets(st.sampled_from(cod_pts)) if cod_pts else st.just(set())
+    return dom, cod, {p: draw(sets) for p in sorted(dom.points)}
+
+
+@given(search_cases())
+@example((fintop.indiscrete("abc"), fintop.sierpinski(), None))  # a point whose earlier comparable points all tie
+@settings(max_examples=150, deadline=None)
+def test_monotone_tables_match_the_literal_search(case):
+    dom, cod, choices = case
+    assert list(fintop.monotone_tables(dom, cod, choices)) == list(monotone_tables_literal(dom, cod, choices))
+
+
+def test_monotone_tables_edge_cases():
+    s = fintop.sierpinski()
+    assert list(fintop.monotone_tables(fintop.discrete([]), s)) == [{}]
+    assert list(fintop.monotone_tables(s, s, {"x": {"x", "y"}, "y": set()})) == []
+
+
+@pytest.mark.parametrize("k, count", [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
+def test_continuous_maps_of_sierpinski_powers_are_the_dedekind_numbers(k, count):
+    """Maps S^k -> S are the monotone Boolean functions of k variables."""
+    maps = fintop.continuous_maps(sierpinski_power(k), fintop.sierpinski())
+    assert len(maps) == count
+    assert len({m.table for m in maps}) == count
+
+
+def test_space_map_constructor_contract():
+    s = fintop.sierpinski()
+    with pytest.raises(ValueError) as e:
+        fintop.space_map(s, s, {"x": "x"})
+    assert str(e.value) == "map not total, missing ['y']"
+    with pytest.raises(ValueError) as e:
+        fintop.space_map(s, s, {"x": "x", "y": "y", "z": "x"})
+    assert str(e.value) == "map has extra keys"
+    with pytest.raises(ValueError) as e:
+        fintop.space_map(s, s, {"x": "w", "y": "zzz"})
+    assert str(e.value) == "map values escape codomain: ['w', 'zzz']"
+    with pytest.raises(ValueError) as e:
+        fintop.SpaceMap(s, s, (("x", "w"), ("y", "y")))
+    assert str(e.value) == "map values escape codomain: ['w']"
+    sorted_table = (("x", "y"), ("y", "y"))
+    assert fintop.SpaceMap(s, s, sorted_table).table == sorted_table
+    assert fintop.SpaceMap(s, s, (("y", "y"), ("x", "y"))).table == sorted_table
+    assert fintop.SpaceMap(s, s, (("x", "x"), ("y", "y"), ("x", "y"))).table == sorted_table
+
+
+@st.composite
+def map_families(draw):
+    """A carrier of up to 6 points and up to 3 maps into it from built spaces."""
+    pts = [f"c{i}" for i in range(draw(st.integers(1, 6)))]
+    family = []
+    for _ in range(draw(st.integers(0, 3))):
+        src, _ = draw(built_spaces())
+        family.append((src, {p: draw(st.sampled_from(pts)) for p in sorted(src.points)}))
+    return pts, family
+
+
+@given(map_families())
+@example((["a", "b", "c"], [(fintop.sierpinski(), {"x": "a", "y": "c"}), (fintop.sierpinski(), {"x": "c", "y": "b"})]))
+@settings(max_examples=150, deadline=None)
+def test_final_topology_matches_the_subset_walk(case):
+    pts, family = case
+    assert fintop.final_topology(pts, family) == final_topology_literal(pts, family)
 
 
 def test_opens_are_counted_without_deriving_them():
