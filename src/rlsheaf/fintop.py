@@ -492,24 +492,14 @@ def pullback_universal_check(
     return u
 
 
-def _outermost(s: int, beyond: list[int], back: list[int]) -> list[int]:
-    """The members j of mask s with no other member k of s in beyond[j]; of members
-    beyond each other (k also in back[j]) only the least index is kept.
-
-    Once the points of s hold monotone values, a bound by the values at these
-    members is a bound by the values at all of s.
-    """
-    return [j for j in _bits(s) if not s & beyond[j] & ~(1 << j) & (~back[j] | ((1 << j) - 1))]
-
-
 def _monotone_search(
     dom: FiniteSpace, cod: FiniteSpace, choices: Mapping[str, Iterable[str]] | None
 ) -> Iterator[tuple[tuple[str, str], ...]]:
     """`monotone_tables` as (point, value) pair tuples, by one loop over an explicit stack.
 
     Point i's candidates are a bitmask over `cod.sorted_points`: its choices cut
-    by up[f(q)] for the outermost earlier q below it and by down[f(q)] for the
-    outermost earlier q above it.  The lowest bit goes first, so values come in
+    by up[f(q)] for every earlier q below it and by down[f(q)] for every earlier
+    q above it.  The lowest bit goes first, so values come in
     sorted order.  The choices are read before the first table.
     """
     pts, cpts = dom.sorted_points, cod.sorted_points
@@ -518,8 +508,8 @@ def _monotone_search(
     opts = [(1 << len(cpts)) - 1 if choices is None else _to_mask(choices[p], cidx) for p in pts]
     down_d, up_d = dom.order_masks
     down_c, up_c = cod.order_masks
-    below = [_outermost(down_d[i] & ((1 << i) - 1), up_d, down_d) for i in range(n)]
-    above = [_outermost(up_d[i] & ((1 << i) - 1), down_d, up_d) for i in range(n)]
+    below = [list(_bits(down_d[i] & ((1 << i) - 1))) for i in range(n)]
+    above = [list(_bits(up_d[i] & ((1 << i) - 1))) for i in range(n)]
     pairs = [[(p, v) for v in cpts] for p in pts]
 
     def tables() -> Iterator[tuple[tuple[str, str], ...]]:
@@ -560,8 +550,8 @@ def monotone_tables(
     """Every continuous table dom -> cod taking each point p into choices[p] (anywhere in cod when None).
 
     Continuity is specialization monotonicity: q in U_p forces f(q) in U_f(p).
-    The points are assigned in sorted order, each checked only against the
-    outermost earlier points comparable to it, so the tables come out
+    The points are assigned in sorted order, each checked against the earlier
+    points comparable to it, so the tables come out
     lexicographic in the sorted points with each point's values in sorted order.
     """
     return map(dict, _monotone_search(dom, cod, choices))

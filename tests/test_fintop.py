@@ -399,7 +399,7 @@ def search_cases(draw):
         labels = draw(st.sampled_from([("x", "y"), ("y", "x")]))
         dom = sierpinski_power(draw(st.integers(0, 4)), *labels)
         cod = sierpinski_power(draw(st.integers(1, 2)), *labels)
-    if len(cod.points) ** len(dom.points) > 1 << 16 or draw(st.booleans()):
+    if draw(st.booleans()):
         return dom, cod, None
     cod_pts = sorted(cod.points)
     sets = st.sets(st.sampled_from(cod_pts)) if cod_pts else st.just(set())
@@ -410,8 +410,12 @@ def search_cases(draw):
 @example((fintop.indiscrete("abc"), fintop.sierpinski(), None))  # a point whose earlier comparable points all tie
 @settings(max_examples=150, deadline=None)
 def test_monotone_tables_match_the_literal_search(case):
+    # Bounded listings: all 28,224 tables of S^4 -> S^2 fit, while a 9-point
+    # discrete pullback into 9 points (9^9 maps) is compared on a prefix.
     dom, cod, choices = case
-    assert list(fintop.monotone_tables(dom, cod, choices)) == list(monotone_tables_literal(dom, cod, choices))
+    limit = 1 << 15
+    got = list(itertools.islice(fintop.monotone_tables(dom, cod, choices), limit))
+    assert got == list(itertools.islice(monotone_tables_literal(dom, cod, choices), limit))
 
 
 def test_monotone_tables_edge_cases():
