@@ -107,15 +107,17 @@ def counit_report(b: Bundle, gs: GermSpace | None = None) -> dict[str, bool]:
     """Property record for the counit.
 
     `open_relative` is the openness equation of the construction (the image
-    of each basis open Im(s_U) equals the section image s(U)); `open_in_total`
-    is plain openness into the total topology, which holds at etales.
+    of each basis open Im(s_U) equals the section image s(U)), checked over
+    the minimal opens U_p; `open_in_total` is plain openness into the total
+    topology, which holds at etales.
     """
     gs = gs or etale_of(b)
     eps = counit(b, gs)
     values = [eps(k) for k in sorted(gs.space.points)]
     section_images = set()
     rel_ok = True
-    for u in b.base.sorted_opens():
+    # Over an open U, Im(s_U) and s(U) are the unions of those of s cut to each U_p inside U.
+    for _, u in b.base.min_nbhds:
         for s in bnd.sections(b, u):
             img_basis = frozenset(germ_at(b, s, p).id_str for p in u)
             if eps.image(img_basis) != s.image():

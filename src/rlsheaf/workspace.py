@@ -62,10 +62,17 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], path: str
         raise WorkspaceSyntaxError(f"{path}: missing keys {missing}")
 
 
+def _name(raw: Any, path: str) -> str:
+    """Names (points, elements, references) must be JSON strings; nothing is coerced."""
+    if not isinstance(raw, str):
+        raise WorkspaceSyntaxError(f"{path}: expected a string, got {type(raw).__name__}")
+    return raw
+
+
 def _str_list(raw: Any, path: str) -> list[str]:
     if not isinstance(raw, list):
         raise WorkspaceSyntaxError(f"{path}: expected a list")
-    return [str(x) for x in raw]
+    return [_name(x, f"{path}[{i}]") for i, x in enumerate(raw)]
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -78,7 +85,7 @@ def _section(doc: dict, key: str) -> dict:
 def _parse_pairs(raw: Any, path: str) -> list[tuple[str, str]]:
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise WorkspaceSyntaxError(f"{path}: expected a list of [x,y] pairs")
-    return [(str(a), str(b)) for a, b in raw]
+    return [(_name(a, f"{path}[{i}][0]"), _name(b, f"{path}[{i}][1]")) for i, (a, b) in enumerate(raw)]
 
 
 def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
@@ -90,7 +97,7 @@ def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool
         if len(parts) != 2:
             raise WorkspaceSyntaxError(f"{path}.{key}: key must be 'x,y'")
         x, y = parts[0].strip(), parts[1].strip()
-        v = str(val)
+        v = _name(val, f"{path}.{key}")
         for el in (x, y, v):
             if el not in carrier:
                 raise WorkspaceSyntaxError(f"{path}.{key}: {el!r} is not a carrier element")
@@ -121,7 +128,7 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     imp = None
     if "imp" in raw:
         imp = _parse_binary_table(raw["imp"], cset, f"{path}.imp", symmetrize=False)
-    bot, top = str(raw["bot"]), str(raw["top"])
+    bot, top = _name(raw["bot"], f"{path}.bot"), _name(raw["top"], f"{path}.top")
     if bot not in cset or top not in cset:
         raise WorkspaceSyntaxError(f"{path}: bot/top outside the carrier")
     key = "hasse" if "hasse" in raw else "leq"
@@ -149,7 +156,7 @@ def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
     points = _str_list(raw["points"], f"{path}.points")
     if not isinstance(raw["opens"], list) or not all(isinstance(o, list) for o in raw["opens"]):
         raise WorkspaceSyntaxError(f"{path}.opens: expected a list of lists")
-    opens = [[str(p) for p in o] for o in raw["opens"]]
+    opens = [_str_list(o, f"{path}.opens[{i}]") for i, o in enumerate(raw["opens"])]
     try:
         return fintop.space_from_opens(points, opens)
     except ValueError as e:
@@ -159,7 +166,7 @@ def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
 def _parse_point_map(raw: Any, path: str) -> dict[str, str]:
     if not isinstance(raw, dict):
         raise WorkspaceSyntaxError(f"{path}: expected an object of point -> point")
-    return {str(k): str(v) for k, v in raw.items()}
+    return {_name(k, path): _name(v, f"{path}.{k}") for k, v in raw.items()}
 
 
 def _parse_stalk_ops(raw: Any, bnd: bundle.Bundle, path: str) -> bundle.StalkOps:
@@ -238,7 +245,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
     for name, raw in sorted(_section(doc, "maps").items()):
         path = f"maps.{name}"
         _require_keys(raw, {"dom", "cod", "table"}, {"dom", "cod", "table"}, path)
-        dom, cod = str(raw["dom"]), str(raw["cod"])
+        dom, cod = _name(raw["dom"], f"{path}.dom"), _name(raw["cod"], f"{path}.cod")
         if not admitted(path, ("space", dom), ("space", cod)):
             continue
         m = guard(path, lambda: fintop.space_map(ws.spaces[dom], ws.spaces[cod], _parse_point_map(raw["table"], f"{path}.table")))
@@ -250,13 +257,13 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         allowed = {"total", "base", "proj", "stalk_ops", "zero", "one"}
         required = {"total", "base", "proj"} | ({"stalk_ops", "zero", "one"} if want_ops else set())
         _require_keys(raw, allowed, required, path)
-        if not admitted(path, ("space", str(raw["total"])), ("space", str(raw["base"]))):
+        total, base = _name(raw["total"], f"{path}.total"), _name(raw["base"], f"{path}.base")
+        if not admitted(path, ("space", total), ("space", base)):
             return None
-        total, base = ws.spaces[str(raw["total"])], ws.spaces[str(raw["base"])]
 
         def build():
-            proj = fintop.space_map(total, base, _parse_point_map(raw["proj"], f"{path}.proj"))
-            bnd = bundle.Bundle(total, base, proj)
+            proj = fintop.space_map(ws.spaces[total], ws.spaces[base], _parse_point_map(raw["proj"], f"{path}.proj"))
+            bnd = bundle.Bundle(ws.spaces[total], ws.spaces[base], proj)
             if not want_ops and "stalk_ops" not in raw:
                 return bnd
             ops = _parse_stalk_ops(raw["stalk_ops"], bnd, f"{path}.stalk_ops")
@@ -285,7 +292,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
     for name, raw in sorted(_section(doc, "rle_spaces").items()):
         path = f"rle_spaces.{name}"
         _require_keys(raw, {"base", "etale"}, {"base", "etale"}, path)
-        base, et = str(raw["base"]), str(raw["etale"])
+        base, et = _name(raw["base"], f"{path}.base"), _name(raw["etale"], f"{path}.etale")
         if not admitted(path, ("space", base), ("rl_bundle", et)):
             continue
         x = guard(path, lambda: basechange.RLESpace(ws.spaces[base], ws.rl_bundles[et]))
@@ -299,25 +306,26 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         kind = raw["kind"]
         if kind == "rl":
             _require_keys(raw, {"kind", "dom", "cod", "table"}, {"kind", "dom", "cod", "table"}, path)
-            if not admitted(path, ("lattice", str(raw["dom"])), ("lattice", str(raw["cod"]))):
+            dom, cod = _name(raw["dom"], f"{path}.dom"), _name(raw["cod"], f"{path}.cod")
+            if not admitted(path, ("lattice", dom), ("lattice", cod)):
                 continue
             m = guard(path, lambda: rlcore.RLMorphism(
-                ws.lattices[str(raw["dom"])], ws.lattices[str(raw["cod"])],
+                ws.lattices[dom], ws.lattices[cod],
                 _parse_point_map(raw["table"], f"{path}.table")))
         elif kind == "bundle":
             _require_keys(raw, {"kind", "src", "dst", "table"}, {"kind", "src", "dst", "table"}, path)
-            if not admitted(path, ("bundle", str(raw["src"])), ("bundle", str(raw["dst"]))):
+            src, dst = _name(raw["src"], f"{path}.src"), _name(raw["dst"], f"{path}.dst")
+            if not admitted(path, ("bundle", src), ("bundle", dst)):
                 continue
-            src = ws.bundle_like(str(raw["src"]), path)
-            dst = ws.bundle_like(str(raw["dst"]), path)
+            src, dst = ws.bundle_like(src, path), ws.bundle_like(dst, path)
             m = guard(path, lambda: bundle.BundleMorphism(
                 src, dst, fintop.space_map(src.total, dst.total, _parse_point_map(raw["table"], f"{path}.table"))))
         elif kind == "rle_inv":
             _require_keys(raw, {"kind", "src", "dst", "base_map", "alpha"}, {"kind", "src", "dst", "base_map", "alpha"}, path)
-            if not admitted(path, ("rle_space", str(raw["src"])), ("rle_space", str(raw["dst"]))):
+            src, dst = _name(raw["src"], f"{path}.src"), _name(raw["dst"], f"{path}.dst")
+            if not admitted(path, ("rle_space", src), ("rle_space", dst)):
                 continue
-            src_x = ws.rle_spaces[str(raw["src"])]
-            dst_x = ws.rle_spaces[str(raw["dst"])]
+            src_x, dst_x = ws.rle_spaces[src], ws.rle_spaces[dst]
 
             def build_rle():
                 f = fintop.space_map(src_x.base, dst_x.base, _parse_point_map(raw["base_map"], f"{path}.base_map"))

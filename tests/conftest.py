@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from rlsheaf import adjunction, bundle, fintop, rlcore
+from rlsheaf import adjunction, bundle, fintop, rlcore, sheafify
 from rlsheaf.report import Violation, fmt_set
 
 
@@ -313,3 +313,89 @@ def lift_compact_open_rl_literal(b: fintop.FiniteSpace, a: adjunction.Topologica
     if not rep.ok:
         raise AssertionError(f"lifted algebra failed: {rep.violations[0]}")
     return trl, fs
+
+
+def verify_topology_literal(points, family) -> tuple[Violation, ...]:
+    """Oracle: the violations of `fintop.verify_topology`'s former check, which scans every
+    pair of members for an escaping union or intersection."""
+    pts = frozenset(points)
+    fam = [frozenset(s) for s in family]
+    famset = set(fam)
+    bad: list[Violation] = []
+    for s in fam:
+        if not s <= pts:
+            bad.append(Violation("member-not-subset", fmt_set(s)))
+    if frozenset() not in famset:
+        bad.append(Violation("missing-empty-set", "{}"))
+    if pts not in famset:
+        bad.append(Violation("missing-full-set", fmt_set(pts)))
+    for a, b in itertools.combinations(sorted(famset, key=lambda s: (len(s), sorted(s))), 2):
+        if a | b not in famset:
+            bad.append(Violation("union-escapes", f"{fmt_set(a)} + {fmt_set(b)} -> {fmt_set(a | b)}"))
+        if a & b not in famset:
+            bad.append(Violation("intersection-escapes", f"{fmt_set(a)} * {fmt_set(b)} -> {fmt_set(a & b)}"))
+    return tuple(dict.fromkeys(bad))
+
+
+def section_image_basis_literal(e: bundle.Bundle) -> list[frozenset]:
+    """Oracle: `bundle.section_image_basis` checking that the section images cover every open of the total space."""
+    if not bundle.is_etale(e):
+        raise ValueError("bundle is not an etale")
+    fam = set()
+    for u in e.base.sorted_opens():
+        for s in bundle.sections(e, u):
+            img = s.image()
+            if not e.total.is_open(img):
+                raise AssertionError(f"section image {fmt_set(img)} is not open")
+            fam.add(img)
+    for o in e.total.opens:
+        cover = frozenset(itertools.chain.from_iterable(v for v in fam if v <= o))
+        if cover != o:
+            raise AssertionError(f"section images do not form a basis at {fmt_set(o)}")
+    return sorted(fam, key=lambda s: (len(s), sorted(s)))
+
+
+def counit_report_literal(b: bundle.Bundle, gs: sheafify.GermSpace) -> dict[str, bool]:
+    """Oracle: `sheafify.counit_report` with the openness equation checked over every open of the base."""
+    eps = sheafify.counit(b, gs)
+    values = [eps(k) for k in sorted(gs.space.points)]
+    section_images = set()
+    rel_ok = True
+    for u in b.base.sorted_opens():
+        for s in bundle.sections(b, u):
+            img_basis = frozenset(sheafify.germ_at(b, s, p).id_str for p in u)
+            if eps.image(img_basis) != s.image():
+                rel_ok = False
+            section_images.add(s.image())
+    landing = all(
+        eps.image(u) == frozenset().union(*(si for si in section_images if si <= eps.image(u)))
+        for _, u in gs.space.min_nbhds
+    )
+    return {
+        "injective": len(set(values)) == len(values),
+        "continuous": fintop.is_continuous(eps),
+        "open_in_total": fintop.is_open_map(eps),
+        "open_relative": rel_ok and landing,
+    }
+
+
+def equalizers_are_open_literal(b: bundle.Bundle) -> bool:
+    """Oracle: `suites.equalizers_are_open` over every pair of sections over every pair of opens."""
+    discrete_total = b.total.is_discrete()
+    secs = [s for u in b.base.sorted_opens() for s in bundle.sections(b, u)]
+    for s1, s2 in itertools.product(secs, repeat=2):
+        _, facts = bundle.equalizer(s1, s2)
+        if not facts["open_in_base"] or discrete_total and not facts["clopen_in_common"]:
+            return False
+    return True
+
+
+def sections_final_topology_literal(b: bundle.Bundle) -> fintop.FiniteSpace:
+    """Oracle: `suites.minimal_sections_final_topology` from the sections over every subset of the base."""
+    pts = sorted(b.base.points)
+    family = []
+    for r in range(len(pts) + 1):
+        for x in itertools.combinations(pts, r):
+            sub = fintop.subspace(b.base, x)
+            family += [(sub, dict(s.table)) for s in bundle.sections(b, x)]
+    return fintop.final_topology(b.total.points, family)

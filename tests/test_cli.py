@@ -297,12 +297,42 @@ def test_lenient_validate_reports_a_morphism_on_a_left_out_lattice_after_the_lat
 @pytest.mark.parametrize("n", [2, 13])
 @pytest.mark.parametrize("lenient", [False, True])
 def test_open_family_with_a_member_outside_the_points_exits_1(n, lenient, tmp_path):
-    """13 points give 8,192 opens, past the size where verify_topology stops scanning pairs."""
+    """13 points give 8,192 opens; the stray member is named first at every size."""
     pts = [f"p{i}" for i in range(n)]
     opens = [list(c) for r in range(n + 1) for c in itertools.combinations(pts, r)] + [["p0", "zz"]]
     rc, out, err = run_with_output({"spaces": {"s": {"points": pts, "opens": opens}}}, ["--lenient"] * lenient + ["validate"], tmp_path)
     line = "spaces.s: member-not-subset: {p0,zz}"
     assert (rc, out, err) == ((1, f"diagnostic: {line}\n", "") if lenient else (1, "", f"error: {line}\n"))
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_open_family_generating_more_than_2_20_opens_is_checked_not_refused(lenient, tmp_path):
+    """The 4,527 subsets of at most 3 of 30 points, plus the whole set, generate the 2^30 subsets;
+    the family is checked on its U_p and its first missing union named."""
+    pts = [f"p{i:02d}" for i in range(30)]
+    opens = [list(c) for r in range(4) for c in itertools.combinations(pts, r)] + [pts]
+    rc, out, err = run_with_output({"spaces": {"s": {"points": pts, "opens": opens}}}, ["--lenient"] * lenient + ["validate"], tmp_path)
+    line = "spaces.s: family-incomplete: {p00,p01,p02,p03}"
+    assert (rc, out, err) == ((1, f"diagnostic: {line}\n", "") if lenient else (1, "", f"error: {line}\n"))
+
+
+A2_LEQ = {"carrier": ["0", "1"], "leq": [["0", "1"]], "mul": {"0,0": "0", "0,1": "0", "1,1": "1"}, "bot": "0", "top": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"spaces": {"s": {"points": ["1"], "opens": [[], [1]]}}}, "spaces.s.opens[1][0]: expected a string, got int"),
+        ({"lattices": {"L": dict(A2_LEQ, carrier=[0, "1"])}}, "lattices.L.carrier[0]: expected a string, got int"),
+        ({"lattices": {"L": dict(A2_LEQ, mul={"0,0": "0", "0,1": "0", "1,1": 1})}}, "lattices.L.mul.1,1: expected a string, got int"),
+        ({"lattices": {"L": dict(A2_LEQ, bot=0)}}, "lattices.L.bot: expected a string, got int"),
+    ],
+    ids=["open-member", "carrier", "table-value", "bot"],
+)
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_number_where_a_name_belongs_exits_2(doc, message, lenient, tmp_path):
+    """Each of these would name an element if the number were read as its decimal string."""
+    assert run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path) == (2, "", f"error: {message}\n")
 
 
 JSON_VALUES = st.recursive(

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import final_topology_literal, lattice_closure, monotone_tables_literal
+from conftest import final_topology_literal, lattice_closure, monotone_tables_literal, verify_topology_literal
 from rlsheaf import fintop, fixtures
+from rlsheaf.report import fmt_set
 
 
 def disc(*pts):
@@ -34,13 +35,48 @@ def test_verify_topology_reports_missing_union_with_witness():
 
 @pytest.mark.parametrize("n", [3, 13])
 def test_verify_topology_names_a_member_outside_the_points_first(n):
-    """Below and above the 4,096 members where the pairwise scan gives way to the minimal-neighbourhood route."""
+    """A small family and one of 8,192 members go through the same check and name the stray member first."""
     pts = [f"p{i}" for i in range(n)]
     family = [list(c) for r in range(n + 1) for c in itertools.combinations(pts, r)] + [["p0", "zz"]]
     rep = fintop.verify_topology(pts, family)
     assert str(rep.violations[0]) == "member-not-subset: {p0,zz}"
     with pytest.raises(ValueError, match=r"^member-not-subset: \{p0,zz\}$"):
         fintop.space_from_opens(pts, family)
+
+
+@st.composite
+def open_families(draw):
+    """Families over at most 5 points: random subsets, or a topology with members dropped and
+    subsets added; sometimes with a member outside the points."""
+    pts = [f"p{i}" for i in range(draw(st.integers(0, 5)))]
+    subsets = st.sets(st.sampled_from(pts)) if pts else st.just(set())
+    if draw(st.booleans()):
+        family = draw(st.lists(subsets, max_size=12))
+    else:
+        opens = fintop.topology_from_subbasis(pts, draw(st.lists(subsets, max_size=4))).sorted_opens()
+        drop = draw(st.sets(st.integers(0, len(opens) - 1), max_size=2))
+        family = [o for i, o in enumerate(opens) if i not in drop] + draw(st.lists(subsets, max_size=2))
+    if draw(st.integers(0, 3)) == 0:
+        family.insert(draw(st.integers(0, len(family))), draw(subsets) | {"zz"})
+    return pts, [sorted(s) for s in family]
+
+
+@given(open_families())
+@example((["x", "y", "z"], [["x", "y"], ["y", "z"], ["x", "y", "z"]]))  # misses only U_y = {y}
+@settings(max_examples=300, deadline=None)
+def test_verify_topology_matches_the_pairwise_scan(case):
+    pts, family = case
+    rep, literal = fintop.verify_topology(pts, family), verify_topology_literal(pts, family)
+    assert rep.ok == (not literal)
+    shape = ("member-not-subset", "missing-empty-set", "missing-full-set")
+    assert [v for v in rep.violations if v.rule in shape] == [v for v in literal if v.rule in shape]
+    fam = {frozenset(s) for s in family}
+    inside = {s for s in fam if s <= set(pts)}
+    witnesses = [v.witness for v in rep.violations if v.rule == "family-incomplete"]
+    assert len(set(witnesses)) == len(witnesses)
+    assert set(witnesses) <= {fmt_set(o) for o in lattice_closure(pts, family) - fam}
+    # a witness is named exactly when the members inside the points, with the empty set, are not a topology
+    assert bool(witnesses) == (inside | {frozenset()} != lattice_closure(pts, inside))
 
 
 def test_identity_is_continuous_open_local_homeo():

@@ -1,9 +1,19 @@
 import itertools
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rl_isomorphic
-from rlsheaf import bundle, cli, fintop, fixtures, rlcore, sheafify
+from conftest import (
+    counit_report_literal,
+    equalizers_are_open_literal,
+    rl_isomorphic,
+    section_image_basis_literal,
+    sections_final_topology_literal,
+)
+from rlsheaf import basechange, bundle, cli, fintop, fixtures, rlcore, sheafify, suites
 
 ET4 = fixtures.et_spec_h_a4()
 INDIS = fixtures.indiscrete_a2_over_point()
@@ -238,3 +248,69 @@ def test_coreflection_hom_counts_builds_the_germ_space_once(monkeypatch):
     nb, ne, bij = sheafify.coreflection_hom_counts(fixtures.a2_over_point().bundle, INDIS.bundle)
     assert nb == ne > 0 and bij
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the checks ranged over the minimal opens U_p against their all-opens oracles
+
+
+def fixture_etales_and_pullbacks() -> dict[str, bundle.Bundle]:
+    """The etale fixtures and their pullbacks along every continuous map from the Sierpinski space."""
+    out = {}
+    for name, rb in fixtures.etale_fixtures().items():
+        out[name] = rb.bundle
+        for f in fintop.continuous_maps(fixtures.space_sierpinski(), rb.base):
+            out[f"{name}<-{f.id_str}"] = basechange.pullback_etale(f, rb.bundle).result
+    return out
+
+
+def random_bundle(rng: random.Random) -> bundle.Bundle:
+    """A bundle over a base from `suites.random_space` (at most 3 points), total at most 5 points."""
+    while True:
+        base, total = suites.random_space(rng, 3, "b"), suites.random_space(rng, 5, "t")
+        proj = suites.random_map(rng, total, base)
+        if fintop.is_continuous(proj):
+            return bundle.Bundle(total, base, proj)
+
+
+def assert_etale_checks_match_their_oracles(e: bundle.Bundle):
+    assert bundle.is_etale(e)
+    gs = sheafify.etale_of(e)
+    assert sheafify.counit_report(e, gs) == counit_report_literal(e, gs)
+    assert bundle.section_image_basis(e) == section_image_basis_literal(e)
+    assert suites.equalizers_are_open(e) == equalizers_are_open_literal(e)
+    assert suites.minimal_sections_final_topology(e) == sections_final_topology_literal(e) == e.total
+
+
+@pytest.mark.parametrize("name", sorted(fixture_etales_and_pullbacks()))
+def test_minimal_open_checks_match_the_all_opens_oracles_on_fixture_etales(name):
+    assert_etale_checks_match_their_oracles(fixture_etales_and_pullbacks()[name])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_minimal_open_checks_match_the_all_opens_oracles_on_random_germ_etales(seed):
+    """The germ etale of a random bundle sits over a base that need not be discrete."""
+    b = random_bundle(random.Random(seed))
+    gs = sheafify.etale_of(b)
+    assert sheafify.counit_report(b, gs) == counit_report_literal(b, gs)
+    assert suites.equalizers_are_open(b) == equalizers_are_open_literal(b)
+    assert_etale_checks_match_their_oracles(gs.as_bundle)
+
+
+@given(seed=st.integers(0, 2**32 - 1), keep=st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_section_image_basis_fails_where_the_cover_oracle_does(seed, keep):
+    """With some sections withheld the images may miss a U_t; both checks must then refuse alike."""
+    e = sheafify.etale_of(random_bundle(random.Random(seed))).as_bundle
+    every = bundle.sections
+    withheld = lambda b, x: [s for i, s in enumerate(every(b, x)) if (i + len(x) + seed) % 8 < keep]
+
+    def outcome(check):
+        try:
+            return check(e)
+        except AssertionError:
+            return "not a basis"
+
+    with mock.patch.object(bundle, "sections", withheld):
+        assert outcome(bundle.section_image_basis) == outcome(section_image_basis_literal)
