@@ -1,10 +1,11 @@
 """Bundles and etales of residuated lattices over a finite base.
 
 Kernel pairs, proper operations, stalk algebras, sections, and the
-verification suite for bundle validity.  Continuity of kernel-pair
-operations is checked through the product-basis criterion (minimal
-neighbourhoods), which agrees with the subspace-of-product topology on
-finite spaces without materializing it.
+verification suite for bundle validity.  Continuity of the proper
+operations on the kernel pair is checked stalk by stalk on the operation
+tables, whose U_(t1|t2) is the union over base points q of
+(U_t1 & T_q) x (U_t2 & T_q); the kernel pair is built only to name the
+witness of an operation that fails.
 """
 
 from __future__ import annotations
@@ -173,22 +174,28 @@ def stalk_ops_from_proper_map(b: Bundle, rho: Mapping[str, str]) -> dict[str, di
     return out
 
 
-def _proper_map_continuous(b: Bundle, rho: Mapping[str, str]) -> tuple[bool, str]:
+def _kernel_pair_witness(b: Bundle, rho: Mapping[str, str]) -> str:
+    """The first `k -> kk` with kk in U_k and rho(kk) outside U_rho(k), scanning the kernel pair in id order."""
     mins_t = b.total.min_nbhd_map
     for k, nb in kernel_pair(b).space.min_nbhds:
         target = mins_t[rho[k]]
         for kk in sorted(nb):
             if rho[kk] not in target:
-                return False, f"{k} -> {kk}"
-    return True, ""
+                return f"{k} -> {kk}"
+    return ""
 
 
 def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
-    """Stalk algebras valid, proper maps continuous, constants continuous sections, projection onto."""
+    """Stalk algebras valid, proper maps continuous, constants continuous sections, projection onto.
+
+    A proper map is continuous iff op_q(c, d) lies in U_op_p(t1, t2) for each
+    pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q; one
+    that is not is named by the first witness of the scan of its kernel pair.
+    """
     bad: list[Violation] = []
     b = rb.bundle
-    for p in sorted(b.base.points):
-        pts = b.stalk_points(p)
+    stalks = {p: b.stalk_points(p) for p in sorted(b.base.points)}
+    for p, pts in stalks.items():
         if not pts:
             bad.append(Violation("stalk-empty", p))
             continue
@@ -211,10 +218,19 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
             v = rep.violations[0]
             bad.append(Violation(f"stalk-not-rl[{v.rule}]", f"{p}: {v.witness}"))
 
+    # Each U_t grouped by the stalk its points lie in.
+    mins, over = b.total.min_nbhd_map, {t: {} for t in b.total.points}
+    for t, u in b.total.min_nbhds:
+        for c in u:
+            over[t].setdefault(b.proj(c), []).append(c)
     for name in StalkOps.OPS:
-        rho = proper_map_from_stalk_ops(b, rb.ops, name)
-        ok, witness = _proper_map_continuous(b, rho)
-        if not ok:
+        tabs = rb.ops.op(name)
+        if not all(
+            tabs[q][c, d] in mins[tabs[p][t1, t2]]
+            for p, pts in stalks.items() for t1 in pts for t2 in pts
+            for q, cs in over[t1].items() if q in over[t2] for c in cs for d in over[t2][q]
+        ):
+            witness = _kernel_pair_witness(b, proper_map_from_stalk_ops(b, rb.ops, name))
             bad.append(Violation(f"proper-map-discontinuous[{name}]", witness))
 
     for cname, tab in [("zero", rb.ops.zero), ("one", rb.ops.one)]:

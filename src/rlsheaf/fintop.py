@@ -181,6 +181,34 @@ class Opens(Set):
         return self._count
 
 
+def _family_check(
+    points: Iterable[str], family: Iterable[Iterable[str]]
+) -> tuple[list[Violation], FiniteSpace, Iterator[Violation]]:
+    """The `member-not-subset` and `missing-*` violations, the space the U_p of the
+    members inside the points generate, and the `family-incomplete` witnesses, found
+    lazily: each missing A | U_p once, members by `_set_key`, points in sorted order."""
+    pts = frozenset(points)
+    fam = [frozenset(s) for s in family]
+    famset = set(fam)
+    bad = [Violation("member-not-subset", fmt_set(s)) for s in fam if not s <= pts]
+    if frozenset() not in famset:
+        bad.append(Violation("missing-empty-set", "{}"))
+    if pts not in famset:
+        bad.append(Violation("missing-full-set", fmt_set(pts)))
+    rows = sorted({s for s in famset if s <= pts} | {frozenset()}, key=_set_key)
+    space = topology_from_subbasis(pts, rows)
+
+    def incomplete() -> Iterator[Violation]:
+        seen = set(rows)  # a | u is never empty, so the added empty row is never a witness
+        for a in rows:
+            for _, u in space.min_nbhds:
+                if a | u not in seen:
+                    seen.add(a | u)
+                    yield Violation("family-incomplete", fmt_set(a | u))
+
+    return bad, space, incomplete()
+
+
 def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> ValidationReport:
     """Report every violated topology axiom with a witness; valid iff empty.
 
@@ -190,36 +218,17 @@ def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> V
     and every A | U_p, for each member A (the empty set included) and each
     point p; each missing one is reported once, as `family-incomplete`.
     """
-    pts = frozenset(points)
-    fam = [frozenset(s) for s in family]
-    famset = set(fam)
-    bad: list[Violation] = []
-    for s in fam:
-        if not s <= pts:
-            bad.append(Violation("member-not-subset", fmt_set(s)))
-    if frozenset() not in famset:
-        bad.append(Violation("missing-empty-set", "{}"))
-    if pts not in famset:
-        bad.append(Violation("missing-full-set", fmt_set(pts)))
-    rows = sorted({s for s in famset if s <= pts} | {frozenset()}, key=_set_key)
-    mins = topology_from_subbasis(pts, rows).min_nbhds
-    seen = set(rows)  # a | u is never empty, so the added empty row is never a witness
-    for a in rows:
-        for _, u in mins:
-            if a | u not in seen:
-                seen.add(a | u)
-                bad.append(Violation("family-incomplete", fmt_set(a | u)))
-    return ValidationReport("topology", tuple(dict.fromkeys(bad)))  # each violation once, in order
+    bad, _, incomplete = _family_check(points, family)
+    return ValidationReport("topology", tuple(dict.fromkeys([*bad, *incomplete])))  # each violation once, in order
 
 
 def space_from_opens(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
     """The space with the given open family; a ValueError names the first violated axiom."""
-    pts = frozenset(points)
-    fam = [frozenset(o) for o in opens]
-    rep = verify_topology(pts, fam)
-    if not rep.ok:
-        raise ValueError(str(rep.violations[0]))
-    return topology_from_subbasis(pts, fam)
+    bad, space, incomplete = _family_check(points, opens)
+    first = next(itertools.chain(bad, incomplete), None)
+    if first is not None:
+        raise ValueError(str(first))
+    return space
 
 
 def discrete(points: Iterable[str]) -> FiniteSpace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -399,3 +400,78 @@ def sections_final_topology_literal(b: bundle.Bundle) -> fintop.FiniteSpace:
             sub = fintop.subspace(b.base, x)
             family += [(sub, dict(s.table)) for s in bundle.sections(b, x)]
     return fintop.final_topology(b.total.points, family)
+
+
+def verify_rl_bundle_literal(rb: bundle.RLBundle) -> tuple[Violation, ...]:
+    """Oracle: the violations of `bundle.verify_rl_bundle`, with each proper map checked on a kernel pair
+    built for it, scanned in id order for the first pair whose neighbour leaves the image's U."""
+    bad: list[Violation] = []
+    b = rb.bundle
+    for p in sorted(b.base.points):
+        pts = b.stalk_points(p)
+        if not pts:
+            bad.append(Violation("stalk-empty", p))
+            continue
+        for name in bundle.StalkOps.OPS:
+            tab = rb.ops.op(name).get(p, {})
+            for x, y in itertools.product(sorted(pts), repeat=2):
+                v = tab.get((x, y))
+                if v is None:
+                    bad.append(Violation(f"stalk-{name}-missing", f"{p}:({x},{y})"))
+                elif v not in pts:
+                    bad.append(Violation(f"stalk-{name}-escapes", f"{p}:({x},{y})->{v}"))
+        if rb.ops.zero.get(p) not in pts or rb.ops.one.get(p) not in pts:
+            bad.append(Violation("stalk-constants-escape", p))
+    if bad:
+        return tuple(bad)
+
+    for p in sorted(b.base.points):
+        rep = rlcore.verify_rl(bundle.stalk_rl(rb, p))
+        if not rep.ok:
+            v = rep.violations[0]
+            bad.append(Violation(f"stalk-not-rl[{v.rule}]", f"{p}: {v.witness}"))
+
+    mins_t = b.total.min_nbhd_map
+    for name in bundle.StalkOps.OPS:
+        rho = bundle.proper_map_from_stalk_ops(b, rb.ops, name)
+        witness = next(
+            (f"{k} -> {kk}" for k, nb in bundle.kernel_pair(b).space.min_nbhds
+             for kk in sorted(nb) if rho[kk] not in mins_t[rho[k]]),
+            None,
+        )
+        if witness is not None:
+            bad.append(Violation(f"proper-map-discontinuous[{name}]", witness))
+
+    for cname, tab in [("zero", rb.ops.zero), ("one", rb.ops.one)]:
+        try:
+            sec = fintop.space_map(b.base, b.total, dict(tab))
+        except ValueError as e:
+            bad.append(Violation(f"{cname}-not-a-map", str(e)))
+            continue
+        if any(b.proj(sec(p)) != p for p in b.base.points):
+            bad.append(Violation(f"{cname}-not-a-section", cname))
+        elif not fintop.is_continuous(sec):
+            bad.append(Violation(f"{cname}-discontinuous", cname))
+
+    if b.proj.image(b.total.points) != b.base.points:
+        bad.append(Violation("projection-not-surjective", fmt_set(b.base.points - b.proj.image(b.total.points))))
+
+    return tuple(bad)
+
+
+def three_chain(mm: str) -> rlcore.ResiduatedLattice:
+    """The chain 0 < m < 1 with meet as mul except m*m = mm: Lukasiewicz for "0", Goedel for "m"."""
+    elems = ["0", "m", "1"]
+    mul = {(x, y): min(x, y, key=elems.index) for x in elems for y in elems}
+    mul["m", "m"] = mm
+    return rlcore.make_lattice(elems, [("0", "m"), ("m", "1")], mul, "0", "1")
+
+
+def mixed_chain_bundle() -> bundle.RLBundle:
+    """The Lukasiewicz 3-chain over x and the Goedel 3-chain over y, on the product of the Sierpinski
+    base (x open) with the discrete chain: every stalk is valid, but mul and imp are not continuous."""
+    base = fintop.sierpinski("x", "y")
+    total, _, _ = fintop.product(base, fintop.discrete(["0", "m", "1"]))
+    proj = fintop.space_map(total, base, {fintop.pair_id(p, e): p for p in base.points for e in "0m1"})
+    stalks = {p: (three_chain(mm), functools.partial(fintop.pair_id, p)) for p, mm in [("x", "0"), ("y", "m")]}
+    return bundle.RLBundle(bundle.Bundle(total, base, proj), bundle.relabelled_ops(stalks))

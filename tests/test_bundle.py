@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rl_isomorphic, rl_product
-from rlsheaf import bundle, fintop, fixtures, rlcore
+from conftest import mixed_chain_bundle, rl_isomorphic, rl_product, three_chain, verify_rl_bundle_literal
+from rlsheaf import bundle, fintop, fixtures, rlcore, sheafify, suites
 
 ET4 = fixtures.et_spec_h_a4()
 ET6 = fixtures.et_max_d_a6()
@@ -282,3 +285,76 @@ def test_bundle_morphism_enumeration_matches_unpruned_oracle():
         if fintop.is_continuous(m):
             slow.add(m.id_str)
     assert fast == slow
+
+
+def test_mixed_chain_bundle_names_the_discontinuous_proper_maps():
+    rep = bundle.verify_rl_bundle(mixed_chain_bundle())
+    assert [str(v) for v in rep.violations] == [
+        "proper-map-discontinuous[mul]: ((y|m)|(y|m)) -> ((x|m)|(x|m))",
+        "proper-map-discontinuous[imp]: ((y|m)|(y|0)) -> ((x|m)|(x|0))",
+    ]
+    assert rep.violations == verify_rl_bundle_literal(mixed_chain_bundle())
+
+
+ALGEBRAS = [fixtures.rl_a2(), fixtures.rl_a3(), three_chain("0"), fixtures.rl_a4()]
+BASES = [fintop.discrete(["b0", "b1"]), fintop.indiscrete(["b0", "b1"]), fintop.sierpinski("x", "y")]
+
+
+def stalk_topologies(lat: rlcore.ResiduatedLattice) -> list[fintop.FiniteSpace]:
+    """The discrete, indiscrete and down-set topologies on the carrier."""
+    down = {x: frozenset(y for y in lat.carrier if lat.le(y, x)) for x in lat.carrier}
+    return [fintop.discrete(lat.carrier), fintop.indiscrete(lat.carrier), fintop.FiniteSpace(frozenset(lat.carrier), down)]
+
+
+@st.composite
+def rl_bundle_candidates(draw):
+    """A fixture RL-bundle, a constant one on a product total, or a germ etale over a random base."""
+    kind = draw(st.sampled_from(["fixture", "constant", "germ"]))
+    if kind == "fixture":
+        return draw(st.sampled_from(sorted(fixtures.rl_bundle_fixtures().items())))[1]
+    if kind == "constant":
+        lat, base = draw(st.sampled_from(ALGEBRAS)), draw(st.sampled_from(BASES))
+        total, _, _ = fintop.product(base, draw(st.sampled_from(stalk_topologies(lat))))
+        return fixtures.constant_rl_bundle(base, lat, total=total)
+    base = suites.random_space(random.Random(draw(st.integers(0, 1 << 16))), max_points=3)
+    return sheafify.rl_germ_ops(fixtures.constant_rl_bundle(base, draw(st.sampled_from(ALGEBRAS[:3]))))[0]
+
+
+@st.composite
+def mutated_rl_bundles(draw):
+    """A candidate with at most one stalk-op or constant entry changed, dropped or sent outside its
+    stalk, or one stalk's tables replaced by another RL structure on the same carrier."""
+    rb = draw(rl_bundle_candidates())
+    ops = bundle.StalkOps(
+        **{name: {p: dict(t) for p, t in rb.ops.op(name).items()} for name in bundle.StalkOps.OPS},
+        zero=dict(rb.ops.zero), one=dict(rb.ops.one),
+    )
+    p = draw(st.sampled_from(sorted(rb.base.points)))
+    pts = sorted(rb.bundle.stalk_points(p))
+    elsewhere = sorted(rb.total.points - set(pts)) + ["zz"]
+    what = draw(st.sampled_from(["none", "entry", "constant", "stalk"]))
+    if what in ("entry", "constant"):
+        if what == "entry":
+            tab = ops.op(draw(st.sampled_from(bundle.StalkOps.OPS)))[p]
+            key = draw(st.sampled_from(list(itertools.product(pts, pts))))
+        else:
+            tab, key = getattr(ops, draw(st.sampled_from(["zero", "one"]))), p
+        how = draw(st.sampled_from(["change", "drop", "outside"]))
+        if how == "drop":
+            del tab[key]
+        else:
+            tab[key] = draw(st.sampled_from(pts if how == "change" else elsewhere))
+    elif what == "stalk":
+        alg = draw(st.sampled_from([bundle.stalk_rl(rb, p)] + [a for a in ALGEBRAS if len(a.carrier) == len(pts)]))
+        rename = dict(zip(alg.carrier, draw(st.permutations(pts))))
+        new = bundle.relabelled_ops({p: (alg, rename.__getitem__)})
+        for name in bundle.StalkOps.OPS:
+            ops.op(name)[p] = new.op(name)[p]
+        ops.zero[p], ops.one[p] = new.zero[p], new.one[p]
+    return bundle.RLBundle(rb.bundle, ops)
+
+
+@given(mutated_rl_bundles())
+@settings(max_examples=150, deadline=None)
+def test_verify_rl_bundle_matches_the_kernel_pair_scan(rb):
+    assert bundle.verify_rl_bundle(rb).violations == verify_rl_bundle_literal(rb)

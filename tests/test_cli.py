@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import verify_rl_literal
-from rlsheaf import cli, fixtures, rlcore
+from conftest import mixed_chain_bundle, verify_rl_literal
+from rlsheaf import cli, fixtures, rlcore, workspace
 
 RUN = [sys.executable, "-m", "rlsheaf"]
 
@@ -314,6 +314,20 @@ def test_open_family_generating_more_than_2_20_opens_is_checked_not_refused(leni
     rc, out, err = run_with_output({"spaces": {"s": {"points": pts, "opens": opens}}}, ["--lenient"] * lenient + ["validate"], tmp_path)
     line = "spaces.s: family-incomplete: {p00,p01,p02,p03}"
     assert (rc, out, err) == ((1, f"diagnostic: {line}\n", "") if lenient else (1, "", f"error: {line}\n"))
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_rl_bundle_with_discontinuous_proper_maps_exits_1(lenient, tmp_path):
+    """Valid stalks over a Sierpinski base whose mul and imp are not continuous on the kernel pair."""
+    rb = mixed_chain_bundle()
+    ws = workspace.Workspace(spaces={"base": rb.base, "total": rb.total}, rl_bundles={"mixed": rb})
+    doc = workspace.serialize_workspace(ws)
+    rc, out, err = run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path)
+    line = "rl_bundles.mixed: proper-map-discontinuous[mul]: ((y|m)|(y|m)) -> ((x|m)|(x|m))"
+    if lenient:
+        assert (rc, out, err) == (1, f"space base: valid\nspace total: valid\ndiagnostic: {line}\n", "")
+    else:
+        assert (rc, out, err) == (1, "", f"error: {line}\n")
 
 
 A2_LEQ = {"carrier": ["0", "1"], "leq": [["0", "1"]], "mul": {"0,0": "0", "0,1": "0", "1,1": "1"}, "bot": "0", "top": "1"}

@@ -62,6 +62,19 @@ def open_families(draw):
 
 
 @given(open_families())
+@settings(max_examples=200, deadline=None)
+def test_space_from_opens_is_the_generated_space_or_names_the_first_violation(case):
+    pts, family = case
+    rep = fintop.verify_topology(pts, family)
+    if rep.ok:
+        assert fintop.space_from_opens(pts, family) == fintop.topology_from_subbasis(pts, family)
+    else:
+        with pytest.raises(ValueError) as e:
+            fintop.space_from_opens(pts, family)
+        assert str(e.value) == str(rep.violations[0])
+
+
+@given(open_families())
 @example((["x", "y", "z"], [["x", "y"], ["y", "z"], ["x", "y", "z"]]))  # misses only U_y = {y}
 @settings(max_examples=300, deadline=None)
 def test_verify_topology_matches_the_pairwise_scan(case):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from rlsheaf import cli, rlcore, workspace
+from rlsheaf import bundle, cli, fintop, rlcore, workspace
 
 
 def bundled_text():
@@ -19,6 +19,22 @@ def test_bundled_corpus_loads_clean():
     assert "etspecha4" in ws.rl_bundles
     assert "rle_m1" in ws.morphisms
     assert ws.expectations["filters"]["A4"]["F2"] == ["1", "a"]
+
+
+def test_corpus_parse_builds_no_kernel_pair_and_reads_each_open_family_once(monkeypatch):
+    calls = {"kernel_pair": 0, "topology_from_subbasis": 0}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    for mod, name in [(bundle, "kernel_pair"), (fintop, "topology_from_subbasis")]:
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    ws = workspace.parse_workspace(bundled_text())
+    assert calls == {"kernel_pair": 0, "topology_from_subbasis": len(ws.spaces)}
+    assert len(ws.spaces) == 14
 
 
 def test_empty_document_gives_empty_workspace():
