@@ -4,8 +4,7 @@ Kernel pairs, proper operations, stalk algebras, sections, and the
 verification suite for bundle validity.  Continuity of the proper
 operations on the kernel pair is checked stalk by stalk on the operation
 tables, whose U_(t1|t2) is the union over base points q of
-(U_t1 & T_q) x (U_t2 & T_q); the kernel pair is built only to name the
-witness of an operation that fails.
+(U_t1 & T_q) x (U_t2 & T_q), so no kernel pair is built to check them.
 """
 
 from __future__ import annotations
@@ -174,23 +173,13 @@ def stalk_ops_from_proper_map(b: Bundle, rho: Mapping[str, str]) -> dict[str, di
     return out
 
 
-def _kernel_pair_witness(b: Bundle, rho: Mapping[str, str]) -> str:
-    """The first `k -> kk` with kk in U_k and rho(kk) outside U_rho(k), scanning the kernel pair in id order."""
-    mins_t = b.total.min_nbhd_map
-    for k, nb in kernel_pair(b).space.min_nbhds:
-        target = mins_t[rho[k]]
-        for kk in sorted(nb):
-            if rho[kk] not in target:
-                return f"{k} -> {kk}"
-    return ""
-
-
 def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     """Stalk algebras valid, proper maps continuous, constants continuous sections, projection onto.
 
     A proper map is continuous iff op_q(c, d) lies in U_op_p(t1, t2) for each
-    pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q; one
-    that is not is named by the first witness of the scan of its kernel pair.
+    pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q.  One
+    that is not is named `k -> kk` by the least kernel-pair id k with a failing
+    (c, d) and the least failing id kk under it.
     """
     bad: list[Violation] = []
     b = rb.bundle
@@ -218,20 +207,24 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
             v = rep.violations[0]
             bad.append(Violation(f"stalk-not-rl[{v.rule}]", f"{p}: {v.witness}"))
 
-    # Each U_t grouped by the stalk its points lie in.
+    # The pairs over each base point in kernel-pair id order, and each U_t grouped by stalk.
+    pairs = sorted((pair_id(t1, t2), p, t1, t2) for p, pts in stalks.items() for t1 in pts for t2 in pts)
     mins, over = b.total.min_nbhd_map, {t: {} for t in b.total.points}
     for t, u in b.total.min_nbhds:
         for c in u:
             over[t].setdefault(b.proj(c), []).append(c)
     for name in StalkOps.OPS:
         tabs = rb.ops.op(name)
-        if not all(
-            tabs[q][c, d] in mins[tabs[p][t1, t2]]
-            for p, pts in stalks.items() for t1 in pts for t2 in pts
-            for q, cs in over[t1].items() if q in over[t2] for c in cs for d in over[t2][q]
-        ):
-            witness = _kernel_pair_witness(b, proper_map_from_stalk_ops(b, rb.ops, name))
-            bad.append(Violation(f"proper-map-discontinuous[{name}]", witness))
+        for k, p, t1, t2 in pairs:
+            target = mins[tabs[p][t1, t2]]
+            failing = [
+                pair_id(c, d)
+                for q, cs in over[t1].items() if q in over[t2] for c in cs for d in over[t2][q]
+                if tabs[q][c, d] not in target
+            ]
+            if failing:
+                bad.append(Violation(f"proper-map-discontinuous[{name}]", f"{k} -> {min(failing)}"))
+                break
 
     for cname, tab in [("zero", rb.ops.zero), ("one", rb.ops.one)]:
         try:
