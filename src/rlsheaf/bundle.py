@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fintop, rlcore
 from .fintop import FiniteSpace, SpaceMap, pair_id
-from .report import ValidationReport, Violation, fmt_set
+from .report import ValidationReport, Violation, fmt_set, set_key
 
 Subset = frozenset[str]
 
@@ -54,12 +54,7 @@ class KernelPair:
 
 
 def kernel_pair_points(b: Bundle) -> dict[str, tuple[str, str]]:
-    return {
-        pair_id(t1, t2): (t1, t2)
-        for t1 in b.total.points
-        for t2 in b.total.points
-        if b.proj(t1) == b.proj(t2)
-    }
+    return fintop.pullback_pairs(b.proj, b.proj)
 
 
 def kernel_pair(b: Bundle) -> KernelPair:
@@ -341,7 +336,7 @@ def section_image_basis(e: Bundle) -> list[Subset]:
     for _, v in e.total.min_nbhds:
         if v not in fam:
             raise AssertionError(f"section images do not form a basis at {fmt_set(v)}")
-    return sorted(fam, key=lambda s: (len(s), sorted(s)))
+    return sorted(fam, key=set_key)
 
 
 class SectionClosureError(ValueError):

@@ -2,14 +2,14 @@
 
 Every finite space is Alexandrov: each point p has a least open set U_p,
 the intersection of the opens that contain it, and the opens are exactly
-the unions of the U_p.  A space is therefore stored as its points and the
-map p -> U_p (equivalently, its specialization preorder, q below p iff
-q is in U_p).  Builders produce U_p directly, continuity and the other map
-properties are read off it, and the open family is a view (`Opens`) that
-lists its members only when iterated.  `verify_topology` checks families
-that come from outside the program on the same U_p, read off the family:
-it is a topology iff it holds the empty set and each member's union with
-each U_p.
+the unions of the U_p: the down-sets of the specialization preorder (q
+below p iff q is in U_p).  A space is therefore stored as its points and
+the map p -> U_p.  Builders produce U_p directly, continuity and the other
+map properties are read off it, and the open family is a view (`Opens`)
+that counts its members and lists them only when iterated, both by one
+pivot split of the down-sets.  `verify_topology` checks families that come
+from outside the program on the same U_p, read off the family: it is a
+topology iff it holds the empty set and each member's union with each U_p.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .report import ValidationReport, Violation, fmt_set
+from .report import ValidationReport, Violation, fmt_set, set_key
 
 PointSet = frozenset[str]
 
@@ -30,11 +30,6 @@ _key, _value = operator.itemgetter(0), operator.itemgetter(1)
 
 # Guards listing the open family, which can be exponential in the points.
 MAX_OPENS = 1 << 20
-
-
-def _set_key(s: Iterable[str]) -> tuple:
-    t = sorted(s)
-    return (len(t), t)
 
 
 def pair_id(left: str, right: str) -> str:
@@ -57,25 +52,24 @@ def _to_mask(s: Iterable[str], idx: Mapping[str, int]) -> int:
     return m
 
 def _from_mask(m: int, pts: list[str]) -> PointSet:
-    return frozenset(p for i, p in enumerate(pts) if m >> i & 1)
+    return frozenset(pts[i] for i in _bits(m))
 
-def _bits(m: int) -> Iterable[int]:
-    return (i for i in range(m.bit_length()) if m >> i & 1)
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _union_closure(masks: Iterable[int]) -> set[int]:
-    """All unions of subfamilies (the empty union included)."""
-    basis = sorted(set(masks))
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for b in basis:
-            nxt = cur | b
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _transitive_closure(rows: list[int]) -> None:
+    """Close bitmask rows under transitivity in place (Warshall): row i takes in row k
+    whenever it holds bit k.  Reflexive rows stay reflexive; cycles are fine."""
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        for i, r in enumerate(rows):
+            if r & bit:
+                rows[i] = r | row
 
 
 @dataclass(frozen=True)
@@ -131,12 +125,14 @@ class FiniteSpace:
         return all(len(u) == 1 for _, u in self.min_nbhds)
 
     def sorted_opens(self) -> list[PointSet]:
-        return sorted(self.opens, key=_set_key)
+        return sorted(self.opens, key=set_key)
 
 
 class Opens(Set):
-    """The open family of a space: membership is `is_open`, the size is counted
-    from the U_p, and only iterating derives the members (all unions of the U_p)."""
+    """The open family of a space: membership is `is_open`, and the size is counted
+    and (only when iterating) the members listed by one split on a pivot x: the opens
+    inside a point set s are those inside s & ~up[x], which omit x and every point
+    above it, and down[x] & s joined with each open inside s & ~down[x]."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -150,15 +146,23 @@ class Opens(Set):
     def _members(self) -> frozenset[PointSet]:
         if self._count > MAX_OPENS:
             raise ValueError(f"refusing to materialize topology with {self._count} > 2^20 opens")
-        return frozenset(_from_mask(m, self.pts) for m in _union_closure(self.down))
+        down, up = self.down, self.up
+        out, stack = [], [((1 << len(down)) - 1, 0)]
+        while stack:  # (points left, open so far): one leaf per open
+            s, acc = stack.pop()
+            if s:
+                x = s.bit_length() - 1
+                stack += [(s & ~up[x], acc), (s & ~down[x], acc | down[x] & s)]
+            else:
+                out.append(_from_mask(acc, self.pts))
+        return frozenset(out)
 
     def __iter__(self):
         return iter(self._members)
 
     @cached_property
     def _count(self) -> int:
-        """Over each connected component, the opens that omit a pivot x (and so
-        every point above it) plus those that hold U_x, memoized on the points left."""
+        """The pivot split over each connected component, memoized on the points left."""
         down, up = self.down, self.up
         adj = [d | u for d, u in zip(down, up)]
 
@@ -186,7 +190,7 @@ def _family_check(
 ) -> tuple[list[Violation], FiniteSpace, Iterator[Violation]]:
     """The `member-not-subset` and `missing-*` violations, the space the U_p of the
     members inside the points generate, and the `family-incomplete` witnesses, found
-    lazily: each missing A | U_p once, members by `_set_key`, points in sorted order."""
+    lazily: each missing A | U_p once, members by `set_key`, points in sorted order."""
     pts = frozenset(points)
     fam = [frozenset(s) for s in family]
     famset = set(fam)
@@ -195,7 +199,7 @@ def _family_check(
         bad.append(Violation("missing-empty-set", "{}"))
     if pts not in famset:
         bad.append(Violation("missing-full-set", fmt_set(pts)))
-    rows = sorted({s for s in famset if s <= pts} | {frozenset()}, key=_set_key)
+    rows = sorted({s for s in famset if s <= pts} | {frozenset()}, key=set_key)
     space = topology_from_subbasis(pts, rows)
 
     def incomplete() -> Iterator[Violation]:
@@ -417,16 +421,13 @@ def minimal_neighborhood(s: FiniteSpace, p: str) -> PointSet:
 
 
 def product(s1: FiniteSpace, s2: FiniteSpace) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
-    """Product space on pair ids `(p|q)`, with U_(p|q) = U_p x U_q, plus the two projections."""
-    pts = {pair_id(p, q): (p, q) for p in s1.points for q in s2.points}
-    m1, m2 = s1.min_nbhd_map, s2.min_nbhd_map
-    space = FiniteSpace(
-        frozenset(pts),
-        {k: frozenset(pair_id(a, b) for a in m1[p] for b in m2[q]) for k, (p, q) in pts.items()},
-    )
-    p1 = space_map(space, s1, {k: v[0] for k, v in pts.items()})
-    p2 = space_map(space, s2, {k: v[1] for k, v in pts.items()})
-    return space, p1, p2
+    """Product space on pair ids `(p|q)`, with U_(p|q) = U_p x U_q, plus the two projections.
+
+    It is the pullback of the two maps onto one point.
+    """
+    pt = discrete(["pt"])
+    to_pt = [space_map(s, pt, dict.fromkeys(s.points, "pt")) for s in (s1, s2)]
+    return pullback_space(*to_pt)
 
 
 def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Mapping[str, str]]]) -> FiniteSpace:
@@ -446,11 +447,21 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
             raise ValueError("family member is not a total map into the carrier")
         for p, u in src.min_nbhds:
             down[idx[t[p]]] |= _to_mask((t[q] for q in u), idx)
-    for k in range(len(down)):
-        for i in range(len(down)):
-            if down[i] >> k & 1:
-                down[i] |= down[k]
+    _transitive_closure(down)
     return FiniteSpace(pts, {p: _from_mask(d, plist) for p, d in zip(plist, down)})
+
+
+def pullback_pairs(f: SpaceMap, g: SpaceMap) -> dict[str, tuple[str, str]]:
+    """The pairs (b, s) with f(b) = g(s), keyed by pair id; a ValueError if two share an id."""
+    pairs: dict[str, tuple[str, str]] = {}
+    for b in f.dom.points:
+        for s in g.dom.points:
+            if f(b) == g(s):
+                k = pair_id(b, s)
+                if k in pairs:
+                    raise ValueError(f"two pairs share the id {k}")
+                pairs[k] = (b, s)
+    return pairs
 
 
 def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
@@ -460,12 +471,7 @@ def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, Spa
     """
     if f.cod != g.cod:
         raise ValueError("pullback codomains differ")
-    pairs = {
-        pair_id(b, s): (b, s)
-        for b in f.dom.points
-        for s in g.dom.points
-        if f(b) == g(s)
-    }
+    pairs = pullback_pairs(f, g)
     carrier = frozenset(pairs)
     mb, ms = f.dom.min_nbhd_map, g.dom.min_nbhd_map
     space = FiniteSpace(carrier, {k: carrier & {pair_id(c, t) for c in mb[b] for t in ms[s]} for k, (b, s) in pairs.items()})

@@ -169,13 +169,12 @@ def constant_rl_bundle(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice, 
     `total` overrides the default discrete product topology (must share the
     pair-id carrier), e.g. to make the total space indiscrete.
     """
-    points = {fintop.pair_id(b, x): (b, x) for b in base.points for x in lat.carrier}
+    space, p1, _ = fintop.product(base, fintop.discrete(lat.carrier))
     if total is None:
-        space, _, _ = fintop.product(base, fintop.discrete(lat.carrier))
         total = space
-    if total.points != frozenset(points):
+    if total.points != space.points:
         raise ValueError("total must live on the canonical pair carrier")
-    proj = fintop.space_map(total, base, {t: b for t, (b, _) in points.items()})
+    proj = fintop.SpaceMap(total, base, p1.table)
     bnd = bundle.Bundle(total, base, proj)
     ops = bundle.relabelled_ops({b: (lat, partial(fintop.pair_id, b)) for b in base.points})
     return bundle.RLBundle(bnd, ops)

@@ -37,3 +37,9 @@ class ValidationReport:
 def fmt_set(xs) -> str:
     """Canonical `{a,b,c}` rendering with lexicographic element order."""
     return "{" + ",".join(sorted(xs)) + "}"
+
+
+def set_key(xs) -> tuple:
+    """The one order on sets of names: by size, then by sorted elements."""
+    t = sorted(xs)
+    return (len(t), t)

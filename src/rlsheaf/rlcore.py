@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .report import ValidationReport, Violation, fmt_set
+from .fintop import _bits, _transitive_closure
+from .report import ValidationReport, Violation, fmt_set, set_key
 
 Table = dict[tuple[str, str], str]
 Subset = frozenset[str]
@@ -54,27 +55,13 @@ class ResiduatedLattice:
         return len(self.carrier)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     elems = sorted(set(carrier))
     pos = {x: i for i, x in enumerate(elems)}
     above = [1 << i for i in range(len(elems))]
-    edges = [(pos[a], pos[b]) for a, b in hasse]
-    # Rows only grow, so this stops on cyclic diagrams too.
-    changed = True
-    while changed:
-        changed = False
-        for a, b in edges:
-            if above[b] & ~above[a]:
-                above[a] |= above[b]
-                changed = True
+    for a, b in hasse:
+        above[pos[a]] |= 1 << pos[b]
+    _transitive_closure(above)
     return frozenset((x, elems[j]) for x, row in zip(elems, above) for j in _bits(row))
 
 
@@ -382,7 +369,7 @@ class FilterLattice:
 def all_filters(lat: ResiduatedLattice) -> FilterLattice:
     """Every filter, classified: each is `↑e` for an idempotent e (see `generated_filter`)."""
     found = {generated_filter(lat, [e]) for e in lat.carrier if lat.mul[e, e] == e}
-    fam = tuple(sorted(found, key=lambda f: (len(f), sorted(f))))
+    fam = tuple(sorted(found, key=set_key))
     return FilterLattice(lat, fam, classify_filters(lat, fam))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import fintop, rlcore
-from .report import fmt_set
+from .report import fmt_set, set_key
 
 Subset = frozenset[str]
 
@@ -25,7 +25,7 @@ class SpectrumConfig:
         for p in self.pi:
             if not (rlcore.is_filter(self.parent, p) and rlcore.is_prime_filter(self.parent, p)):
                 raise ValueError(f"{fmt_set(p)} is not a prime filter")
-        self.pi = tuple(sorted(set(self.pi), key=lambda f: (len(f), sorted(f))))
+        self.pi = tuple(sorted(set(self.pi), key=set_key))
 
 
 def hull(cfg: SpectrumConfig, xs: Iterable[str]) -> tuple[Subset, ...]:
@@ -49,7 +49,7 @@ def kernel(cfg: SpectrumConfig, members: Iterable[Subset]) -> Subset:
 
 
 def default_names(pi: Iterable[Subset]) -> dict[Subset, str]:
-    ordered = sorted(set(pi), key=lambda f: (len(f), sorted(f)))
+    ordered = sorted(set(pi), key=set_key)
     return {f: fmt_set(f) for f in ordered}
 
 

@@ -222,6 +222,21 @@ def monotone_tables_literal(dom: fintop.FiniteSpace, cod: fintop.FiniteSpace, ch
     return rec(0)
 
 
+def leq_from_hasse_literal(carrier, hasse) -> frozenset[tuple[str, str]]:
+    """Oracle: `rlcore._leq_from_hasse` as a fixpoint over the edges, each row taking in
+    the row of every element above it until no row grows (so it stops on cycles too)."""
+    elems = sorted(set(carrier))
+    above = {x: {x} for x in elems}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in hasse:
+            if not above[b] <= above[a]:
+                above[a] |= above[b]
+                changed = True
+    return frozenset((x, y) for x in elems for y in above[x])
+
+
 def final_topology_literal(points, family) -> fintop.FiniteSpace:
     """Oracle: `fintop.final_topology` by walking every subset of the carrier and keeping
     those whose preimage under every map of the family is open."""

@@ -169,6 +169,20 @@ def test_library_value_error_exits_2_with_one_error_line():
     assert "Traceback" not in r.stderr
 
 
+def test_pullback_with_two_pairs_sharing_an_id_exits_2(tmp_path):
+    # (p|q, r) and (p, q|r) would both be named (p|q|r)
+    def disc(pts):
+        return {"points": pts, "opens": [[], *[[p] for p in pts], pts]}
+
+    doc = {
+        "spaces": {"D": disc(["p|q", "p"]), "T": disc(["r", "q|r"]), "B": disc(["b"])},
+        "maps": {"f": {"dom": "D", "cod": "B", "table": {"p|q": "b", "p": "b"}}},
+        "bundles": {"e": {"total": "T", "base": "B", "proj": {"r": "b", "q|r": "b"}}},
+    }
+    argv = ["--format", "machine-readable", "pullback", "f", "e"]
+    assert run_with_output(doc, argv, tmp_path) == (2, "", "error: two pairs share the id (p|q|r)\n")
+
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import final_topology_literal, lattice_closure, monotone_tables_literal, verify_topology_literal
-from rlsheaf import fintop, fixtures
+from rlsheaf import bundle, fintop, fixtures
 from rlsheaf.report import fmt_set
 
 
@@ -290,6 +290,20 @@ def test_pullback_rejects_mismatched_codomains():
     pt = fixtures.space_point()
     with pytest.raises(ValueError):
         fintop.pullback_space(fintop.identity_map(s), fintop.identity_map(pt))
+
+
+def test_pairs_that_share_an_id_are_refused_where_they_are_made():
+    # (a|b|c) names both (a|b, c) and (a, b|c)
+    d = disc("a|b", "c", "a", "b|c")
+    pt = fixtures.space_point()
+    to_pt = fintop.space_map(d, pt, dict.fromkeys(d.points, "pt"))
+    for build in (
+        lambda: fintop.product(d, d),
+        lambda: fintop.pullback_space(to_pt, to_pt),
+        lambda: bundle.kernel_pair_points(bundle.Bundle(d, pt, to_pt)),
+    ):
+        with pytest.raises(ValueError, match=r"^two pairs share the id \(a\|b\|c\)$"):
+            build()
 
 
 def test_pullback_universal_property():

@@ -2,13 +2,14 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     all_partitions,
     brute_force_filters,
     derive_residual_literal,
+    leq_from_hasse_literal,
     residual_by_formula,
     rl_isomorphic,
     rl_product,
@@ -294,6 +295,16 @@ def test_bounds_agree_with_the_literal_scan(carrier, leq, xs):
     """Any relation, transitive and antisymmetric or not, and elements inside or outside the carrier."""
     assert rlcore.lub(carrier, leq, xs) == scan_lub(carrier, leq, xs)
     assert rlcore.glb(carrier, leq, xs) == scan_glb(carrier, leq, xs)
+
+
+@given(hasse=st.lists(PAIRS, max_size=12))
+@settings(max_examples=300, deadline=None)
+@example(hasse=[("a", "b"), ("b", "c"), ("c", "a")])
+@example(hasse=[("a", "a"), ("a", "b"), ("a", "b"), ("b", "b")])
+@example(hasse=[("d", "e"), ("c", "d"), ("b", "c"), ("a", "b")])
+def test_leq_from_hasse_matches_the_edge_fixpoint(hasse):
+    """Any pair list over the universe: chains, cycles, self-loops and repeated edges."""
+    assert rlcore._leq_from_hasse(UNIVERSE, hasse) == leq_from_hasse_literal(UNIVERSE, hasse)
 
 
 SMALL_PRODUCTS = ["A2xA2", "A2xA3", "A2xA4", "A2xA6", "A3xA3", "A3xA4", "A2xA2xA2", "A2xA2xA3"]
