@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import bundle as bnd
@@ -99,19 +99,32 @@ def lambda_uniqueness_witnesses(f: SpaceMap, g: SpaceMap, e: Bundle) -> list[Spa
 
 @dataclass
 class RLESpace:
-    """A base space together with an RL-etale over it."""
+    """A base space together with an RL-etale over it.
+
+    The RL-bundle check is `verify_rl_bundle_once`, so an etale whose content
+    was checked already (as the workspace checks each `rl_bundles` entry) is
+    not checked again.  `pullback` builds each pullback of the etale once per
+    base map and keeps it on this object.
+    """
 
     base: FiniteSpace
     etale: RLBundle
+    _pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.etale.base != self.base:
             raise ValueError("etale does not live over the declared base")
         if not bnd.is_etale(self.etale.bundle):
             raise ValueError("projection is not a local homeomorphism")
-        rep = bnd.verify_rl_bundle(self.etale)
+        rep = bnd.verify_rl_bundle_once(self.etale)
         if not rep.ok:
             raise ValueError(f"not an RL-bundle: {rep.violations[0]}")
+
+    def pullback(self, f: SpaceMap) -> tuple[RLBundle, SpaceMap]:
+        """`pullback_rl_etale(f, self.etale)`, the same objects for every call with an equal f."""
+        if f not in self._pullbacks:
+            self._pullbacks[f] = pullback_rl_etale(f, self.etale)
+        return self._pullbacks[f]
 
 
 @dataclass
@@ -126,7 +139,7 @@ class RLEInvMorphism:
     def __post_init__(self):
         if self.f.dom != self.src.base or self.f.cod != self.dst.base:
             raise ValueError("base map endpoints do not match")
-        pulled, _ = pullback_rl_etale(self.f, self.dst.etale)
+        pulled, _ = self.dst.pullback(self.f)
         if self.alpha.dom != pulled.total or self.alpha.cod != self.src.etale.total:
             raise ValueError("alpha endpoints do not match the canonical pullback")
         bad = bnd.rl_bundle_morphism_violations(self.alpha, pulled, self.src.etale)

@@ -9,6 +9,7 @@ tables, whose U_(t1|t2) is the union over base points q of
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -174,7 +175,10 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     A proper map is continuous iff op_q(c, d) lies in U_op_p(t1, t2) for each
     pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q.  One
     that is not is named `k -> kk` by the least kernel-pair id k with a failing
-    (c, d) and the least failing id kk under it.
+    (c, d) and the least failing id kk under it.  Two pairs with one id would
+    make such a witness ambiguous, so they are refused with a ValueError, as
+    `fintop.pullback_pairs` refuses them.  Each distinct stalk structure gets
+    one `verify_rl` pass while the `_stalk_rows_pass` cache holds it.
     """
     bad: list[Violation] = []
     b = rb.bundle
@@ -196,7 +200,9 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     if bad:
         return ValidationReport("rl-bundle", tuple(bad))
 
-    for p in sorted(b.base.points):
+    for p, pts in stalks.items():
+        if _stalk_rows_pass(_stalk_rows(rb, p, sorted(pts))):
+            continue
         rep = rlcore.verify_rl(stalk_rl(rb, p))
         if not rep.ok:
             v = rep.violations[0]
@@ -204,6 +210,9 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
 
     # The pairs over each base point in kernel-pair id order, and each U_t grouped by stalk.
     pairs = sorted((pair_id(t1, t2), p, t1, t2) for p, pts in stalks.items() for t1 in pts for t2 in pts)
+    shared = next((k for (k, *_), (kk, *_) in zip(pairs, pairs[1:]) if k == kk), None)
+    if shared is not None:
+        raise ValueError(f"two pairs share the id {shared}")
     mins, over = b.total.min_nbhd_map, {t: {} for t in b.total.points}
     for t, u in b.total.min_nbhds:
         for c in u:
@@ -236,6 +245,61 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
         bad.append(Violation("projection-not-surjective", fmt_set(b.base.points - b.proj.image(b.total.points))))
 
     return ValidationReport("rl-bundle", tuple(bad))
+
+
+def _stalk_rows(rb: RLBundle, p: str, pts: list[str]) -> tuple:
+    """The stalk algebra over p as integer rows over its sorted carrier `pts`: its size, then
+    join, meet, mul and imp as positions, then bot and top.  The order is read off meet, as in
+    `stalk_rl`, so meet's row carries it.  The tables must be complete inside the stalk."""
+    pos = {x: i for i, x in enumerate(pts)}
+    pairs = list(itertools.product(pts, repeat=2))
+    rows = tuple(tuple(pos[tab[xy]] for xy in pairs) for tab in (rb.ops.op(name)[p] for name in StalkOps.OPS))
+    return (len(pts), *rows, pos[rb.ops.zero[p]], pos[rb.ops.one[p]])
+
+
+@functools.lru_cache(maxsize=1024)
+def _stalk_rows_pass(rows: tuple) -> bool:
+    """Whether the algebra with these `_stalk_rows` passes `verify_rl`, its elements named by position.
+
+    Renaming the elements, carrier order kept, renames `verify_rl`'s witnesses and keeps its
+    verdict, so each distinct stalk structure gets one axiom pass while the cache holds it.  A
+    stalk that fails is checked again under its own names, which its witnesses need.
+    """
+    n, *tabs, bot, top = rows
+    names = [str(i) for i in range(n)]
+    pairs = list(itertools.product(names, repeat=2))
+    join, meet, mul, imp = ({xy: names[v] for xy, v in zip(pairs, row)} for row in tabs)
+    leq = frozenset(xy for xy in pairs if meet[xy] == xy[0])
+    return rlcore.verify_rl(rlcore.ResiduatedLattice(tuple(names), leq, join, meet, mul, imp, names[bot], names[top])).ok
+
+
+class _Content:
+    """An RL-bundle hashed and compared by all that `verify_rl_bundle` reads of it, taken when wrapped."""
+
+    __slots__ = ("rb", "key")
+
+    def __init__(self, rb: RLBundle):
+        ops = rb.ops
+        self.rb = rb
+        self.key = (rb.proj, frozenset(ops.zero.items()), frozenset(ops.one.items()), *(
+            frozenset((p, frozenset(t.items())) for p, t in ops.op(name).items()) for name in StalkOps.OPS))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=64)
+def _verified(content: _Content) -> ValidationReport:
+    return verify_rl_bundle(content.rb)
+
+
+def verify_rl_bundle_once(rb: RLBundle) -> ValidationReport:
+    """`verify_rl_bundle(rb)`, run once per content: a bundle with the projection, tables and
+    constants of one already checked gets that report back while the module cache holds it."""
+    return _verified(_Content(rb))
 
 
 def is_etale(b: Bundle) -> bool:

@@ -172,7 +172,7 @@ def cmd_check_etale(ws: workspace.Workspace, args) -> dict:
 
 def cmd_check_rl_bundle(ws: workspace.Workspace, args) -> dict:
     rb = _need(ws.rl_bundles, args.bundle, "rl_bundle")
-    rep = bundle.verify_rl_bundle(rb)
+    rep = bundle.verify_rl_bundle_once(rb)
     return {"ok": rep.ok, "lines": rep.lines(), "violations": [str(v) for v in rep.violations]}
 
 

@@ -255,8 +255,8 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
     def parse_bundle_entry(name: str, raw: Any, want_ops: bool, section: str):
         path = f"{section}.{name}"
         allowed = {"total", "base", "proj", "stalk_ops", "zero", "one"}
-        required = {"total", "base", "proj"} | ({"stalk_ops", "zero", "one"} if want_ops else set())
-        _require_keys(raw, allowed, required, path)
+        has_ops = want_ops or isinstance(raw, dict) and "stalk_ops" in raw
+        _require_keys(raw, allowed, {"total", "base", "proj"} | ({"stalk_ops", "zero", "one"} if has_ops else set()), path)
         total, base = _name(raw["total"], f"{path}.total"), _name(raw["base"], f"{path}.base")
         if not admitted(path, ("space", total), ("space", base)):
             return None
@@ -264,13 +264,13 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
         def build():
             proj = fintop.space_map(ws.spaces[total], ws.spaces[base], _parse_point_map(raw["proj"], f"{path}.proj"))
             bnd = bundle.Bundle(ws.spaces[total], ws.spaces[base], proj)
-            if not want_ops and "stalk_ops" not in raw:
+            if not has_ops:
                 return bnd
             ops = _parse_stalk_ops(raw["stalk_ops"], bnd, f"{path}.stalk_ops")
             ops.zero = _parse_point_map(raw["zero"], f"{path}.zero")
             ops.one = _parse_point_map(raw["one"], f"{path}.one")
             rb = bundle.RLBundle(bnd, ops)
-            rep = bundle.verify_rl_bundle(rb)
+            rep = bundle.verify_rl_bundle_once(rb)
             if not rep.ok:
                 raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
             return rb
@@ -329,7 +329,7 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
 
             def build_rle():
                 f = fintop.space_map(src_x.base, dst_x.base, _parse_point_map(raw["base_map"], f"{path}.base_map"))
-                pulled, _ = basechange.pullback_rl_etale(f, dst_x.etale)
+                pulled, _ = dst_x.pullback(f)
                 alpha = fintop.space_map(pulled.total, src_x.etale.total, _parse_point_map(raw["alpha"], f"{path}.alpha"))
                 return basechange.RLEInvMorphism(src_x, dst_x, f, alpha)
             m = guard(path, build_rle)

@@ -206,6 +206,19 @@ def test_compose_rejects_mismatched_chain():
         basechange.compose_rle_inv(m2, m1)
 
 
+def test_rle_space_checks_the_rl_bundle_it_is_given():
+    """An RL-bundle with ET4's projection and one broken stalk entry is refused, though ET4 itself
+    was admitted just before."""
+    basechange.RLESpace(ET4.base, ET4)
+    ops = bundle.StalkOps(
+        **{name: {p: dict(t) for p, t in ET4.ops.op(name).items()} for name in bundle.StalkOps.OPS},
+        zero=dict(ET4.ops.zero), one=dict(ET4.ops.one),
+    )
+    ops.mul["F2"][("1_1", "1_1")] = "0_1"
+    with pytest.raises(ValueError, match=r"^not an RL-bundle: stalk-not-rl\[unit-fails\]: F2: "):
+        basechange.RLESpace(ET4.base, bundle.RLBundle(ET4.bundle, ops))
+
+
 def test_section_functor_objects():
     r1 = basechange.RLESpace(ET4.base, ET4)
     ga = basechange.section_functor_object(r1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +359,28 @@ def mutated_rl_bundles(draw):
 @settings(max_examples=150, deadline=None)
 def test_verify_rl_bundle_matches_the_kernel_pair_scan(rb):
     assert bundle.verify_rl_bundle(rb).violations == verify_rl_bundle_literal(rb)
+
+
+@given(mutated_rl_bundles())
+@settings(max_examples=150, deadline=None)
+def test_stalk_memo_gives_the_report_of_a_check_without_it(rb):
+    """With no memo every stalk gets a full `verify_rl`; with it, a stalk whose structure has
+    passed before (here always, by the second call) gets none, and the reports are equal."""
+    with mock.patch.object(bundle, "_stalk_rows_pass", lambda rows: False):
+        unmemoized = bundle.verify_rl_bundle(rb)
+    bundle.verify_rl_bundle(rb)
+    assert bundle.verify_rl_bundle(rb) == unmemoized == bundle.verify_rl_bundle_once(rb)
+    assert unmemoized.violations == verify_rl_bundle_literal(rb)
+
+
+def test_verify_rl_bundle_refuses_two_kernel_pairs_with_one_id():
+    """A valid 4-chain on a|b, c, a, b|c over a point: (a|b, c) and (a, b|c) would both be (a|b|c)."""
+    pts = ["a", "a|b", "b|c", "c"]
+    chain = rlcore.make_lattice(pts, list(zip(pts, pts[1:])), {(x, y): min(x, y) for x in pts for y in pts}, "a", "c")
+    assert rlcore.verify_rl(chain).ok
+    total, base = fintop.discrete(pts), fintop.discrete(["pt"])
+    rb = bundle.RLBundle(bundle.Bundle(total, base, fintop.space_map(total, base, dict.fromkeys(pts, "pt"))),
+                         bundle.relabelled_ops({"pt": (chain, str)}))
+    for check in (bundle.verify_rl_bundle, verify_rl_bundle_literal):
+        with pytest.raises(ValueError, match=r"^two pairs share the id \(a\|b\|c\)$"):
+            check(rb)

@@ -370,9 +370,31 @@ JSON_VALUES = st.recursive(
 )
 
 
+def corpus_with_rl_bundle_moved(name, dropped):
+    """The corpus with the `rl_bundles` entry `name` moved into `bundles`, without its key `dropped`."""
+    doc = json.loads(CORPUS)
+    entry = doc["rl_bundles"].pop(name)
+    del entry[dropped]
+    doc.setdefault("bundles", {})[name] = entry
+    return doc
+
+
+@pytest.mark.parametrize("dropped", ["zero", "one"])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_bundles_entry_with_stalk_ops_needs_both_constants(dropped, lenient, tmp_path):
+    doc = corpus_with_rl_bundle_moved("a2_over_point", dropped)
+    rc, out, err = run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path)
+    assert (rc, out, err) == (2, "", f"error: bundles.a2_over_point: missing keys ['{dropped}']\n")
+
+
 @st.composite
 def corpus_variants(draw):
-    """The corpus with one section, one entry of a section or one entry of an entry replaced by any JSON value."""
+    """The corpus with one section, one entry of a section or one entry of an entry replaced by any JSON
+    value, or with one `rl_bundles` entry moved into `bundles` and one of its keys dropped."""
+    if draw(st.booleans()):
+        rl_bundles = json.loads(CORPUS)["rl_bundles"]
+        name = draw(st.sampled_from(sorted(rl_bundles)))
+        return corpus_with_rl_bundle_moved(name, draw(st.sampled_from(sorted(rl_bundles[name]))))
     node, path = json.loads(CORPUS), []
     for _ in range(draw(st.integers(1, 3))):
         if path and not isinstance(node, dict):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from rlsheaf import bundle, cli, fintop, rlcore, workspace
+from rlsheaf import basechange, bundle, cli, fintop, rlcore, workspace
 
 
 def bundled_text():
@@ -35,6 +35,42 @@ def test_corpus_parse_builds_no_kernel_pair_and_reads_each_open_family_once(monk
     ws = workspace.parse_workspace(bundled_text())
     assert calls == {"kernel_pair": 0, "topology_from_subbasis": len(ws.spaces)}
     assert len(ws.spaces) == 14
+
+
+def counted_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) while the test runs; the program's caches start empty."""
+    bundle._stalk_rows_pass.cache_clear()
+    bundle._verified.cache_clear()
+    calls = {name: 0 for _, name in targets}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    for mod, name in targets:
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    return calls
+
+
+def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monkeypatch):
+    """17 stalks of 3 structures get 3 axiom passes, and the 4 rle_spaces reuse the checks of their
+    rl_bundles entries.  The 4 rle_inv entries build 3 pullbacks: rle_m1 and rle_m3 both pull
+    R_point_a2 back along the one map from spec_h_a4 to the point."""
+    calls = counted_calls(monkeypatch, (rlcore, "verify_rl"), (bundle, "verify_rl_bundle"), (basechange, "pullback_rl_etale"))
+    ws = workspace.parse_workspace(bundled_text())
+    assert bundle._stalk_rows_pass.cache_info().misses == 3
+    assert calls == {"verify_rl": len(ws.lattices) + 3, "verify_rl_bundle": len(ws.rl_bundles), "pullback_rl_etale": 3}
+    assert (len(ws.lattices), len(ws.rl_bundles), len(ws.rle_spaces)) == (5, 7, 4)
+    assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
+
+
+def test_check_rl_bundle_reuses_the_report_of_the_parse(monkeypatch, capsys):
+    calls = counted_calls(monkeypatch, (bundle, "verify_rl_bundle"))
+    assert cli.run(["check-rl-bundle", "etspecha4"]) == 0
+    assert capsys.readouterr().out == "rl-bundle: valid\n"
+    assert calls == {"verify_rl_bundle": 7}
 
 
 def test_empty_document_gives_empty_workspace():
