@@ -216,11 +216,7 @@ def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: boo
     if not b.base.is_discrete() and not explore_nondiscrete:
         raise ValueError("continuity half asserted only for finite discrete bases")
     prod, p1, p2 = fintop.product(b.base, x)
-    lhs = [
-        h
-        for h in fintop.continuous_maps(prod, b.total)
-        if all(b.proj(h(k)) == p1(k) for k in prod.points)
-    ]
+    lhs = [h.map for h in bnd.bundle_morphisms(Bundle(prod, b.base, p1), b)]
     g_space, by_id = gamma_space(b)
     rhs = fintop.continuous_maps(x, g_space)
     sent = set()
@@ -238,11 +234,7 @@ def check_projection_adjunction(xb: Bundle, y: FiniteSpace) -> dict:
     """Hom-set bijection Top(U_B(X,f), Y) = Bundle(B)((X,f), pi_B(Y)) via g -> <f,g>."""
     prod, p1, p2 = fintop.product(xb.base, y)
     lhs = fintop.continuous_maps(xb.total, y)
-    rhs = [
-        k
-        for k in fintop.continuous_maps(xb.total, prod)
-        if all(p1(k(t)) == xb.proj(t) for t in xb.total.points)
-    ]
+    rhs = bnd.bundle_morphisms(xb, Bundle(prod, xb.base, p1))
     paired = set()
     for g in lhs:
         k = fintop.space_map(

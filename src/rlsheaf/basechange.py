@@ -150,8 +150,7 @@ class RLEInvMorphism:
 def identity_rle_morphism(x: RLESpace) -> RLEInvMorphism:
     """Identity uses alpha = second projection from the canonical pullback along 1."""
     f = fintop.identity_map(x.base)
-    pe = pullback_etale(f, x.etale.bundle)
-    return RLEInvMorphism(x, x, f, pe.fprime)
+    return RLEInvMorphism(x, x, f, x.pullback(f)[1])
 
 
 def compose_rle_inv(m1: RLEInvMorphism, m2: RLEInvMorphism) -> RLEInvMorphism:
@@ -160,13 +159,13 @@ def compose_rle_inv(m1: RLEInvMorphism, m2: RLEInvMorphism) -> RLEInvMorphism:
         raise ValueError("morphisms are not composable")
     f, g = m1.f, m2.f
     gf = fintop.compose(g, f)
-    outer = pullback_etale(gf, m2.dst.etale.bundle)
+    outer, fprime = m2.dst.pullback(gf)
     table = {}
-    for k in outer.result.total.points:
-        b = outer.result.proj(k)
-        t = outer.fprime(k)
+    for k in outer.total.points:
+        b = outer.proj(k)
+        t = fprime(k)
         table[k] = m1.alpha(pair_id(b, m2.alpha(pair_id(f(b), t))))
-    alpha = fintop.space_map(outer.result.total, m1.src.etale.total, table)
+    alpha = fintop.space_map(outer.total, m1.src.etale.total, table)
     return RLEInvMorphism(m1.src, m2.dst, gf, alpha)
 
 

@@ -39,6 +39,25 @@ class Bundle:
         return self.proj.preimage({b})
 
 
+def etale_from_restrictions(base: FiniteSpace, stalks: Mapping[str, Iterable], restrict: Callable, name: Callable) -> Bundle:
+    """The etale of the presheaf F(p) = stalks[p], r_pq(a) = restrict(p, q, a) on the specialization
+    preorder of `base`: a point name(p, a) over p for each a in F(p), U_name(p,a) = {name(q, r_pq(a)) | q in U_p}.
+
+    The FiniteSpace constructor refuses an r_pp that moves a, an r_qw . r_pq other than
+    r_pw, and a value outside F(q).  Two elements with one name raise a ValueError.
+    """
+    over, mins = {}, {}
+    for p, u in base.min_nbhds:
+        for a in stalks[p]:
+            t = name(p, a)
+            if t in over:
+                raise ValueError(f"two stalk elements share the id {t}")
+            over[t] = p
+            mins[t] = frozenset(name(q, restrict(p, q, a)) for q in u)
+    total = FiniteSpace(frozenset(over), mins)
+    return Bundle(total, base, fintop.space_map(total, base, over))
+
+
 def stalk(b: Bundle, p: str) -> FiniteSpace:
     """Subspace on the fiber over p (possibly empty)."""
     if p not in b.base.points:
@@ -119,8 +138,7 @@ def pointwise_rl(
             (a, b): close(name, (a, b), tuple(t.get(xy) for t, xy in zip(tabs, zip(members[a], members[b]))))
             for a in carrier for b in carrier
         }
-    leq = frozenset((a, b) for a in carrier for b in carrier if ops["meet"][a, b] == a)
-    return rlcore.ResiduatedLattice(carrier, leq, **ops, bot=close("zero", (), zero), top=close("one", (), one))
+    return rlcore.from_tables(carrier, **ops, bot=close("zero", (), zero), top=close("one", (), one))
 
 
 @dataclass
@@ -143,12 +161,9 @@ class RLBundle:
 
 def stalk_rl(rb: RLBundle, b: str) -> rlcore.ResiduatedLattice:
     """The stalk algebra over b, with order derived from the meet table."""
-    pts = tuple(sorted(rb.bundle.stalk_points(b)))
-    meet = rb.ops.meet[b]
-    leq = frozenset((x, y) for x in pts for y in pts if meet.get((x, y)) == x)
-    return rlcore.ResiduatedLattice(
-        pts, leq, dict(rb.ops.join[b]), dict(meet), dict(rb.ops.mul[b]), dict(rb.ops.imp[b]),
-        rb.ops.zero[b], rb.ops.one[b],
+    return rlcore.from_tables(
+        sorted(rb.bundle.stalk_points(b)), dict(rb.ops.join[b]), dict(rb.ops.meet[b]), dict(rb.ops.mul[b]),
+        dict(rb.ops.imp[b]), rb.ops.zero[b], rb.ops.one[b],
     )
 
 
@@ -269,8 +284,7 @@ def _stalk_rows_pass(rows: tuple) -> bool:
     names = [str(i) for i in range(n)]
     pairs = list(itertools.product(names, repeat=2))
     join, meet, mul, imp = ({xy: names[v] for xy, v in zip(pairs, row)} for row in tabs)
-    leq = frozenset(xy for xy in pairs if meet[xy] == xy[0])
-    return rlcore.verify_rl(rlcore.ResiduatedLattice(tuple(names), leq, join, meet, mul, imp, names[bot], names[top])).ok
+    return rlcore.verify_rl(rlcore.from_tables(names, join, meet, mul, imp, names[bot], names[top])).ok
 
 
 class _Content:

@@ -135,12 +135,12 @@ def space_sierpinski() -> fintop.FiniteSpace:
 
 
 def _disjoint_stalk_bundle(base: fintop.FiniteSpace, stalks: dict[str, rlcore.ResiduatedLattice], suffixes: dict[str, str]) -> bundle.RLBundle:
-    """Discrete disjoint union of stalk algebras over a base, one copy per point."""
-    copies = {b: (lat, lambda x, sfx=suffixes[b]: f"{x}_{sfx}") for b, lat in stalks.items()}
-    points = {rename(x): b for b, (lat, rename) in copies.items() for x in lat.carrier}
-    total = fintop.discrete(points)
-    proj = fintop.space_map(total, base, points)
-    return bundle.RLBundle(bundle.Bundle(total, base, proj), bundle.relabelled_ops(copies))
+    """Disjoint union of stalk algebras over a base, one copy per point, each restricting by the identity."""
+    def name(b: str, x: str) -> str:
+        return f"{x}_{suffixes[b]}"
+
+    e = bundle.etale_from_restrictions(base, {b: lat.carrier for b, lat in stalks.items()}, lambda p, q, x: x, name)
+    return bundle.RLBundle(e, bundle.relabelled_ops({b: (lat, partial(name, b)) for b, lat in stalks.items()}))
 
 
 @lru_cache(maxsize=None)
@@ -164,18 +164,16 @@ def et_min_p_a8() -> bundle.RLBundle:
 
 
 def constant_rl_bundle(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice, total: fintop.FiniteSpace | None = None) -> bundle.RLBundle:
-    """Bundle base x carrier with the same algebra on every stalk.
+    """Bundle base x carrier with the same algebra on every stalk, restricting by the identity.
 
-    `total` overrides the default discrete product topology (must share the
-    pair-id carrier), e.g. to make the total space indiscrete.
+    `total` overrides the default product topology with the discrete carrier
+    (must share the pair-id carrier), e.g. to make the total space indiscrete.
     """
-    space, p1, _ = fintop.product(base, fintop.discrete(lat.carrier))
-    if total is None:
-        total = space
-    if total.points != space.points:
-        raise ValueError("total must live on the canonical pair carrier")
-    proj = fintop.SpaceMap(total, base, p1.table)
-    bnd = bundle.Bundle(total, base, proj)
+    bnd = bundle.etale_from_restrictions(base, dict.fromkeys(base.points, lat.carrier), lambda p, q, x: x, fintop.pair_id)
+    if total is not None:
+        if total.points != bnd.total.points:
+            raise ValueError("total must live on the canonical pair carrier")
+        bnd = bundle.Bundle(total, base, fintop.SpaceMap(total, base, bnd.proj.table))
     ops = bundle.relabelled_ops({b: (lat, partial(fintop.pair_id, b)) for b in base.points})
     return bundle.RLBundle(bnd, ops)
 

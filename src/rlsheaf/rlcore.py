@@ -55,6 +55,13 @@ class ResiduatedLattice:
         return len(self.carrier)
 
 
+def from_tables(carrier: Iterable[str], join: Table, meet: Table, mul: Table, imp: Table, bot: str, top: str) -> ResiduatedLattice:
+    """The algebra on these tables, the carrier kept in its given order and x <= y iff meet(x, y) = x."""
+    elems = tuple(carrier)
+    leq = frozenset((x, y) for x in elems for y in elems if meet.get((x, y)) == x)
+    return ResiduatedLattice(elems, leq, join, meet, mul, imp, bot, top)
+
+
 def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     elems = sorted(set(carrier))
     pos = {x: i for i, x in enumerate(elems)}
@@ -521,11 +528,7 @@ def quotient(lat: ResiduatedLattice, f: Iterable[str]) -> tuple[ResiduatedLattic
                 out[ids[b1], ids[b2]] = ids[bo[tab[x, y]]]
         return out
 
-    join, meet, mul, imp = lift(lat.join), lift(lat.meet), lift(lat.mul), lift(lat.imp)
-    leq = frozenset(
-        (a, b) for a in carrier for b in carrier if meet[a, b] == a
-    )
-    q = ResiduatedLattice(carrier, leq, join, meet, mul, imp, ids[bo[lat.bot]], ids[bo[lat.top]])
+    q = from_tables(carrier, lift(lat.join), lift(lat.meet), lift(lat.mul), lift(lat.imp), ids[bo[lat.bot]], ids[bo[lat.top]])
     rep = verify_rl(q)
     if not rep.ok:
         raise AssertionError(f"quotient failed verification: {rep.violations[0]}")

@@ -76,22 +76,17 @@ class GermSpace:
 def etale_of(b: Bundle) -> GermSpace:
     """Germ space with the topology generated by the section-image basis Im(s_U).
 
-    The least member around the germ of s at p is Im(s_{U_p}): the germs of
-    s at the points of U_p, where s is cut to U_p.
+    It is the etale of p -> Gamma(U_p), restricting by cutting tables: the least
+    member around the germ of s at p is Im(s_{U_p}), the germs of s at U_p.
     """
-    germs: dict[str, Germ] = {}
-    mins: dict[str, frozenset[str]] = {}
-    for p in sorted(b.base.points):
-        for s in bnd.sections(b, fintop.minimal_neighborhood(b.base, p)):
-            g = Germ(p, s)
-            germs[g.id_str] = g
-            mins[g.id_str] = frozenset(germ_at(b, s, q).id_str for q in s.domain)
-    space = FiniteSpace(frozenset(germs), mins)
-    proj = fintop.space_map(space, b.base, {k: g.base_point for k, g in germs.items()})
-    gs = GermSpace(b, space, proj, germs)
-    if not fintop.is_local_homeomorphism(proj):
-        raise AssertionError("germ projection is not a local homeomorphism")
-    return gs
+    mins = b.base.min_nbhd_map
+    secs = {p: bnd.sections(b, mins[p]) for p in b.base.sorted_points}
+    e = bnd.etale_from_restrictions(
+        b.base, {p: [s.table for s in ss] for p, ss in secs.items()},
+        lambda p, q, table: {r: table[r] for r in mins[q]}, germ_id,
+    )
+    germs = {germ_id(p, s.table): Germ(p, s) for p, ss in secs.items() for s in ss}
+    return GermSpace(b, e.total, e.proj, germs)
 
 
 def counit(b: Bundle, gs: GermSpace | None = None) -> SpaceMap:
@@ -117,12 +112,11 @@ def counit_report(b: Bundle, gs: GermSpace | None = None) -> dict[str, bool]:
     section_images = set()
     rel_ok = True
     # Over an open U, Im(s_U) and s(U) are the unions of those of s cut to each U_p inside U.
-    for _, u in b.base.min_nbhds:
-        for s in bnd.sections(b, u):
-            img_basis = frozenset(germ_at(b, s, p).id_str for p in u)
-            if eps.image(img_basis) != s.image():
-                rel_ok = False
-            section_images.add(s.image())
+    mins = gs.space.min_nbhd_map
+    for k, g in gs.germs.items():
+        if eps.image(mins[k]) != g.rep.image():
+            rel_ok = False
+        section_images.add(g.rep.image())
     # Images preserve unions, so it suffices that the image of each minimal
     # open is a union of section images: the union of those it contains.
     landing = all(

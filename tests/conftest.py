@@ -395,6 +395,20 @@ def counit_report_literal(b: bundle.Bundle, gs: sheafify.GermSpace) -> dict[str,
     }
 
 
+def etale_of_literal(b: bundle.Bundle) -> sheafify.GermSpace:
+    """Oracle: `sheafify.etale_of` with each germ's least open built from `germ_at` at every point of U_p."""
+    germs: dict[str, sheafify.Germ] = {}
+    mins: dict[str, frozenset[str]] = {}
+    for p in sorted(b.base.points):
+        for s in bundle.sections(b, fintop.minimal_neighborhood(b.base, p)):
+            g = sheafify.Germ(p, s)
+            germs[g.id_str] = g
+            mins[g.id_str] = frozenset(sheafify.germ_at(b, s, q).id_str for q in s.domain)
+    space = fintop.FiniteSpace(frozenset(germs), mins)
+    proj = fintop.space_map(space, b.base, {k: g.base_point for k, g in germs.items()})
+    return sheafify.GermSpace(b, space, proj, germs)
+
+
 def equalizers_are_open_literal(b: bundle.Bundle) -> bool:
     """Oracle: `suites.equalizers_are_open` over every pair of sections over every pair of opens."""
     discrete_total = b.total.is_discrete()
@@ -490,3 +504,36 @@ def mixed_chain_bundle() -> bundle.RLBundle:
     proj = fintop.space_map(total, base, {fintop.pair_id(p, e): p for p in base.points for e in "0m1"})
     stalks = {p: (three_chain(mm), functools.partial(fintop.pair_id, p)) for p, mm in [("x", "0"), ("y", "m")]}
     return bundle.RLBundle(bundle.Bundle(total, base, proj), bundle.relabelled_ops(stalks))
+
+
+def small_spaces(max_points: int):
+    """Every labelled topology on 0..max_points points b0, b1, ...: each reflexive relation
+    "q in U_p" that is transitive."""
+    for n in range(max_points + 1):
+        pts = [f"b{i}" for i in range(n)]
+        off = [(p, q) for p in pts for q in pts if p != q]
+        for bits in range(1 << len(off)):
+            mins = {p: {p} for p in pts}
+            for i, (p, q) in enumerate(off):
+                if bits >> i & 1:
+                    mins[p].add(q)
+            if all(mins[q] <= mins[p] for p in pts for q in mins[p]):
+                yield fintop.FiniteSpace(frozenset(pts), mins)
+
+
+def quotient_etales(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice):
+    """Every RL-etale over `base` with stalk lat/Phi(p) at p, one for each continuous Phi from the base
+    into the filters of lat, where U_F = {G | G contains F}: a q in U_p has Phi(q) containing Phi(p),
+    and r_pq is the quotient map lat/Phi(p) -> lat/Phi(q).  Yields each stalk algebra by base point,
+    and the RL-etale on `pair_id` names; each quotient is taken once, by its filter."""
+    filters = {rlcore.block_id(f): f for f in rlcore.all_filters(lat).filters}
+    filt = fintop.FiniteSpace(frozenset(filters), {k: frozenset(j for j, g in filters.items() if g >= f) for k, f in filters.items()})
+    quotients = {k: rlcore.quotient(lat, f) for k, f in filters.items()}
+    reps = {k: {v: x for x, v in proj.table.items()} for k, (_, proj) in quotients.items()}
+    for phi in fintop.monotone_tables(base, filt):
+        stalks = {p: quotients[phi[p]][0] for p in base.points}
+        e = bundle.etale_from_restrictions(
+            base, {p: alg.carrier for p, alg in stalks.items()},
+            lambda p, q, a, phi=phi: quotients[phi[q]][1](reps[phi[p]][a]), fintop.pair_id,
+        )
+        yield stalks, bundle.RLBundle(e, bundle.relabelled_ops({p: (alg, functools.partial(fintop.pair_id, p)) for p, alg in stalks.items()}))

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_chain_bundle, rl_isomorphic, rl_product, three_chain, verify_rl_bundle_literal
+from conftest import (
+    mixed_chain_bundle,
+    quotient_etales,
+    rl_isomorphic,
+    rl_product,
+    small_spaces,
+    three_chain,
+    verify_rl_bundle_literal,
+)
 from rlsheaf import bundle, fintop, fixtures, rlcore, sheafify, suites
 
 ET4 = fixtures.et_spec_h_a4()
@@ -384,3 +392,57 @@ def test_verify_rl_bundle_refuses_two_kernel_pairs_with_one_id():
     for check in (bundle.verify_rl_bundle, verify_rl_bundle_literal):
         with pytest.raises(ValueError, match=r"^two pairs share the id \(a\|b\|c\)$"):
             check(rb)
+
+
+# ---------------------------------------------------------------------------
+# etales built from restriction maps, over every small base
+
+
+def test_filter_quotient_etales_over_every_small_base_are_rl_etales():
+    """A4/Phi(p) over each of the 35 labelled topologies on at most 3 points, for every continuous
+    Phi into Filt(A4): each is an RL-bundle by both checks, etale by both definitions, and
+    Gamma(U_p) is A4/Phi(p)."""
+    bases = list(small_spaces(3))
+    counts = dict.fromkeys(range(4), 0)
+    for base in bases:
+        for stalks, rb in quotient_etales(base, fixtures.rl_a4()):
+            counts[len(base.points)] += 1
+            rep = bundle.verify_rl_bundle(rb)
+            assert rep.ok and rep.violations == verify_rl_bundle_literal(rb)
+            assert bundle.is_etale(rb.bundle) and fintop.is_local_homeomorphism_direct(rb.proj)
+            for p, u in base.min_nbhds:
+                assert rl_isomorphic(bundle.pointwise_rl_on_sections(rb, u).algebra, stalks[p])
+    assert len(bases) == 35 and sum(not b.is_discrete() for b in bases) == 31
+    assert counts == {0: 1, 1: 4, 2: 38, 3: 632}
+
+
+def constant_stalks(base, carrier):
+    return dict.fromkeys(base.points, carrier)
+
+
+CHAIN = fintop.FiniteSpace(frozenset("abc"), {"a": "a", "b": "ab", "c": "abc"})
+
+
+@pytest.mark.parametrize("base,stalks,restrict,name,message", [
+    # r_pp must be the identity
+    (fintop.discrete(["pt"]), {"pt": "01"}, lambda p, q, x: "1", fintop.pair_id, "cannot be the minimal neighbourhood of"),
+    # r_ba . r_cb = identity, but r_ca swaps 0 and 1
+    (CHAIN, constant_stalks(CHAIN, "01"), lambda p, q, x: {"0": "1", "1": "0"}[x] if (p, q) == ("c", "a") else x,
+     fintop.pair_id, "cannot be the minimal neighbourhood of"),
+    # r_yx(1) = 1 is not in F(x)
+    (fintop.sierpinski("x", "y"), {"x": "0", "y": "01"}, lambda p, q, x: x, fintop.pair_id, "cannot be the minimal neighbourhood of"),
+    (fintop.discrete(["p", "q"]), {"p": "01", "q": "01"}, lambda p, q, x: x, lambda p, x: x, r"^two stalk elements share the id 0$"),
+])
+def test_etale_from_restrictions_refuses_what_is_not_a_presheaf(base, stalks, restrict, name, message):
+    with pytest.raises(ValueError, match=message):
+        bundle.etale_from_restrictions(base, stalks, restrict, name)
+
+
+def test_restriction_to_top_is_an_etale_whose_zero_is_discontinuous():
+    """Every r_yx sends A2 to its top: a presheaf of sets, so an etale, but not of residuated lattices."""
+    base, a2 = fintop.sierpinski("x", "y"), fixtures.rl_a2()
+    e = bundle.etale_from_restrictions(base, constant_stalks(base, a2.carrier), lambda p, q, x: x if p == q else a2.top, fintop.pair_id)
+    rb = bundle.RLBundle(e, bundle.relabelled_ops({p: (a2, lambda x, p=p: fintop.pair_id(p, x)) for p in base.points}))
+    assert bundle.is_etale(e)
+    assert [v.rule for v in bundle.verify_rl_bundle(rb).violations] == ["zero-discontinuous"]
+    assert bundle.verify_rl_bundle(rb).violations == verify_rl_bundle_literal(rb)

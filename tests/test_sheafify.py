@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     counit_report_literal,
     equalizers_are_open_literal,
+    etale_of_literal,
     rl_isomorphic,
     section_image_basis_literal,
     sections_final_topology_literal,
@@ -314,3 +315,17 @@ def test_section_image_basis_fails_where_the_cover_oracle_does(seed, keep):
 
     with mock.patch.object(bundle, "sections", withheld):
         assert outcome(bundle.section_image_basis) == outcome(section_image_basis_literal)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_etale_of_matches_the_germ_at_oracle(seed):
+    """On a random bundle over a base from `suites.random_space`, often not discrete, and on its germ
+    etale: the same space, projection, germs and counit report, and a local homeomorphism."""
+    b = random_bundle(random.Random(seed))
+    for src in (b, sheafify.etale_of(b).as_bundle):
+        gs, lit = sheafify.etale_of(src), etale_of_literal(src)
+        assert (gs.space, gs.proj) == (lit.space, lit.proj)
+        assert [(k, g.rep.table) for k, g in gs.germs.items()] == [(k, g.rep.table) for k, g in lit.germs.items()]
+        assert sheafify.counit_report(src, gs) == sheafify.counit_report(src, lit) == counit_report_literal(src, lit)
+        assert fintop.is_local_homeomorphism(gs.proj) and fintop.is_local_homeomorphism_direct(gs.proj)

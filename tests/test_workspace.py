@@ -66,6 +66,19 @@ def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monke
     assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
 
 
+def test_compose_rle_builds_one_pullback_per_base_map(monkeypatch, capsys):
+    """The parse pulls back along 3 maps; compose-rle rle_m1 rle_m2 adds one along gf, which the
+    composite's own check reuses.  An identity morphism pulls back once along the identity."""
+    calls = counted_calls(monkeypatch, (basechange, "pullback_etale"), (basechange, "pullback_rl_etale"))
+    assert cli.run(["compose-rle", "rle_m1", "rle_m2"]) == 0
+    assert capsys.readouterr().out.startswith("base map: ")
+    assert calls == {"pullback_etale": 4, "pullback_rl_etale": 4}
+    ws = workspace.parse_workspace(bundled_text())
+    calls.update(dict.fromkeys(calls, 0))
+    basechange.identity_rle_morphism(ws.rle_spaces["R_speca4"])
+    assert calls == {"pullback_etale": 1, "pullback_rl_etale": 1}
+
+
 def test_check_rl_bundle_reuses_the_report_of_the_parse(monkeypatch, capsys):
     calls = counted_calls(monkeypatch, (bundle, "verify_rl_bundle"))
     assert cli.run(["check-rl-bundle", "etspecha4"]) == 0
