@@ -10,6 +10,7 @@ an off-by-default flag allows exploratory checks elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import bundle as bnd
@@ -30,6 +31,11 @@ class FunctionSpace:
 
     def by_id(self) -> dict[str, SpaceMap]:
         return {m.id_str: m for m in self.maps}
+
+    @cached_property
+    def index(self) -> tuple[dict[tuple[tuple[str, str], ...], str], dict[str, dict[str, str]]]:
+        """Each map's sorted table to its id, and each id to its values by domain point."""
+        return {m.table: m.id_str for m in self.maps}, {m.id_str: m.mapping for m in self.maps}
 
 
 def _pointwise_topology(members: Mapping[str, tuple[str, ...]], cod: FiniteSpace) -> FiniteSpace:
@@ -56,36 +62,43 @@ def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
     return FunctionSpace(x, y, maps, space)
 
 
+def _slices(h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, list[tuple[str, str]]]:
+    """h: BxX -> T read once into its slices (b, h(b, x)) by x, over the sorted points of X."""
+    m1, m2 = p1.mapping, p2.mapping
+    out: dict[str, list[tuple[str, str]]] = {x: [] for x in p2.cod.sorted_points}
+    for k, v in h.table:
+        out[m2[k]].append((m1[k], v))
+    return out
+
+
 def curry(h: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
-    """h: BxX -> T becomes X -> C(B,T); pair ids are decoded through the projections."""
-    b_space, x_space = p1.cod, p2.cod
-    table: dict[str, str] = {}
-    for xpt in x_space.points:
-        sub = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
-        m = fintop.space_map(b_space, h.cod, sub)
-        if m.id_str not in fs.space.points:
+    """h: BxX -> T becomes X -> C(B,T): each slice (b, h(b,x)), sorted by b, is looked up among the
+    tables of C(B,T), and the first x in sorted order whose slice is not one of them is named."""
+    ids = fs.index[0]
+    table = []
+    for xpt, sl in _slices(h, p1, p2).items():
+        sl.sort()
+        mid = ids.get(tuple(sl))
+        if mid is None:
             raise ValueError(f"curried slice at {xpt} is not continuous")
-        table[xpt] = m.id_str
-    return fintop.space_map(x_space, fs.space, table)
+        table.append((xpt, mid))
+    return SpaceMap(p2.cod, fs.space, tuple(table))
 
 
 def uncurry(k: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
     """k: X -> C(B,T) becomes BxX -> T on the canonical product."""
-    lookup = fs.by_id()
+    values, m1, m2, km = fs.index[1], p1.mapping, p2.mapping, k.mapping
     prod = p1.dom
-    table = {pt: lookup[k(p2(pt))](p1(pt)) for pt in prod.points}
-    return fintop.space_map(prod, fs.cod, table)
+    return SpaceMap(prod, fs.cod, tuple((pt, values[km[m2[pt]]][m1[pt]]) for pt in prod.sorted_points))
 
 
 def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, Section]:
     """For h: BxX -> total over the base, the family x -> (curried section)."""
-    if any(b.proj(h(k)) != p1(k) for k in h.dom.points):
+    slices = _slices(h, p1, p2)
+    proj = b.proj.mapping
+    if any(proj[v] != bpt for sl in slices.values() for bpt, v in sl):
         raise ValueError("h does not commute with the projections")
-    out: dict[str, Section] = {}
-    for xpt in p2.cod.points:
-        table = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
-        out[xpt] = Section(b, frozenset(b.base.points), table)
-    return out
+    return {xpt: Section(b, frozenset(b.base.points), dict(sl)) for xpt, sl in slices.items()}
 
 
 def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
@@ -116,15 +129,15 @@ class TopologicalRL:
 
 
 def binary_op_continuous(s1: FiniteSpace, s2: FiniteSpace, cod: FiniteSpace, tab) -> bool:
-    """Continuity from the product topology via the rectangle basis of minimal neighbourhoods."""
-    m1, m2, mc = s1.min_nbhd_map, s2.min_nbhd_map, cod.min_nbhd_map
-    for x in s1.points:
-        for y in s2.points:
+    """Continuity on the product, one argument at a time: continuity is monotonicity and U_(x,y) is
+    U_x x U_y, so it suffices that tab(a,y) and tab(x,b) lie in U_tab(x,y) for a in U_x, b in U_y;
+    then tab(a,b) lies in U_tab(x,b), which is inside U_tab(x,y)."""
+    mc = cod.min_nbhd_map
+    for x, ux in s1.min_nbhds:
+        for y, uy in s2.min_nbhds:
             target = mc[tab[x, y]]
-            for a in m1[x]:
-                for b in m2[y]:
-                    if tab[a, b] not in target:
-                        return False
+            if not (target.issuperset([tab[a, y] for a in ux]) and target.issuperset([tab[x, b] for b in uy])):
+                return False
     return True
 
 

@@ -427,10 +427,11 @@ class SectionAlgebra:
     sections: dict[str, Section]
 
 
-def pointwise_rl_on_sections(rb: RLBundle, x: Iterable[str]) -> SectionAlgebra:
-    """Gamma(x) as a residuated lattice under pointwise stalk operations."""
+def pointwise_rl_on_sections(rb: RLBundle, x: Iterable[str], secs: Iterable[Section] | None = None) -> SectionAlgebra:
+    """Gamma(x) as a residuated lattice under pointwise stalk operations; `secs`, when given, are
+    the sections over x already listed, so they are not enumerated again."""
     dom = frozenset(x)
-    by_id = {s.id_str: s for s in sections(rb.bundle, dom)}
+    by_id = {s.id_str: s for s in (sections(rb.bundle, dom) if secs is None else secs)}
     pts = sorted(dom)
 
     def escaped(name: str, operands: tuple[str, ...]) -> SectionClosureError:

@@ -335,8 +335,8 @@ def restrict_map(m: SpaceMap, carrier: Iterable[str]) -> SpaceMap:
 
 def is_continuous(m: SpaceMap) -> bool:
     """f(U_x) inside U_f(x) for every x: f is monotone for the specialization preorders."""
-    cod = m.cod.min_nbhd_map
-    return all(m.image(u) <= cod[m(x)] for x, u in m.dom.min_nbhds)
+    cod, f = m.cod.min_nbhd_map, m.mapping
+    return all(cod[f[x]].issuperset(map(f.__getitem__, u)) for x, u in m.dom.min_nbhds)
 
 
 def is_open_map(m: SpaceMap) -> bool:

@@ -194,9 +194,12 @@ def factorizations_by_search(h: BundleMorphism, gs: GermSpace | None = None) -> 
 def rl_germ_ops(rb: RLBundle) -> tuple[RLBundle, GermSpace]:
     """Germ stalks as algebras: the stalk at p is Gamma(U_p) under pointwise operations, one germ per section."""
     gs = etale_of(rb.bundle)
+    reps: dict[str, list[Section]] = {p: [] for p in rb.base.points}
+    for g in gs.germs.values():
+        reps[g.base_point].append(g.rep)
     stalks = {}
-    for p in rb.base.points:
-        sa = bnd.pointwise_rl_on_sections(rb, fintop.minimal_neighborhood(rb.base, p))
+    for p, secs in reps.items():
+        sa = bnd.pointwise_rl_on_sections(rb, fintop.minimal_neighborhood(rb.base, p), secs)
         stalks[p] = (sa.algebra, lambda sid, p=p, secs=sa.sections: germ_id(p, secs[sid].table))
     return RLBundle(gs.as_bundle, bnd.relabelled_ops(stalks)), gs
 

@@ -1,6 +1,7 @@
 """Seed-fixed law suites: randomized generators plus the checks the CLI and tests share.
 
-The seed comes from the RLSHEAF_SEED environment variable when set.
+The seed comes from the RLSHEAF_SEED environment variable when set.  Each draw takes the points
+in sorted order, so one seed gives the same objects in every process, whatever the hash seed.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def random_space(rng: random.Random, max_points: int = 5, prefix: str = "p") -> 
 
 def random_map(rng: random.Random, dom: fintop.FiniteSpace, cod: fintop.FiniteSpace) -> fintop.SpaceMap:
     cod_pts = sorted(cod.points)
-    return fintop.space_map(dom, cod, {p: rng.choice(cod_pts) for p in dom.points})
+    return fintop.space_map(dom, cod, {p: rng.choice(cod_pts) for p in dom.sorted_points})
 
 
 def random_nonetale_bundles(rng: random.Random, count: int, max_total: int = 6) -> list[bnd.Bundle]:
@@ -72,10 +73,10 @@ def random_nonetale_bundles(rng: random.Random, count: int, max_total: int = 6) 
         attempts += 1
         base = fintop.discrete([f"b{i}" for i in range(rng.randint(1, 2))])
         total = random_space(rng, max_points=max_total, prefix="t")
-        table = {t: rng.choice(sorted(base.points)) for t in total.points}
-        for b in base.points:
+        table = {t: rng.choice(base.sorted_points) for t in total.sorted_points}
+        for b in base.sorted_points:
             if b not in table.values():
-                table[sorted(total.points)[0]] = b
+                table[total.sorted_points[0]] = b
         if set(table.values()) != set(base.points):
             continue
         proj = fintop.space_map(total, base, table)

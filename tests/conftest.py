@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -331,6 +335,44 @@ def lift_compact_open_rl_literal(b: fintop.FiniteSpace, a: adjunction.Topologica
     return trl, fs
 
 
+def curry_literal(h: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap, fs: adjunction.FunctionSpace) -> fintop.SpaceMap:
+    """Oracle: `adjunction.curry` scanning all of BxX for every x and building a `SpaceMap` per slice."""
+    b_space, x_space = p1.cod, p2.cod
+    table: dict[str, str] = {}
+    for xpt in x_space.points:
+        sub = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
+        m = fintop.space_map(b_space, h.cod, sub)
+        if m.id_str not in fs.space.points:
+            raise ValueError(f"curried slice at {xpt} is not continuous")
+        table[xpt] = m.id_str
+    return fintop.space_map(x_space, fs.space, table)
+
+
+def uncurry_literal(k: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap, fs: adjunction.FunctionSpace) -> fintop.SpaceMap:
+    """Oracle: `adjunction.uncurry` through the function space's `by_id` lookup."""
+    lookup = fs.by_id()
+    prod = p1.dom
+    table = {pt: lookup[k(p2(pt))](p1(pt)) for pt in prod.points}
+    return fintop.space_map(prod, fs.cod, table)
+
+
+def corestrict_to_sections_literal(b: bundle.Bundle, h: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap) -> dict:
+    """Oracle: `adjunction.corestrict_to_sections` scanning all of BxX for every x."""
+    if any(b.proj(h(k)) != p1(k) for k in h.dom.points):
+        raise ValueError("h does not commute with the projections")
+    out: dict[str, bundle.Section] = {}
+    for xpt in p2.cod.points:
+        table = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
+        out[xpt] = bundle.Section(b, frozenset(b.base.points), table)
+    return out
+
+
+def is_continuous_literal(m: fintop.SpaceMap) -> bool:
+    """Oracle: `fintop.is_continuous` building the image set f(U_x) of every minimal open."""
+    cod = m.cod.min_nbhd_map
+    return all(m.image(u) <= cod[m(x)] for x, u in m.dom.min_nbhds)
+
+
 def verify_topology_literal(points, family) -> tuple[Violation, ...]:
     """Oracle: the violations of `fintop.verify_topology`'s former check, which scans every
     pair of members for an escaping union or intersection."""
@@ -537,3 +579,14 @@ def quotient_etales(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice):
             lambda p, q, a, phi=phi: quotients[phi[q]][1](reps[phi[p]][a]), fintop.pair_id,
         )
         yield stalks, bundle.RLBundle(e, bundle.relabelled_ops({p: (alg, functools.partial(fintop.pair_id, p)) for p, alg in stalks.items()}))
+
+
+def outputs_under_hash_seeds(code: str, seeds) -> list[str]:
+    """The stdout of `python -c code`, with rlsheaf importable from this checkout, once per PYTHONHASHSEED."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        out.append(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout)
+    return out

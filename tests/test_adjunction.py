@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lift_compact_open_rl_literal, pointwise_rl_on_sections_literal, rl_isomorphic, rl_product
+from conftest import (
+    corestrict_to_sections_literal,
+    curry_literal,
+    is_continuous_literal,
+    lift_compact_open_rl_literal,
+    outputs_under_hash_seeds,
+    pointwise_rl_on_sections_literal,
+    rl_isomorphic,
+    rl_product,
+    small_spaces,
+    uncurry_literal,
+)
 from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore, suites
 
 PT = fixtures.space_point()
@@ -301,3 +312,108 @@ def test_pointwise_kernel_agrees_with_the_per_pair_lifts(calls):
     fast, literal, inputs = calls
     for args in inputs:
         assert outcome(fast, *args) == outcome(literal, *args)
+
+
+SMALL3 = list(small_spaces(3))
+SMALL2 = list(small_spaces(2))
+# The same bases on the points z < z0 < z00, whose pair ids sort the other way: (z00|x) < (z0|x) < (z|x).
+LONG_NAMES = {"b0": "z", "b1": "z0", "b2": "z00"}
+BASES3 = [
+    fintop.FiniteSpace(frozenset(LONG_NAMES[p] for p in s.points), {LONG_NAMES[p]: {LONG_NAMES[q] for q in u} for p, u in s.min_nbhds})
+    for s in SMALL3
+]
+
+
+def table_or_error(fn, *args):
+    """A map's table, a section family's tables by point, or the type of the exception raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, KeyError) as e:
+        return type(e)
+    return out.table if isinstance(out, fintop.SpaceMap) else {x: s.table for x, s in out.items()}
+
+
+def random_maps(rng, dom, cod, n):
+    """n seed-drawn tables dom -> cod, continuous or not (none when no map exists)."""
+    return [suites.random_map(rng, dom, cod) for _ in range(n)] if cod.points or not dom.points else []
+
+
+@given(st.sampled_from(BASES3), st.sampled_from(SMALL3), st.sampled_from(SMALL2), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_curry_uncurry_and_corestriction_match_the_literal_bodies(b, x, t, rng):
+    """Over every labelled base and factor with at most 3 points, discrete or not: every continuous h and k
+    gives the literal tables, and seed-drawn tables give the same tables or the same exception type."""
+    prod, p1, p2 = fintop.product(b, x)
+    fs = adjunction.compact_open_space(b, t)
+    for h in fintop.continuous_maps(prod, t):
+        assert adjunction.curry(h, p1, p2, fs).table == curry_literal(h, p1, p2, fs).table
+    for k in fintop.continuous_maps(x, fs.space):
+        assert adjunction.uncurry(k, p1, p2, fs).table == uncurry_literal(k, p1, p2, fs).table
+    for h in random_maps(rng, prod, t, 12):
+        assert table_or_error(adjunction.curry, h, p1, p2, fs) == table_or_error(curry_literal, h, p1, p2, fs)
+    for k in random_maps(rng, x, fs.space, 12):
+        assert table_or_error(adjunction.uncurry, k, p1, p2, fs) == table_or_error(uncurry_literal, k, p1, p2, fs)
+    total, q1, _ = fintop.product(b, t)
+    target = bundle.Bundle(total, b, q1)
+    for hm in bundle.bundle_morphisms(bundle.Bundle(prod, b, p1), target):
+        fam = adjunction.corestrict_to_sections(target, hm.map, p1, p2)
+        assert {xp: s.table for xp, s in fam.items()} == table_or_error(corestrict_to_sections_literal, target, hm.map, p1, p2)
+    for h in random_maps(rng, prod, total, 12):
+        args = (target, h, p1, p2)
+        assert table_or_error(adjunction.corestrict_to_sections, *args) == table_or_error(corestrict_to_sections_literal, *args)
+
+
+def test_exponential_adjunction_holds_on_nondiscrete_bases_when_exploring():
+    for b in [SK, fintop.indiscrete(["m", "n"])]:
+        for x in [SK, D2]:
+            r = adjunction.check_exponential_adjunction(b, x, SK, explore_nondiscrete=True)
+            assert r["bijective"] and r["lhs"] == r["rhs"] > 0
+
+
+CURRY_WITNESS = """
+from rlsheaf import adjunction, fintop
+b, t = fintop.sierpinski("x", "y"), fintop.discrete(["s", "t"])
+prod, p1, p2 = fintop.product(b, fintop.discrete("abcd"))
+h = fintop.space_map(prod, t, {k: "s" if p1(k) == "x" else "t" for k in prod.points})
+try:
+    adjunction.curry(h, p1, p2, adjunction.compact_open_space(b, t))
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_curry_names_the_least_discontinuous_slice_under_every_hash_seed():
+    """Every slice of h is non-constant, so none is continuous into a discrete T: the error names
+    the least point of X, not the first one a frozenset happens to yield."""
+    assert outputs_under_hash_seeds(CURRY_WITNESS, range(1, 5)) == ["curried slice at a is not continuous\n"] * 4
+
+
+def test_binary_op_continuity_matches_materialized_product_on_random_tables():
+    """One argument at a time agrees with continuity on the product, both verdicts seen, over seed-drawn
+    tables (half of them continuous) between labelled spaces with at most 3 points."""
+    rng = random.Random(13)
+    cods = [s for s in SMALL3 if s.points]
+    verdicts = []
+    for _ in range(300):
+        s1, s2, cod = rng.choice(SMALL3), rng.choice(SMALL3), rng.choice(cods)
+        prod, p1, p2 = fintop.product(s1, s2)
+        if rng.random() < 0.5:
+            m = suites.random_map(rng, prod, cod)
+        else:
+            m = fintop.space_map(prod, cod, rng.choice(list(itertools.islice(fintop.monotone_tables(prod, cod), 64))))
+        tab = {(p1(k), p2(k)): v for k, v in m.table}
+        verdict = adjunction.binary_op_continuous(s1, s2, cod, tab)
+        assert verdict == fintop.is_continuous(m) == is_continuous_literal(m)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def test_is_continuous_matches_the_image_literal_on_random_maps():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(400):
+        dom, cod = suites.random_space(rng, 5, "d"), suites.random_space(rng, 5, "c")
+        m = suites.random_map(rng, dom, cod)
+        verdicts.add(fintop.is_continuous(m))
+        assert fintop.is_continuous(m) == is_continuous_literal(m)
+    assert verdicts == {True, False}

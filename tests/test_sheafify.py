@@ -329,3 +329,17 @@ def test_etale_of_matches_the_germ_at_oracle(seed):
         assert [(k, g.rep.table) for k, g in gs.germs.items()] == [(k, g.rep.table) for k, g in lit.germs.items()]
         assert sheafify.counit_report(src, gs) == sheafify.counit_report(src, lit) == counit_report_literal(src, lit)
         assert fintop.is_local_homeomorphism(gs.proj) and fintop.is_local_homeomorphism_direct(gs.proj)
+
+
+def test_rl_germ_ops_builds_each_stalk_from_the_germ_sections():
+    """The stalk algebras come from the sections the germ etale already holds: one enumeration per U_p,
+    and the same RL-bundle as when each stalk's sections are listed again."""
+    rb = fixtures.constant_rl_bundle(fintop.sierpinski("x", "y"), fixtures.rl_a4())
+    with mock.patch.object(bundle, "sections", wraps=bundle.sections) as counted:
+        grb, gs = sheafify.rl_germ_ops(rb)
+    assert counted.call_count == 2
+    stalks = {}
+    for p in rb.base.points:
+        sa = bundle.pointwise_rl_on_sections(rb, fintop.minimal_neighborhood(rb.base, p))
+        stalks[p] = (sa.algebra, lambda sid, p=p, secs=sa.sections: sheafify.germ_id(p, secs[sid].table))
+    assert grb == bundle.RLBundle(gs.as_bundle, bundle.relabelled_ops(stalks))
