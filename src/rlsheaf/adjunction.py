@@ -56,8 +56,9 @@ def _pointwise_topology(members: Mapping[str, tuple[str, ...]], cod: FiniteSpace
 
 
 def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
-    """All continuous maps x -> y with the topology from the sets S(C,U)."""
-    maps = tuple(sorted(fintop.continuous_maps(x, y), key=lambda m: m.id_str))
+    """All continuous maps x -> y with the topology from the sets S(C,U); a ValueError if two share an id."""
+    by_id = fintop.keyed_by_id(fintop.continuous_maps(x, y), "maps")
+    maps = tuple(by_id[i] for i in sorted(by_id))
     space = _pointwise_topology({m.id_str: tuple(v for _, v in m.table) for m in maps}, y)
     return FunctionSpace(x, y, maps, space)
 
@@ -105,9 +106,9 @@ def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
     """Global sections with the subspace topology inherited from C(base, total).
 
     A subspace of the pointwise order is ordered pointwise, so the ambient
-    function space is never built.
+    function space is never built.  Two sections with one id raise a ValueError.
     """
-    by_id = {s.id_str: s for s in bnd.sections(b, b.base.points)}
+    by_id = fintop.keyed_by_id(bnd.sections(b, b.base.points), "sections")
     return _section_space(b, by_id), by_id
 
 
@@ -142,12 +143,16 @@ def binary_op_continuous(s1: FiniteSpace, s2: FiniteSpace, cod: FiniteSpace, tab
 
 
 def verify_topological_rl(trl: TopologicalRL) -> ValidationReport:
+    """verify_rl's first three violations, then each discontinuous operation among those total on the carrier."""
     bad: list[Violation] = []
     rep = rlcore.verify_rl(trl.algebra)
     if not rep.ok:
         bad.extend(Violation(f"algebra[{v.rule}]", v.witness) for v in rep.violations[:3])
+    pts = trl.topology.points
     for name in bnd.StalkOps.OPS:
-        if not binary_op_continuous(trl.topology, trl.topology, trl.topology, getattr(trl.algebra, name)):
+        tab = getattr(trl.algebra, name)
+        total = all(tab.get((x, y)) in pts for x in pts for y in pts)  # verify_rl reported it if not
+        if total and not binary_op_continuous(trl.topology, trl.topology, trl.topology, tab):
             bad.append(Violation("operation-discontinuous", name))
     return ValidationReport("topological-rl", tuple(bad))
 
@@ -197,85 +202,70 @@ def product_rl_bundle(b: FiniteSpace, a: TopologicalRL) -> RLBundle:
 
 
 def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) plus curry/uncurry round trips."""
+    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) plus curry/uncurry round trips, on tables.
+
+    R lists every continuous X -> C(B,T), so curry(h) is continuous iff its table is in R.  One pass
+    over L shows curry injective with uncurry . curry = 1; with |L| = |R| it is onto, uncurry its inverse."""
     if not b.is_discrete() and not explore_nondiscrete:
         raise ValueError("continuity half asserted only for finite discrete bases")
     prod, p1, p2 = fintop.product(b, x)
     fs = compact_open_space(b, t)
     lhs = fintop.continuous_maps(prod, t)
-    rhs = fintop.continuous_maps(x, fs.space)
-    curried = {}
+    rhs = {k.table for k in fintop.continuous_maps(x, fs.space)}
+    curried = set()
     for h in lhs:
         k = curry(h, p1, p2, fs)
-        if not fintop.is_continuous(k):
+        if k.table not in rhs:
             raise AssertionError("curry of a continuous map is not continuous")
-        curried[h.id_str] = k.id_str
-        back = uncurry(k, p1, p2, fs)
-        if back.table != h.table:
+        if uncurry(k, p1, p2, fs).table != h.table:
             raise AssertionError("uncurry . curry is not the identity")
-    for k in rhs:
-        h = uncurry(k, p1, p2, fs)
-        if not fintop.is_continuous(h):
-            raise AssertionError("uncurry of a continuous map is not continuous")
-        again = curry(h, p1, p2, fs)
-        if again.table != k.table:
-            raise AssertionError("curry . uncurry is not the identity")
-    bijective = len(lhs) == len(rhs) and len(set(curried.values())) == len(lhs)
-    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+        curried.add(k.table)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(curried)}
 
 
 def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b))."""
+    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b)), each corestriction looked up by table."""
     if not b.base.is_discrete() and not explore_nondiscrete:
         raise ValueError("continuity half asserted only for finite discrete bases")
     prod, p1, p2 = fintop.product(b.base, x)
     lhs = [h.map for h in bnd.bundle_morphisms(Bundle(prod, b.base, p1), b)]
-    g_space, by_id = gamma_space(b)
-    rhs = fintop.continuous_maps(x, g_space)
+    rhs = {k.table for k in fintop.continuous_maps(x, gamma_space(b)[0])}
     sent = set()
     for h in lhs:
         fam = corestrict_to_sections(b, h, p1, p2)
-        k = fintop.space_map(x, g_space, {xp: fam[xp].id_str for xp in x.points})
-        if not fintop.is_continuous(k):
+        k = tuple((xp, fam[xp].id_str) for xp in x.sorted_points)
+        if k not in rhs:
             raise AssertionError("corestriction is not continuous")
-        sent.add(k.id_str)
-    bijective = len(lhs) == len(rhs) == len(sent)
-    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+        sent.add(k)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(sent)}
 
 
 def check_projection_adjunction(xb: Bundle, y: FiniteSpace) -> dict:
-    """Hom-set bijection Top(U_B(X,f), Y) = Bundle(B)((X,f), pi_B(Y)) via g -> <f,g>."""
+    """Hom-set bijection Top(U_B(X,f), Y) = Bundle(B)((X,f), pi_B(Y)) via g -> <f,g>, looked up by table."""
     prod, p1, p2 = fintop.product(xb.base, y)
     lhs = fintop.continuous_maps(xb.total, y)
-    rhs = bnd.bundle_morphisms(xb, Bundle(prod, xb.base, p1))
+    rhs = {m.map.table for m in bnd.bundle_morphisms(xb, Bundle(prod, xb.base, p1))}
     paired = set()
     for g in lhs:
-        k = fintop.space_map(
-            xb.total, prod, {t: pair_id(xb.proj(t), g(t)) for t in xb.total.points}
-        )
-        if not fintop.is_continuous(k):
+        k = tuple((t, pair_id(xb.proj(t), v)) for t, v in g.table)
+        if k not in rhs:
             raise AssertionError("pairing of continuous maps is not continuous")
-        back = fintop.compose(p2, k)
-        if back.table != g.table:
+        if any(p2(kt) != v for (_, kt), (_, v) in zip(k, g.table)):
             raise AssertionError("projection round trip failed")
-        paired.add(k.id_str)
-    bijective = len(lhs) == len(rhs) == len(paired)
-    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+        paired.add(k)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(paired)}
 
 
 def check_triangle_identities(b: FiniteSpace, x: FiniteSpace) -> dict:
-    """C(B,X) = Gamma(B, pi_B(X)) and BxX = U_B(pi_B(X)), through the canonical isos."""
+    """C(B,X) = Gamma(B, pi_B(X)) and BxX = U_B(pi_B(X)), through the canonical isos; graphs looked up by table."""
     if not b.is_discrete():
         raise ValueError("triangle identities asserted for discrete bases")
     prod, p1, p2 = fintop.product(b, x)
     proj_bundle = Bundle(prod, b, p1)
     fs = compact_open_space(b, x)
     g_space, by_id = gamma_space(proj_bundle)
-    table = {}
-    for m in fs.maps:
-        graph = {pt: pair_id(pt, m(pt)) for pt in b.points}
-        sec = Section(proj_bundle, frozenset(b.points), graph)
-        table[m.id_str] = sec.id_str
+    ids = {tuple(s.table[p] for p in b.sorted_points): i for i, s in by_id.items()}
+    table = {m.id_str: ids.get(tuple(pair_id(p, v) for p, v in m.table)) for m in fs.maps}
     if set(table.values()) != set(g_space.points) or len(set(table.values())) != len(table):
         raise AssertionError("graph correspondence is not bijective")
     iso = fintop.space_map(fs.space, g_space, table)

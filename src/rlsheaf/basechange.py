@@ -174,14 +174,12 @@ def section_functor_object(x: RLESpace) -> SectionAlgebra:
 
 
 def section_functor_morphism(m: RLEInvMorphism) -> rlcore.RLMorphism:
-    """Gamma is contravariant: sections pull back along (f, alpha)."""
+    """Gamma is contravariant: sections pull back along (f, alpha), each looked up by its values."""
     g_src = section_functor_object(m.dst)
     g_dst = section_functor_object(m.src)
-    table = {}
-    for sid, sec in g_src.sections.items():
-        pulled = {b: m.alpha(pair_id(b, sec(m.f(b)))) for b in m.src.base.points}
-        out = bnd.Section(m.src.etale.bundle, frozenset(m.src.base.points), pulled)
-        if out.id_str not in g_dst.sections:
-            raise AssertionError("pulled section escaped the section algebra")
-        table[sid] = out.id_str
+    pts = m.src.base.sorted_points
+    ids = {tuple(s.table[b] for b in pts): i for i, s in g_dst.sections.items()}
+    table = {sid: ids.get(tuple(m.alpha(pair_id(b, sec(m.f(b)))) for b in pts)) for sid, sec in g_src.sections.items()}
+    if None in table.values():
+        raise AssertionError("pulled section escaped the section algebra")
     return rlcore.RLMorphism(g_src.algebra, g_dst.algebra, table)

@@ -428,10 +428,10 @@ class SectionAlgebra:
 
 
 def pointwise_rl_on_sections(rb: RLBundle, x: Iterable[str], secs: Iterable[Section] | None = None) -> SectionAlgebra:
-    """Gamma(x) as a residuated lattice under pointwise stalk operations; `secs`, when given, are
-    the sections over x already listed, so they are not enumerated again."""
+    """Gamma(x) as a residuated lattice under pointwise stalk operations; `secs`, when given, are the
+    sections over x already listed, not enumerated again.  Two sections with one id raise a ValueError."""
     dom = frozenset(x)
-    by_id = {s.id_str: s for s in (sections(rb.bundle, dom) if secs is None else secs)}
+    by_id = fintop.keyed_by_id(sections(rb.bundle, dom) if secs is None else secs, "sections")
     pts = sorted(dom)
 
     def escaped(name: str, operands: tuple[str, ...]) -> SectionClosureError:

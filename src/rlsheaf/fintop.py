@@ -37,6 +37,15 @@ def pair_id(left: str, right: str) -> str:
     return f"({left}|{right})"
 
 
+def keyed_by_id(items: Iterable, what: str) -> dict:
+    """Maps or sections by their `id_str`; a ValueError if two of them share one."""
+    out = {}
+    for item in items:
+        if out.setdefault(item.id_str, item) is not item:
+            raise ValueError(f"two {what} share the id {item.id_str}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # mask helpers: a family of subsets of an indexed point list as ints
 

@@ -8,6 +8,7 @@ neighbourhood equivalence (that coincidence is itself under test).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bundle as bnd
 from . import fintop
@@ -68,7 +69,7 @@ class GermSpace:
     proj: SpaceMap
     germs: dict[str, Germ]
 
-    @property
+    @cached_property
     def as_bundle(self) -> Bundle:
         return Bundle(self.space, self.source.base, self.proj)
 
@@ -157,18 +158,15 @@ def coreflect_morphism(h: BundleMorphism) -> SpaceMap:
 
 
 def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) -> SpaceMap:
-    """Unique etale morphism hbar with counit . hbar = h, for etale source."""
+    """Unique etale morphism hbar with counit . hbar = h, for etale source: hbar(y) is the germ of h
+    after the section through y, read off U_y, which the projection maps bijectively onto U_proj(y)."""
     if not bnd.is_etale(h.src):
         raise ValueError("source bundle is not an etale")
     gs = gs or etale_of(h.dst)
-    table = {}
-    for y in sorted(h.src.total.points):
-        u, s = bnd.section_through_point(h.src, y)
-        p = h.src.proj(y)
-        pushed = {q: h(s(q)) for q in fintop.minimal_neighborhood(h.src.base, p)}
-        table[y] = germ_id(p, pushed)
-        if table[y] not in gs.germs:
-            raise AssertionError("factorization left the germ space")
+    proj, mins = h.src.proj.mapping, h.src.total.min_nbhd_map
+    table = {y: germ_id(proj[y], {proj[s]: h(s) for s in mins[y]}) for y in h.src.total.sorted_points}
+    if any(k not in gs.germs for k in table.values()):
+        raise AssertionError("factorization left the germ space")
     m = fintop.space_map(h.src.total, gs.space, table)
     BundleMorphism(h.src, gs.as_bundle, m)
     eps = counit(h.dst, gs)

@@ -220,7 +220,7 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
 # the adjunction suite
 
 
-def adjunction_suite(seed: int | None = None) -> SuiteReport:
+def adjunction_suite() -> SuiteReport:
     rep = SuiteReport("adjunction-suite")
     pt = fixtures.space_point()
     d2 = fintop.discrete(["m", "n"])

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from rlsheaf import adjunction, bundle, fintop, rlcore, sheafify
+from rlsheaf import adjunction, basechange, bundle, fintop, rlcore, sheafify
 from rlsheaf.report import Violation, fmt_set
 
 
@@ -365,6 +365,131 @@ def corestrict_to_sections_literal(b: bundle.Bundle, h: fintop.SpaceMap, p1: fin
         table = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
         out[xpt] = bundle.Section(b, frozenset(b.base.points), table)
     return out
+
+
+def check_exponential_adjunction_literal(b, x, t, explore_nondiscrete: bool = False) -> dict:
+    """Oracle: `adjunction.check_exponential_adjunction` checking every curried and uncurried map for
+    continuity, with the reverse loop over Top(X, C(B,T))."""
+    if not b.is_discrete() and not explore_nondiscrete:
+        raise ValueError("continuity half asserted only for finite discrete bases")
+    prod, p1, p2 = fintop.product(b, x)
+    fs = adjunction.compact_open_space(b, t)
+    lhs = fintop.continuous_maps(prod, t)
+    rhs = fintop.continuous_maps(x, fs.space)
+    curried = {}
+    for h in lhs:
+        k = adjunction.curry(h, p1, p2, fs)
+        if not fintop.is_continuous(k):
+            raise AssertionError("curry of a continuous map is not continuous")
+        curried[h.id_str] = k.id_str
+        back = adjunction.uncurry(k, p1, p2, fs)
+        if back.table != h.table:
+            raise AssertionError("uncurry . curry is not the identity")
+    for k in rhs:
+        h = adjunction.uncurry(k, p1, p2, fs)
+        if not fintop.is_continuous(h):
+            raise AssertionError("uncurry of a continuous map is not continuous")
+        again = adjunction.curry(h, p1, p2, fs)
+        if again.table != k.table:
+            raise AssertionError("curry . uncurry is not the identity")
+    bijective = len(lhs) == len(rhs) and len(set(curried.values())) == len(lhs)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+
+
+def check_section_adjunction_literal(b: bundle.Bundle, x, explore_nondiscrete: bool = False) -> dict:
+    """Oracle: `adjunction.check_section_adjunction` building each corestriction as a `SpaceMap` into
+    Gamma(B,b) and checking its continuity."""
+    if not b.base.is_discrete() and not explore_nondiscrete:
+        raise ValueError("continuity half asserted only for finite discrete bases")
+    prod, p1, p2 = fintop.product(b.base, x)
+    lhs = [h.map for h in bundle.bundle_morphisms(bundle.Bundle(prod, b.base, p1), b)]
+    g_space, by_id = adjunction.gamma_space(b)
+    rhs = fintop.continuous_maps(x, g_space)
+    sent = set()
+    for h in lhs:
+        fam = adjunction.corestrict_to_sections(b, h, p1, p2)
+        k = fintop.space_map(x, g_space, {xp: fam[xp].id_str for xp in x.points})
+        if not fintop.is_continuous(k):
+            raise AssertionError("corestriction is not continuous")
+        sent.add(k.id_str)
+    bijective = len(lhs) == len(rhs) == len(sent)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+
+
+def check_projection_adjunction_literal(xb: bundle.Bundle, y) -> dict:
+    """Oracle: `adjunction.check_projection_adjunction` building each pairing as a `SpaceMap`, checking
+    its continuity, and composing it with the second projection."""
+    prod, p1, p2 = fintop.product(xb.base, y)
+    lhs = fintop.continuous_maps(xb.total, y)
+    rhs = bundle.bundle_morphisms(xb, bundle.Bundle(prod, xb.base, p1))
+    paired = set()
+    for g in lhs:
+        k = fintop.space_map(xb.total, prod, {t: fintop.pair_id(xb.proj(t), g(t)) for t in xb.total.points})
+        if not fintop.is_continuous(k):
+            raise AssertionError("pairing of continuous maps is not continuous")
+        back = fintop.compose(p2, k)
+        if back.table != g.table:
+            raise AssertionError("projection round trip failed")
+        paired.add(k.id_str)
+    bijective = len(lhs) == len(rhs) == len(paired)
+    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": bijective}
+
+
+def check_triangle_identities_literal(b, x) -> dict:
+    """Oracle: `adjunction.check_triangle_identities` building each map's graph as a `Section`."""
+    if not b.is_discrete():
+        raise ValueError("triangle identities asserted for discrete bases")
+    prod, p1, p2 = fintop.product(b, x)
+    proj_bundle = bundle.Bundle(prod, b, p1)
+    fs = adjunction.compact_open_space(b, x)
+    g_space, by_id = adjunction.gamma_space(proj_bundle)
+    table = {}
+    for m in fs.maps:
+        graph = {pt: fintop.pair_id(pt, m(pt)) for pt in b.points}
+        sec = bundle.Section(proj_bundle, frozenset(b.points), graph)
+        table[m.id_str] = sec.id_str
+    if set(table.values()) != set(g_space.points) or len(set(table.values())) != len(table):
+        raise AssertionError("graph correspondence is not bijective")
+    iso = fintop.space_map(fs.space, g_space, table)
+    upper = fintop.is_homeomorphism(iso)
+    lower = prod == proj_bundle.total
+    return {"upper_triangle_iso": upper, "lower_triangle_strict": lower}
+
+
+def section_functor_morphism_literal(m: basechange.RLEInvMorphism) -> rlcore.RLMorphism:
+    """Oracle: `basechange.section_functor_morphism` building each pulled section as a `Section`."""
+    g_src = basechange.section_functor_object(m.dst)
+    g_dst = basechange.section_functor_object(m.src)
+    table = {}
+    for sid, sec in g_src.sections.items():
+        pulled = {b: m.alpha(fintop.pair_id(b, sec(m.f(b)))) for b in m.src.base.points}
+        out = bundle.Section(m.src.etale.bundle, frozenset(m.src.base.points), pulled)
+        if out.id_str not in g_dst.sections:
+            raise AssertionError("pulled section escaped the section algebra")
+        table[sid] = out.id_str
+    return rlcore.RLMorphism(g_src.algebra, g_dst.algebra, table)
+
+
+def couniversal_factorization_literal(h: bundle.BundleMorphism, gs: sheafify.GermSpace | None = None) -> fintop.SpaceMap:
+    """Oracle: `sheafify.couniversal_factorization` pushing the section through each point that
+    `bundle.section_through_point` builds."""
+    if not bundle.is_etale(h.src):
+        raise ValueError("source bundle is not an etale")
+    gs = gs or sheafify.etale_of(h.dst)
+    table = {}
+    for y in sorted(h.src.total.points):
+        u, s = bundle.section_through_point(h.src, y)
+        p = h.src.proj(y)
+        pushed = {q: h(s(q)) for q in fintop.minimal_neighborhood(h.src.base, p)}
+        table[y] = sheafify.germ_id(p, pushed)
+        if table[y] not in gs.germs:
+            raise AssertionError("factorization left the germ space")
+    m = fintop.space_map(h.src.total, gs.space, table)
+    bundle.BundleMorphism(h.src, bundle.Bundle(gs.space, gs.source.base, gs.proj), m)
+    eps = sheafify.counit(h.dst, gs)
+    if any(eps(m(y)) != h(y) for y in h.src.total.points):
+        raise AssertionError("factorization does not recover the morphism")
+    return m
 
 
 def is_continuous_literal(m: fintop.SpaceMap) -> bool:

@@ -1,11 +1,17 @@
+import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    check_exponential_adjunction_literal,
+    check_projection_adjunction_literal,
+    check_section_adjunction_literal,
+    check_triangle_identities_literal,
     corestrict_to_sections_literal,
     curry_literal,
     is_continuous_literal,
@@ -417,3 +423,120 @@ def test_is_continuous_matches_the_image_literal_on_random_maps():
         verdicts.add(fintop.is_continuous(m))
         assert fintop.is_continuous(m) == is_continuous_literal(m)
     assert verdicts == {True, False}
+
+
+LITERAL_CHECKS = {
+    "check_exponential_adjunction": check_exponential_adjunction_literal,
+    "check_section_adjunction": check_section_adjunction_literal,
+    "check_projection_adjunction": check_projection_adjunction_literal,
+    "check_triangle_identities": check_triangle_identities_literal,
+}
+
+
+def test_adjunction_checks_match_their_literal_bodies_on_every_suite_case(monkeypatch):
+    """Every hom-set check the adjunction suite makes gives the dict of the body that rebuilt
+    and rechecked each image."""
+    calls = []
+    for name in LITERAL_CHECKS:
+        def spy(*args, name=name, check=getattr(adjunction, name), **kwargs):
+            calls.append((name, args, kwargs))
+            return check(*args, **kwargs)
+        monkeypatch.setattr(adjunction, name, spy)
+    assert suites.adjunction_suite().ok
+    monkeypatch.undo()
+    assert collections.Counter(name for name, _, _ in calls) == {
+        "check_exponential_adjunction": 5, "check_section_adjunction": 5,
+        "check_projection_adjunction": 4, "check_triangle_identities": 5,
+    }
+    for name, args, kwargs in calls:
+        assert getattr(adjunction, name)(*args, **kwargs) == LITERAL_CHECKS[name](*args, **kwargs)
+
+
+@given(st.sampled_from(BASES3), st.sampled_from(SMALL3), st.sampled_from(SMALL2))
+@settings(max_examples=40, deadline=None)
+def test_adjunction_checks_match_their_literal_bodies_on_small_spaces(b, x, t):
+    """Over every labelled B and X with at most 3 points and T with at most 2, discrete or not: the
+    exponential check on (B, X, T), the section check on pi_B(T) and X, the projection check on
+    pi_B(X) and T, and the triangle check on (B, X) give the literal dicts or exceptions."""
+    prod_t, q1, _ = fintop.product(b, t)
+    prod_x, p1, _ = fintop.product(b, x)
+    cases = [
+        ("check_exponential_adjunction", (b, x, t, True)),  # explore_nondiscrete
+        ("check_section_adjunction", (bundle.Bundle(prod_t, b, q1), x, True)),
+        ("check_projection_adjunction", (bundle.Bundle(prod_x, b, p1), t)),
+        ("check_triangle_identities", (b, x)),
+    ]
+    for name, args in cases:
+        assert outcome(getattr(adjunction, name), *args) == outcome(LITERAL_CHECKS[name], *args)
+
+
+@pytest.mark.parametrize("continuous, message", [
+    (True, "uncurry . curry is not the identity"), (False, "curry of a continuous map is not continuous"),
+])
+def test_a_curry_onto_one_table_fails_the_exponential_check_and_its_oracle(monkeypatch, continuous, message):
+    """With curry sending every h to one fixed table of Top(X, C(B,T)), the membership test passes and
+    the round trip fails, as in the oracle; with a fixed table outside it (two values on the Sierpinski
+    space into a discrete one) the membership test fails where the oracle's continuity check does."""
+    fs = adjunction.compact_open_space(D2, T2)
+    if continuous:
+        fixed = fintop.continuous_maps(SK, fs.space)[0]
+    else:
+        fixed = fintop.SpaceMap(SK, fs.space, tuple(zip(SK.sorted_points, fs.space.sorted_points)))
+    monkeypatch.setattr(adjunction, "curry", lambda h, p1, p2, fs: fixed)
+    for check in (adjunction.check_exponential_adjunction, check_exponential_adjunction_literal):
+        assert outcome(check, D2, SK, T2) == (AssertionError, message)
+
+
+def test_exponential_check_curries_each_map_once_and_checks_no_continuity(monkeypatch):
+    """One pass over Top(BxX, T): each of its 4 maps is curried and uncurried once, and continuity
+    is settled by table lookup, not by `is_continuous`."""
+    counts = collections.Counter()
+    for module, name in [(adjunction, "curry"), (adjunction, "uncurry"), (fintop, "is_continuous")]:
+        def counted(*args, name=name, f=getattr(module, name)):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert adjunction.check_exponential_adjunction(D2, SK, T2) == {"lhs": 4, "rhs": 4, "bijective": True}
+    assert [counts["curry"], counts["uncurry"], counts["is_continuous"]] == [4, 4, 0]
+
+
+@pytest.mark.parametrize("value, bot, witness", [
+    (None, "0", "algebra[mul-missing]: (0,0)"),
+    (OUTSIDE, "0", "algebra[mul-escapes]: (0,0)->zz"),
+    (None, OUTSIDE, "algebra[constants-escape]: bot=zz, top=1"),
+])
+def test_verify_topological_rl_reports_a_broken_table_without_raising(value, bot, witness):
+    """An operation whose table is not total on the carrier is not checked for continuity: on each
+    topology the report is verify_rl's violation, then the intact algebra's verdicts on the other
+    operations (exactly the witness on the discrete one).  With bot outside the carrier verify_rl
+    stops before the tables, and the incomplete mul is still skipped."""
+    a2 = fixtures.rl_a2()
+    mul = dict(a2.mul)
+    if value is None:
+        del mul["0", "0"]
+    else:
+        mul["0", "0"] = value
+    alg = rlcore.ResiduatedLattice(a2.carrier, a2.leq, a2.join, a2.meet, mul, a2.imp, bot, a2.top)
+    for topo in stalk_topologies(a2):
+        intact = adjunction.verify_topological_rl(adjunction.TopologicalRL(a2, topo))
+        rep = adjunction.verify_topological_rl(adjunction.TopologicalRL(alg, topo))
+        assert [str(v) for v in rep.violations] == [witness] + [str(v) for v in intact.violations if v.witness != "mul"]
+        if topo.is_discrete():
+            assert len(rep.violations) == 1
+
+
+def test_two_maps_or_sections_sharing_an_id_are_refused():
+    """Ids join `k:v` with `,`, so names holding both can clash: C(D, T) would list 16 maps on 15
+    points, and Gamma of a valid RL-etale 4 sections on 3."""
+    pq = fintop.discrete(["p", "q"])
+    with pytest.raises(ValueError, match=r"^two maps share the id \{p:u,q:v,q:w\}$"):
+        adjunction.compact_open_space(pq, fintop.discrete(["u,q:v", "w", "u", "v,q:w"]))
+    names = {"p": {"0": "x", "1": "x,q:y"}, "q": {"0": "z", "1": "y,q:z"}}
+    e = bundle.etale_from_restrictions(pq, {p: list(r.values()) for p, r in names.items()}, lambda p, q, a: a, lambda p, a: a)
+    rb = bundle.RLBundle(e, bundle.relabelled_ops({p: (fixtures.rl_a2(), r.get) for p, r in names.items()}))
+    assert bundle.verify_rl_bundle(rb).ok and bundle.is_etale(e)
+    shared = "^" + re.escape("two sections share the id {p:x,q:y,q:z}") + "$"
+    with pytest.raises(ValueError, match=shared):
+        adjunction.gamma_space(e)
+    with pytest.raises(ValueError, match=shared):
+        bundle.pointwise_rl_on_sections(rb, pq.points)

@@ -1,7 +1,9 @@
+from importlib import resources
+
 import pytest
 
-from conftest import rl_isomorphic
-from rlsheaf import basechange, bundle, fintop, fixtures, rlcore
+from conftest import rl_isomorphic, section_functor_morphism_literal
+from rlsheaf import basechange, bundle, fintop, fixtures, rlcore, workspace
 
 ET4 = fixtures.et_spec_h_a4()
 TRIVIAL = fixtures.trivial_a2_over_spec_h_a4()
@@ -260,3 +262,16 @@ def test_section_functor_inclusion_is_restriction():
     assert rlcore.is_rl_morphism(sm.table, sm.dom, sm.cod)
     for sid, target in sm.table.items():
         assert sid.split("F2:")[1].split(",")[0].rstrip("}") in target
+
+
+def test_section_functor_morphism_matches_the_section_building_body():
+    """On the corpus's rle_inv morphisms, their identities and every composite of two or three of
+    them, the pulled sections looked up by their values give the literal RL-morphism."""
+    ws = workspace.parse_workspace(resources.files("rlsheaf.data").joinpath("paper_fixtures.json").read_text("utf-8"))
+    corpus = [m for m in ws.morphisms.values() if isinstance(m, basechange.RLEInvMorphism)]
+    pairs = [basechange.compose_rle_inv(a, b) for a in corpus for b in corpus if a.dst is b.src]
+    triples = [basechange.compose_rle_inv(a, b) for a in pairs for b in corpus if a.dst is b.src]
+    idents = [basechange.identity_rle_morphism(x) for x in ws.rle_spaces.values()]
+    assert (len(corpus), len(pairs), len(triples)) == (4, 4, 4)
+    for m in corpus + pairs + triples + idents:
+        assert basechange.section_functor_morphism(m) == section_functor_morphism_literal(m)

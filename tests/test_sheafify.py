@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     counit_report_literal,
+    couniversal_factorization_literal,
     equalizers_are_open_literal,
     etale_of_literal,
     rl_isomorphic,
@@ -343,3 +344,27 @@ def test_rl_germ_ops_builds_each_stalk_from_the_germ_sections():
         sa = bundle.pointwise_rl_on_sections(rb, fintop.minimal_neighborhood(rb.base, p))
         stalks[p] = (sa.algebra, lambda sid, p=p, secs=sa.sections: sheafify.germ_id(p, secs[sid].table))
     assert grb == bundle.RLBundle(gs.as_bundle, bundle.relabelled_ops(stalks))
+
+
+def test_couniversal_factorization_matches_the_section_through_point_body(monkeypatch):
+    """On every morphism the law suite factors and every one between the coreflection fixture pairs,
+    hbar reads the germs off U_y with the table of the body that built the section through each y,
+    and it is the one factorization the search finds.  Each germ space is a bundle once."""
+    calls = []
+    real = sheafify.couniversal_factorization
+    monkeypatch.setattr(sheafify, "couniversal_factorization", lambda h, gs=None: calls.append((h, gs)) or real(h, gs))
+    assert suites.law_suite().ok
+    trivial = fixtures.trivial_a2_over_spec_h_a4()
+    for t, x in [(ET4.bundle, trivial.bundle), (ET4.bundle, ET4.bundle), (fixtures.a2_over_point().bundle, INDIS.bundle)]:
+        assert sheafify.coreflection_hom_counts(t, x)[2]
+    monkeypatch.undo()
+    assert len(calls) > 40
+    for h, gs in calls:
+        hbar = sheafify.couniversal_factorization(h, gs)
+        assert hbar.table == couniversal_factorization_literal(h, gs).table
+        assert [m.table for m in sheafify.factorizations_by_search(h, gs)] == [hbar.table]
+        assert gs.as_bundle is gs.as_bundle
+    h = bundle.BundleMorphism(INDIS.bundle, INDIS.bundle, fintop.identity_map(INDIS.total))
+    for factor in (sheafify.couniversal_factorization, couniversal_factorization_literal):
+        with pytest.raises(ValueError, match="^source bundle is not an etale$"):
+            factor(h)
