@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Collection, Mapping, Sequence
 
 from . import bundle as bnd
 from . import fintop, fixtures, rlcore
@@ -63,11 +63,11 @@ def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
     return FunctionSpace(x, y, maps, space)
 
 
-def _slices(h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, list[tuple[str, str]]]:
-    """h: BxX -> T read once into its slices (b, h(b, x)) by x, over the sorted points of X."""
+def _slices(table: tuple[tuple[str, str], ...], p1: SpaceMap, p2: SpaceMap) -> dict[str, list[tuple[str, str]]]:
+    """The table of h: BxX -> T read once into its slices (b, h(b, x)) by x, over the sorted points of X."""
     m1, m2 = p1.mapping, p2.mapping
     out: dict[str, list[tuple[str, str]]] = {x: [] for x in p2.cod.sorted_points}
-    for k, v in h.table:
+    for k, v in table:
         out[m2[k]].append((m1[k], v))
     return out
 
@@ -77,7 +77,7 @@ def curry(h: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMa
     tables of C(B,T), and the first x in sorted order whose slice is not one of them is named."""
     ids = fs.index[0]
     table = []
-    for xpt, sl in _slices(h, p1, p2).items():
+    for xpt, sl in _slices(h.table, p1, p2).items():
         sl.sort()
         mid = ids.get(tuple(sl))
         if mid is None:
@@ -95,7 +95,7 @@ def uncurry(k: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> Space
 
 def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, Section]:
     """For h: BxX -> total over the base, the family x -> (curried section)."""
-    slices = _slices(h, p1, p2)
+    slices = _slices(h.table, p1, p2)
     proj = b.proj.mapping
     if any(proj[v] != bpt for sl in slices.values() for bpt, v in sl):
         raise ValueError("h does not commute with the projections")
@@ -201,59 +201,59 @@ def product_rl_bundle(b: FiniteSpace, a: TopologicalRL) -> RLBundle:
 # adjunction law suites
 
 
-def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) plus curry/uncurry round trips, on tables.
-
-    R lists every continuous X -> C(B,T), so curry(h) is continuous iff its table is in R.  One pass
-    over L shows curry injective with uncurry . curry = 1; with |L| = |R| it is onto, uncurry its inverse."""
-    if not b.is_discrete() and not explore_nondiscrete:
-        raise ValueError("continuity half asserted only for finite discrete bases")
-    prod, p1, p2 = fintop.product(b, x)
-    fs = compact_open_space(b, t)
-    lhs = fintop.continuous_maps(prod, t)
-    rhs = {k.table for k in fintop.continuous_maps(x, fs.space)}
-    curried = set()
-    for h in lhs:
-        k = curry(h, p1, p2, fs)
-        if k.table not in rhs:
-            raise AssertionError("curry of a continuous map is not continuous")
-        if uncurry(k, p1, p2, fs).table != h.table:
-            raise AssertionError("uncurry . curry is not the identity")
-        curried.add(k.table)
-    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(curried)}
-
-
-def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b)), each corestriction looked up by table."""
-    if not b.base.is_discrete() and not explore_nondiscrete:
-        raise ValueError("continuity half asserted only for finite discrete bases")
-    prod, p1, p2 = fintop.product(b.base, x)
-    lhs = [h.map for h in bnd.bundle_morphisms(Bundle(prod, b.base, p1), b)]
-    rhs = {k.table for k in fintop.continuous_maps(x, gamma_space(b)[0])}
+def _hom_bijection(lhs: Sequence, rhs: Collection, send: Callable, msg: str, back: Callable | None = None, back_msg: str = "") -> dict:
+    """One pass over the listed source tables: each send(h) must be among the listed target tables rhs, and
+    where a round trip exists back(send(h)) must give h.  A table is continuous iff the monotone search
+    listed it; with |lhs| = |rhs| = |sent|, send is a bijection."""
     sent = set()
     for h in lhs:
-        fam = corestrict_to_sections(b, h, p1, p2)
-        k = tuple((xp, fam[xp].id_str) for xp in x.sorted_points)
+        k = send(h)
         if k not in rhs:
-            raise AssertionError("corestriction is not continuous")
+            raise AssertionError(msg)
+        if back is not None and back(k) != h:
+            raise AssertionError(back_msg)
         sent.add(k)
     return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(sent)}
 
 
+def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
+    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) by curry, with uncurry . curry = 1, on tables."""
+    if not b.is_discrete() and not explore_nondiscrete:
+        raise ValueError("continuity half asserted only for finite discrete bases")
+    prod, p1, p2 = fintop.product(b, x)
+    fs = compact_open_space(b, t)
+    return _hom_bijection(
+        fintop.continuous_maps(prod, t), {k.table for k in fintop.continuous_maps(x, fs.space)},
+        lambda h: curry(h, p1, p2, fs).table, "curry of a continuous map is not continuous",
+        lambda k: uncurry(SpaceMap(x, fs.space, k), p1, p2, fs), "uncurry . curry is not the identity",
+    )
+
+
+def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
+    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b)): each slice of h, sorted by base
+    point, is looked up among the tables of the global sections."""
+    if not b.base.is_discrete() and not explore_nondiscrete:
+        raise ValueError("continuity half asserted only for finite discrete bases")
+    prod, p1, p2 = fintop.product(b.base, x)
+    lhs = bnd.morphism_tables(Bundle(prod, b.base, p1), b)
+    g_space, by_id = gamma_space(b)
+    ids = {tuple(sorted(s.table.items())): i for i, s in by_id.items()}
+    return _hom_bijection(
+        lhs, {k.table for k in fintop.continuous_maps(x, g_space)},
+        lambda h: tuple((xp, ids.get(tuple(sorted(sl)))) for xp, sl in _slices(h, p1, p2).items()),
+        "corestriction is not continuous",
+    )
+
+
 def check_projection_adjunction(xb: Bundle, y: FiniteSpace) -> dict:
-    """Hom-set bijection Top(U_B(X,f), Y) = Bundle(B)((X,f), pi_B(Y)) via g -> <f,g>, looked up by table."""
+    """Hom-set bijection Top(U_B(X,f), Y) = Bundle(B)((X,f), pi_B(Y)) via g -> <f,g>, back by the second projection."""
     prod, p1, p2 = fintop.product(xb.base, y)
-    lhs = fintop.continuous_maps(xb.total, y)
-    rhs = {m.map.table for m in bnd.bundle_morphisms(xb, Bundle(prod, xb.base, p1))}
-    paired = set()
-    for g in lhs:
-        k = tuple((t, pair_id(xb.proj(t), v)) for t, v in g.table)
-        if k not in rhs:
-            raise AssertionError("pairing of continuous maps is not continuous")
-        if any(p2(kt) != v for (_, kt), (_, v) in zip(k, g.table)):
-            raise AssertionError("projection round trip failed")
-        paired.add(k)
-    return {"lhs": len(lhs), "rhs": len(rhs), "bijective": len(lhs) == len(rhs) == len(paired)}
+    proj, second = xb.proj.mapping, p2.mapping
+    return _hom_bijection(
+        [g.table for g in fintop.continuous_maps(xb.total, y)], set(bnd.morphism_tables(xb, Bundle(prod, xb.base, p1))),
+        lambda g: tuple((t, pair_id(proj[t], v)) for t, v in g), "pairing of continuous maps is not continuous",
+        lambda k: tuple((t, second[kt]) for t, kt in k), "projection round trip failed",
+    )
 
 
 def check_triangle_identities(b: FiniteSpace, x: FiniteSpace) -> dict:

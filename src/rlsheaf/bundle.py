@@ -497,13 +497,15 @@ def base_compatible_tables(src: Bundle, dst: Bundle) -> Iterable[dict[str, str]]
 constrained_continuous_tables = fintop.monotone_tables
 
 
-def bundle_morphisms(src: Bundle, dst: Bundle) -> list[BundleMorphism]:
+def morphism_tables(src: Bundle, dst: Bundle) -> list[tuple[tuple[str, str], ...]]:
+    """Every bundle morphism src -> dst as its sorted (point, value) table: the monotone search with each
+    point's values cut to the stalk over its base point, so each table is continuous and over the base."""
     choices = {t: dst.stalk_points(src.proj(t)) for t in src.total.points}
-    out = []
-    for table in fintop.monotone_tables(src.total, dst.total, choices):
-        m = fintop.space_map(src.total, dst.total, table)
-        out.append(BundleMorphism(src, dst, m))
-    return out
+    return list(fintop._monotone_search(src.total, dst.total, choices))
+
+
+def bundle_morphisms(src: Bundle, dst: Bundle) -> list[BundleMorphism]:
+    return [BundleMorphism(src, dst, SpaceMap(src.total, dst.total, t)) for t in morphism_tables(src, dst)]
 
 
 def is_rl_bundle_morphism(h: SpaceMap, src: RLBundle, dst: RLBundle) -> bool:

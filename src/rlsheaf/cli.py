@@ -153,7 +153,7 @@ def cmd_spectrum(ws: workspace.Workspace, args) -> dict:
 
 def cmd_sections(ws: workspace.Workspace, args) -> dict:
     b = ws.bundle_like(args.bundle, "sections")
-    dom = frozenset(x.strip() for x in args.open.split(",") if x.strip()) if args.open else b.base.points
+    dom = frozenset(x.strip() for x in args.open.split(",") if x.strip()) if args.open is not None else b.base.points
     if not dom <= b.base.points:
         raise CommandError(f"subset {fmt_set(dom)} escapes the base", 2)
     secs = bundle.sections(b, dom)

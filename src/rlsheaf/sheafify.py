@@ -169,8 +169,7 @@ def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) ->
         raise AssertionError("factorization left the germ space")
     m = fintop.space_map(h.src.total, gs.space, table)
     BundleMorphism(h.src, gs.as_bundle, m)
-    eps = counit(h.dst, gs)
-    if any(eps(m(y)) != h(y) for y in h.src.total.points):
+    if any(gs.germs[k].value() != h(y) for y, k in table.items()):
         raise AssertionError("factorization does not recover the morphism")
     return m
 
@@ -178,9 +177,8 @@ def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) ->
 def factorizations_by_search(h: BundleMorphism, gs: GermSpace | None = None) -> list[SpaceMap]:
     """All base-compatible continuous maps k with counit . k = h (uniqueness oracle)."""
     gs = gs or etale_of(h.dst)
-    eps = counit(h.dst, gs)
     choices = {
-        y: [k for k, g in gs.germs.items() if g.base_point == h.src.proj(y) and eps(k) == h(y)]
+        y: [k for k, g in gs.germs.items() if g.base_point == h.src.proj(y) and g.value() == h(y)]
         for y in h.src.total.points
     }
     return [
@@ -206,10 +204,7 @@ def coreflection_hom_counts(t: Bundle, x: Bundle) -> tuple[int, int, bool]:
     """|Hom_bundle(T,X)| vs |Hom_etale(T, GermSpace(X))| and bijectivity of h -> hbar."""
     gs = etale_of(x)
     homs_bundle = bnd.bundle_morphisms(t, x)
-    homs_etale = bnd.bundle_morphisms(t, gs.as_bundle)
-    lifted = set()
-    for h in homs_bundle:
-        lifted.add(couniversal_factorization(h, gs).id_str)
-    etale_ids = {m.map.id_str for m in homs_etale}
-    bijective = len(lifted) == len(homs_bundle) and lifted == etale_ids
+    homs_etale = set(bnd.morphism_tables(t, gs.as_bundle))
+    lifted = {couniversal_factorization(h, gs).table for h in homs_bundle}
+    bijective = len(lifted) == len(homs_bundle) and lifted == homs_etale
     return len(homs_bundle), len(homs_etale), bijective

@@ -540,3 +540,27 @@ def test_two_maps_or_sections_sharing_an_id_are_refused():
         adjunction.gamma_space(e)
     with pytest.raises(ValueError, match=shared):
         bundle.pointwise_rl_on_sections(rb, pq.points)
+
+
+def test_adjunction_suite_wraps_no_listed_morphism_or_corestriction(monkeypatch):
+    """The hom-set checks read the tables the monotone search lists: one suite builds no
+    `BundleMorphism` and only the 60 `Section`s of the global-section listings."""
+    counts = collections.Counter()
+    for cls in (bundle.BundleMorphism, bundle.Section):
+        def counted(self, cls=cls, check=cls.__post_init__):
+            counts[cls.__name__] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert suites.adjunction_suite().ok
+    assert counts["BundleMorphism"] == 0 and counts["Section"] <= 60
+
+
+def test_section_check_fails_when_a_slice_is_not_a_listed_global_section(monkeypatch):
+    """A corestriction is continuous iff each of its slices is among the tables of Gamma(B,b): with
+    the last global section left out of Gamma, the slice onto it is not found."""
+    def short(b, gamma=adjunction.gamma_space):
+        g_space, by_id = gamma(b)
+        return g_space, {i: s for i, s in by_id.items() if i != max(by_id)}
+    monkeypatch.setattr(adjunction, "gamma_space", short)
+    with pytest.raises(AssertionError, match="^corestriction is not continuous$"):
+        adjunction.check_section_adjunction(ET4.bundle, D2)

@@ -446,3 +446,22 @@ def test_restriction_to_top_is_an_etale_whose_zero_is_discontinuous():
     assert bundle.is_etale(e)
     assert [v.rule for v in bundle.verify_rl_bundle(rb).violations] == ["zero-discontinuous"]
     assert bundle.verify_rl_bundle(rb).violations == verify_rl_bundle_literal(rb)
+
+
+def test_morphism_tables_are_the_unpruned_oracle_in_order():
+    """Between every two fixture bundles over one base, the listed tables are the continuous
+    stalk-respecting tables in lexicographic order, and `bundle_morphisms` wraps exactly them."""
+    bundles = [rb.bundle for rb in fixtures.rl_bundle_fixtures().values()]
+    pairs = 0
+    for src, dst in itertools.product(bundles, repeat=2):
+        if src.base != dst.base:
+            continue
+        pairs += 1
+        slow = []
+        for table in bundle.base_compatible_tables(src, dst):
+            m = fintop.space_map(src.total, dst.total, table)
+            if fintop.is_continuous(m):
+                slow.append(m.table)
+        assert bundle.morphism_tables(src, dst) == slow
+        assert [m.map.table for m in bundle.bundle_morphisms(src, dst)] == slow
+    assert pairs > len(bundles)

@@ -420,3 +420,32 @@ def test_any_corpus_edit_keeps_the_exit_code_contract(tmp_path_factory, doc, lat
         rc, err = run_in_process(doc, ["--lenient"] * lenient + argv, tmp)
         assert rc in (0, 1, 2), argv
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spelling", ["", ","])
+def test_sections_over_an_empty_open_list_is_the_empty_subset(spelling, tmp_path):
+    """Only an absent --open means the whole base; an empty list names the empty subset."""
+    rc, out, err = run_with_output(json.loads(CORPUS), ["sections", "etspecha4", "--open", spelling], tmp_path)
+    assert (rc, out, err) == (0, "sections over {}: 1\n  {}\n", "")
+
+
+BAD_BUNDLE_MORPHISMS = [
+    ({"kind": "bundle", "src": "etspecha4", "dst": "trivial_a2_over_spec_h_a4",
+      "table": {"0_1": "(F3|0)", "0_2": "(F3|0)", "1_1": "(F2|1)", "1_2": "(F3|1)"}},
+     "morphisms.bad: triangle over the base does not commute"),
+    ({"kind": "bundle", "src": "indiscrete_a2_over_point", "dst": "a2_over_point",
+      "table": {"(pt|0)": "(pt|0)", "(pt|1)": "(pt|1)"}},
+     "morphisms.bad: bundle morphism is not continuous"),
+]
+
+
+@pytest.mark.parametrize("entry, line", BAD_BUNDLE_MORPHISMS, ids=["triangle", "continuity"])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_bundle_morphism_from_the_workspace_is_checked(entry, line, lenient, tmp_path):
+    """A table read from input is not one the search listed: BundleMorphism refuses a triangle that
+    does not commute and a discontinuous map (here the identity of the A2 totals, from indiscrete to discrete)."""
+    rc, out, err = run_with_output(corpus_with(["morphisms", "bad"], entry), ["--lenient"] * lenient + ["validate"], tmp_path)
+    if lenient:
+        assert (rc, err) == (1, "") and f"diagnostic: {line}" in out.splitlines()
+    else:
+        assert (rc, out, err) == (1, "", f"error: {line}\n")

@@ -252,6 +252,19 @@ def test_coreflection_hom_counts_builds_the_germ_space_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_factorizations_read_the_counit_off_the_germs(monkeypatch):
+    """`couniversal_factorization` and `factorizations_by_search` read a germ's value, not the counit map:
+    the coreflection counts build no counit, and the law suite builds one per `counit_report` and
+    per `counit_is_iso` (6 + 5)."""
+    calls = []
+    real = sheafify.counit
+    monkeypatch.setattr(sheafify, "counit", lambda b, gs=None: calls.append(b) or real(b, gs))
+    assert sheafify.coreflection_hom_counts(ET4.bundle, fixtures.trivial_a2_over_spec_h_a4().bundle) == (16, 16, True)
+    assert calls == []
+    assert suites.law_suite().ok
+    assert len(calls) <= 11
+
+
 # ---------------------------------------------------------------------------
 # the checks ranged over the minimal opens U_p against their all-opens oracles
 

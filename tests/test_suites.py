@@ -1,6 +1,9 @@
-"""The law suite's random draws: one seed gives the same objects in every process."""
+"""The law suite's random draws: one seed gives the same objects in every process; the adjunction
+suite's lifts fail the command through their own check."""
 
 from conftest import outputs_under_hash_seeds
+from rlsheaf import adjunction, cli
+from rlsheaf.report import ValidationReport, Violation
 
 DRAW = """
 import hashlib, random
@@ -25,3 +28,13 @@ def test_seeded_draws_do_not_depend_on_the_hash_seed():
     digest: each draw takes the points in sorted order, not in frozenset order."""
     digests = outputs_under_hash_seeds(DRAW, range(1, 5))
     assert len(set(digests)) == 1 and len(digests[0].strip()) == 64
+
+
+def test_a_lift_that_fails_its_check_fails_the_adjunction_suite_command(monkeypatch, capsys):
+    """The suite does not re-run verify_topological_rl on what the lifts return: each lift raises
+    unless the check passes, and the command exits 1 with that one failed assertion."""
+    bad = ValidationReport("topological-rl", (Violation("operation-discontinuous", "mul"),))
+    monkeypatch.setattr(adjunction, "verify_topological_rl", lambda trl: bad)
+    assert cli.run(["adjunction-suite"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: failed assertion: lifted algebra failed: operation-discontinuous: mul\n"
