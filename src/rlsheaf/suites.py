@@ -205,11 +205,8 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
         for name, rb in etales.items():
             if rb.base != f.cod:
                 continue
-            pe = basechange.pullback_etale(f, rb.bundle)
-            if not bnd.is_etale(pe.result):
-                pb_ok = False
-            pulled, fprime = basechange.pullback_rl_etale(f, rb)
-            if not bnd.verify_rl_bundle(pulled).ok:
+            pulled, _ = basechange.pullback_rl_etale(f, rb)
+            if not (bnd.is_etale(pulled.bundle) and bnd.verify_rl_bundle(pulled).ok):
                 pb_ok = False
     rep.add("pullbacks of etale fixtures along fixture base maps stay etale and valid", pb_ok)
 

@@ -154,6 +154,8 @@ def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
     path = f"spaces.{name}"
     _require_keys(raw, {"points", "opens"}, {"points", "opens"}, path)
     points = _str_list(raw["points"], f"{path}.points")
+    if len(set(points)) != len(points):
+        raise WorkspaceSyntaxError(f"{path}.points: duplicate points")
     if not isinstance(raw["opens"], list) or not all(isinstance(o, list) for o in raw["opens"]):
         raise WorkspaceSyntaxError(f"{path}.opens: expected a list of lists")
     opens = [_str_list(o, f"{path}.opens[{i}]") for i, o in enumerate(raw["opens"])]
@@ -186,11 +188,23 @@ def _parse_stalk_ops(raw: Any, bnd: bundle.Bundle, path: str) -> bundle.StalkOps
     return bundle.StalkOps(**tables, zero={}, one={})
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a key given twice is a syntax error, not resolved to its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise WorkspaceSyntaxError(f"document: duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
     """Parse a JSON document into a workspace; see module docstring for the format."""
     if isinstance(text, str):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise WorkspaceSyntaxError(f"document: invalid JSON ({e})")
     else:

@@ -363,6 +363,26 @@ def test_a_number_where_a_name_belongs_exits_2(doc, message, lenient, tmp_path):
     assert run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_workspace_key_given_twice_exits_2(lenient, tmp_path):
+    """A second lattices.A4 (a 2-chain) before the real one is refused, not read as the later entry."""
+    a2 = json.dumps(json.loads(CORPUS)["lattices"]["A2"])
+    ws = tmp_path / "ws.json"
+    ws.write_text(CORPUS.replace('"lattices": {', '"lattices": {"A4": ' + a2 + ", ", 1), encoding="utf-8")
+    for argv in (["validate"], ["filters", "A4"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(["--workspace", str(ws), *["--lenient"] * lenient, *argv])
+        assert (rc, out.getvalue(), err.getvalue()) == (2, "", "error: document: duplicate key 'A4'\n")
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_space_with_a_point_given_twice_exits_2(lenient, tmp_path):
+    doc = corpus_with(["spaces", "sierpinski", "points"], ["x", "y", "x"])
+    rc, out, err = run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path)
+    assert (rc, out, err) == (2, "", "error: spaces.sierpinski.points: duplicate points\n")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from rlsheaf import basechange, bundle, cli, fintop, rlcore, workspace
+from rlsheaf import basechange, bundle, cli, fintop, fixtures, rlcore, suites, workspace
 
 
 def bundled_text():
@@ -84,6 +84,52 @@ def test_check_rl_bundle_reuses_the_report_of_the_parse(monkeypatch, capsys):
     assert cli.run(["check-rl-bundle", "etspecha4"]) == 0
     assert capsys.readouterr().out == "rl-bundle: valid\n"
     assert calls == {"verify_rl_bundle": 7}
+
+
+@pytest.mark.parametrize("argv", [["quotient", "A6", "d,1"], ["gamma", "R_speca4"]])
+def test_quotient_and_gamma_check_their_algebra_once(argv, monkeypatch, capsys):
+    """The parse makes 8 axiom passes (5 lattices, 3 stalk structures); `quotient` and
+    `pointwise_rl_on_sections` each refuse an algebra that fails, so each command adds one."""
+    calls = counted_calls(monkeypatch, (rlcore, "verify_rl"))
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.endswith("verify_rl: valid\n")
+    assert calls == {"verify_rl": 9}
+
+
+def test_law_suite_builds_one_pullback_per_base_map_and_etale(monkeypatch):
+    calls = counted_calls(monkeypatch, (basechange, "pullback_etale"))
+    assert suites.law_suite(seed=1).ok
+    assert calls == {"pullback_etale": 7}
+
+
+def test_lambda_iso_builds_no_bundle_morphism(monkeypatch):
+    """The comparison map is checked to be a homeomorphism, and lies over the base by construction."""
+    et = fixtures.et_spec_h_a4()
+    pick_f2 = fintop.space_map(fixtures.space_point(), et.base, {"pt": "F2"})
+    calls = counted_calls(monkeypatch, (bundle.BundleMorphism, "__post_init__"))
+    lam = basechange.lambda_iso(pick_f2, fintop.identity_map(et.base), et.bundle)
+    assert fintop.is_homeomorphism(lam)
+    assert calls == {"__post_init__": 0}
+
+
+@pytest.mark.parametrize("lattice", ["A4", "A6", "A8"])
+@pytest.mark.parametrize("kind", ["max", "min", "spec"])
+def test_corpus_classification_rows_name_the_selected_filters(lattice, kind):
+    """expectations.classification (Table 5) against the filters that all_filters selects, named by expectations.filters."""
+    ws = workspace.parse_workspace(bundled_text())
+    names = {frozenset(v): k for k, v in ws.expectations["filters"][lattice].items()}
+    selected = rlcore.all_filters(ws.lattices[lattice]).select(kind)
+    assert sorted(ws.expectations["classification"][lattice][kind]) == sorted(names[f] for f in selected)
+
+
+def test_a_key_given_twice_is_a_syntax_error():
+    """json.dumps cannot write a repeated key, so the document is raw text: a 2-chain named A4 before the real A4."""
+    a2 = json.loads(bundled_text())["lattices"]["A2"]
+    text = bundled_text().replace('"lattices": {', '"lattices": {"A4": ' + json.dumps(a2) + ", ", 1)
+    with pytest.raises(workspace.WorkspaceSyntaxError, match=r"^document: duplicate key 'A4'$"):
+        workspace.parse_workspace(text)
+    with pytest.raises(workspace.WorkspaceSyntaxError, match=r"^document: duplicate key 'x'$"):
+        workspace.parse_workspace('{"spaces": {"s": {"points": ["x"], "opens": [[], ["x"]]}}, "maps": {"x": 1, "x": 1}}')
 
 
 def test_empty_document_gives_empty_workspace():
