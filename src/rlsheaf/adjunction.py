@@ -2,9 +2,12 @@
 
 Every subset of a finite space is compact, so the compact-open subbasis
 ranges over all subsets of the domain; on a finite codomain the topology it
-generates is the pointwise specialization order.  Continuity claims that need a
-locally compact Hausdorff base are asserted only for finite discrete bases;
-an off-by-default flag allows exploratory checks elsewhere.
+generates is the pointwise specialization order.  Every finite space is locally
+compact in the sense the exponential law needs (U_p is a compact open inside
+every open around p), so C(B, T) is an exponential for every finite base B.
+The continuity halves are still asserted only for discrete bases unless the
+off-by-default `explore_nondiscrete` flag is passed: that guard is a kept
+interface, not a mathematical need.
 """
 
 from __future__ import annotations

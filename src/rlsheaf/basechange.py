@@ -82,19 +82,14 @@ def lambda_uniqueness_witnesses(f: SpaceMap, g: SpaceMap, e: Bundle) -> list[Spa
     inner = pullback_etale(g, e)
     nested = pullback_etale(f, inner.result)
     upper = fintop.compose(inner.fprime, nested.fprime)  # nested -> e total
-    out = []
-    pts = sorted(outer.result.total.points)
-    cod_pts = sorted(nested.result.total.points)
-    for combo in itertools.product(cod_pts, repeat=len(pts)):
-        table = dict(zip(pts, combo))
-        if all(
-            nested.result.proj(table[k]) == outer.result.proj(k)
-            and upper(table[k]) == outer.fprime(k)
-            for k in pts
-        ):
-            m = fintop.space_map(outer.result.total, nested.result.total, table)
-            out.append(m)
-    return out
+    # Both conditions are pointwise, so each point ranges over its own admissible values.
+    pts = outer.result.total.sorted_points
+    choices = [
+        [v for v in nested.result.total.sorted_points
+         if nested.result.proj(v) == outer.result.proj(k) and upper(v) == outer.fprime(k)]
+        for k in pts
+    ]
+    return [fintop.space_map(outer.result.total, nested.result.total, dict(zip(pts, combo))) for combo in itertools.product(*choices)]
 
 
 @dataclass

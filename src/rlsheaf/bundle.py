@@ -195,21 +195,20 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q.  One
     that is not is named `k -> kk` by the least kernel-pair id k with a failing
     (c, d) and the least failing id kk under it.  Two pairs with one id would
-    make such a witness ambiguous, so they are refused with a ValueError, as
-    `fintop.pullback_pairs` refuses them.  Each distinct stalk structure gets
+    make such a witness ambiguous: the pairs are `kernel_pair_points(b)`, which
+    refuses them with a ValueError.  Each distinct stalk structure gets
     one `verify_rl` pass while the `_stalk_rows_pass` cache holds it.
     """
     bad: list[Violation] = []
     b = rb.bundle
-    stalks = {p: b.stalk_points(p) for p in sorted(b.base.points)}
     rows = {}
-    for p, pts in stalks.items():
-        if not pts:
-            bad.append(Violation("stalk-empty", p))
-            continue
+    for p in sorted(b.base.points):
         # The stalk as integer rows over its sorted carrier: its size, then join, meet, mul and imp
         # as positions, then bot and top.  The order is read off meet, as in `stalk_rl`.
-        carrier = sorted(pts)
+        carrier = sorted(b.stalk_points(p))
+        if not carrier:
+            bad.append(Violation("stalk-empty", p))
+            continue
         pos = {x: i for i, x in enumerate(carrier)}
         pairs = list(itertools.product(carrier, repeat=2))
         tabs = []
@@ -239,11 +238,8 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
             v = rep.violations[0]
             bad.append(Violation(f"stalk-not-rl[{v.rule}]", f"{p}: {v.witness}"))
 
-    # The pairs over each base point in kernel-pair id order, and each U_t grouped by stalk.
-    pairs = sorted((pair_id(t1, t2), p, t1, t2) for p, pts in stalks.items() for t1 in pts for t2 in pts)
-    shared = next((k for (k, *_), (kk, *_) in zip(pairs, pairs[1:]) if k == kk), None)
-    if shared is not None:
-        raise ValueError(f"two pairs share the id {shared}")
+    # The kernel pairs in id order, each with its base point, and each U_t grouped by stalk.
+    pairs = sorted((k, b.proj(t1), t1, t2) for k, (t1, t2) in kernel_pair_points(b).items())
     mins, over = b.total.min_nbhd_map, {t: {} for t in b.total.points}
     for t, u in b.total.min_nbhds:
         for c in u:
@@ -391,7 +387,6 @@ def equalizer(s1: Section, s2: Section) -> tuple[Subset, dict[str, bool]]:
     base = s1.parent.base
     within = fintop.subspace(base, common)
     facts = {
-        "domains_open": base.is_open(s1.domain) and base.is_open(s2.domain),
         "open_in_base": base.is_open(eq),
         "clopen_in_common": within.is_open(common - eq) and within.is_open(eq),
     }
@@ -488,8 +483,6 @@ def base_compatible_tables(src: Bundle, dst: Bundle) -> Iterable[dict[str, str]]
     """All stalk-respecting tables total(src)->total(dst), continuity not imposed."""
     pts = sorted(src.total.points)
     choices = [sorted(dst.stalk_points(src.proj(t))) for t in pts]
-    if any(not c for c in choices):
-        return
     for combo in itertools.product(*choices):
         yield dict(zip(pts, combo))
 

@@ -458,10 +458,11 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
 
 
 def pullback_pairs(f: SpaceMap, g: SpaceMap) -> dict[str, tuple[str, str]]:
-    """The pairs (b, s) with f(b) = g(s), keyed by pair id; a ValueError if two share an id."""
+    """The pairs (b, s) with f(b) = g(s), keyed by pair id in sorted point order; a ValueError names
+    the first id, in that order, that two pairs share."""
     pairs: dict[str, tuple[str, str]] = {}
-    for b in f.dom.points:
-        for s in g.dom.points:
+    for b in f.dom.sorted_points:
+        for s in g.dom.sorted_points:
             if f(b) == g(s):
                 k = pair_id(b, s)
                 if k in pairs:

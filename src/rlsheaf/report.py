@@ -23,16 +23,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def lines(self) -> list[str]:
-        if self.ok:
-            return [f"{self.subject}: valid"]
-        out = [f"{self.subject}: INVALID ({len(self.violations)} violations)"]
-        out.extend(f"  - {v}" for v in self.violations)
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
 
 def fmt_set(xs) -> str:
     """Canonical `{a,b,c}` rendering with lexicographic element order."""

@@ -50,10 +50,6 @@ class ResiduatedLattice:
             acc = self.mul[a, acc]
         return acc
 
-    @cached_property
-    def size(self) -> int:
-        return len(self.carrier)
-
 
 def from_tables(carrier: Iterable[str], join: Table, meet: Table, mul: Table, imp: Table, bot: str, top: str) -> ResiduatedLattice:
     """The algebra on these tables, the carrier kept in its given order and x <= y iff meet(x, y) = x."""
@@ -362,11 +358,6 @@ class FilterLattice:
     parent: ResiduatedLattice
     filters: tuple[Subset, ...]
     classification: dict[Subset, FilterFlags]
-
-    def named(self, names: Mapping[Subset, str] | None = None) -> list[tuple[str, Subset]]:
-        if names:
-            return sorted(((names[f], f) for f in self.filters), key=lambda kv: kv[0])
-        return [(fmt_set(f), f) for f in self.filters]
 
     def select(self, kind: str) -> tuple[Subset, ...]:
         key = {"spec": "prime", "max": "maximal", "min": "minimal_prime"}.get(kind, kind)

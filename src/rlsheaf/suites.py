@@ -65,14 +65,14 @@ def random_map(rng: random.Random, dom: fintop.FiniteSpace, cod: fintop.FiniteSp
     return fintop.space_map(dom, cod, {p: rng.choice(cod_pts) for p in dom.sorted_points})
 
 
-def random_nonetale_bundles(rng: random.Random, count: int, max_total: int = 6) -> list[bnd.Bundle]:
-    """Non-etale bundles over discrete bases, like every bundled fixture's base."""
+def random_nonetale_bundles(rng: random.Random, count: int) -> list[bnd.Bundle]:
+    """Non-etale bundles on at most 6 total points over discrete bases, like every bundled fixture's base."""
     out = []
     attempts = 0
     while len(out) < count and attempts < 10000:
         attempts += 1
         base = fintop.discrete([f"b{i}" for i in range(rng.randint(1, 2))])
-        total = random_space(rng, max_points=max_total, prefix="t")
+        total = random_space(rng, max_points=6, prefix="t")
         table = {t: rng.choice(base.sorted_points) for t in total.sorted_points}
         for b in base.sorted_points:
             if b not in table.values():

@@ -75,6 +75,13 @@ def _str_list(raw: Any, path: str) -> list[str]:
     return [_name(x, f"{path}[{i}]") for i, x in enumerate(raw)]
 
 
+def _distinct(names: list[str], path: str, what: str) -> list[str]:
+    """`names`, unless one is listed twice: a list read as a set would merge the two silently."""
+    if len(set(names)) != len(names):
+        raise WorkspaceSyntaxError(f"{path}: duplicate {what}")
+    return names
+
+
 def _section(doc: dict, key: str) -> dict:
     raw = doc.get(key, {})
     if not isinstance(raw, dict):
@@ -120,9 +127,7 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     _require_keys(raw, {"carrier", "leq", "hasse", "mul", "imp", "bot", "top"}, {"carrier", "mul", "bot", "top"}, path)
     if ("leq" in raw) == ("hasse" in raw):
         raise WorkspaceSyntaxError(f"{path}: exactly one of 'leq'/'hasse' is required")
-    carrier = _str_list(raw["carrier"], f"{path}.carrier")
-    if len(set(carrier)) != len(carrier):
-        raise WorkspaceSyntaxError(f"{path}.carrier: duplicate elements")
+    carrier = _distinct(_str_list(raw["carrier"], f"{path}.carrier"), f"{path}.carrier", "elements")
     cset = set(carrier)
     mul = _parse_binary_table(raw["mul"], cset, f"{path}.mul", symmetrize=True)
     imp = None
@@ -153,12 +158,10 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
 def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
     path = f"spaces.{name}"
     _require_keys(raw, {"points", "opens"}, {"points", "opens"}, path)
-    points = _str_list(raw["points"], f"{path}.points")
-    if len(set(points)) != len(points):
-        raise WorkspaceSyntaxError(f"{path}.points: duplicate points")
+    points = _distinct(_str_list(raw["points"], f"{path}.points"), f"{path}.points", "points")
     if not isinstance(raw["opens"], list) or not all(isinstance(o, list) for o in raw["opens"]):
         raise WorkspaceSyntaxError(f"{path}.opens: expected a list of lists")
-    opens = [_str_list(o, f"{path}.opens[{i}]") for i, o in enumerate(raw["opens"])]
+    opens = [_distinct(_str_list(o, f"{path}.opens[{i}]"), f"{path}.opens[{i}]", "points") for i, o in enumerate(raw["opens"])]
     try:
         return fintop.space_from_opens(points, opens)
     except ValueError as e:
@@ -371,6 +374,7 @@ def _check_expectations(exp: Any) -> dict:
     def names(raw: Any, path: str) -> None:
         if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
             raise WorkspaceSyntaxError(f"{path}: expected a list of names")
+        _distinct(raw, path, "names")
 
     def family(raw: Any, path: str) -> None:
         if not isinstance(raw, list):
@@ -380,8 +384,11 @@ def _check_expectations(exp: Any) -> dict:
 
     for kind in ("filters", "classification"):
         for lname, table in named(exp.get(kind, {}), f"expectations.{kind}").items():
-            for key, els in named(table, f"expectations.{kind}.{lname}").items():
-                names(els, f"expectations.{kind}.{lname}.{key}")
+            path = f"expectations.{kind}.{lname}"
+            if kind == "classification":  # the kinds `FilterLattice.select` reads
+                _require_keys(table, {"max", "min", "spec"}, set(), path)
+            for key, els in named(table, path).items():
+                names(els, f"{path}.{key}")
     for key, fam in named(exp.get("spectra", {}), "expectations.spectra").items():
         family(fam, f"expectations.spectra.{key}")
     for key, dev in named(exp.get("deviations", {}), "expectations.deviations").items():

@@ -204,11 +204,17 @@ CORPUS = resources.files("rlsheaf.data").joinpath("paper_fixtures.json").read_te
 
 def corpus_with(path, value):
     """The corpus document with the entry at `path` (a key sequence) replaced by `value`."""
+    return corpus_with_each((path, value))
+
+
+def corpus_with_each(*edits):
+    """The corpus document with each (path, value) replacement made in turn."""
     doc = json.loads(CORPUS)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     return doc
 
 
@@ -469,3 +475,147 @@ def test_a_bundle_morphism_from_the_workspace_is_checked(entry, line, lenient, t
         assert (rc, err) == (1, "") and f"diagnostic: {line}" in out.splitlines()
     else:
         assert (rc, out, err) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, rc, err",
+    [
+        (["filters", "NOPE"], 2, "error: unknown lattice 'NOPE'\n"),
+        (["quotient", "A4", "a"], 1, "error: {a} is not a filter of A4\n"),
+        (["sections", "etspecha4", "--open", "zz"], 2, "error: subset {zz} escapes the base\n"),
+        (["compose-rle", "f_a6_a4", "rle_m1"], 2, "error: f_a6_a4 is not an rle_inv morphism\n"),
+        (["compose-rle", "rle_m1", "rle_m1"], 1, "error: morphisms are not composable\n"),
+        (["export-dot", "zz"], 2, "error: unknown object 'zz'\n"),
+    ],
+)
+def test_a_name_the_command_cannot_use_exits_with_one_error_line(argv, rc, err, capsys):
+    assert cli.run(argv) == rc
+    assert capsys.readouterr() == ("", err)
+
+
+def test_no_command_and_a_missing_workspace_exit_2(tmp_path, capsys):
+    assert cli.run([]) == 2
+    capsys.readouterr()
+    assert cli.run(["--workspace", str(tmp_path / "missing.json"), "validate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read workspace: ")
+
+
+FOLD = {"total": "disc2", "base": "point", "proj": {"m": "pt", "n": "pt"}}
+
+
+def test_pullback_of_a_plain_bundle(tmp_path):
+    doc = corpus_with_each((["bundles", "fold"], FOLD), (["maps", "id_point"], {"dom": "point", "cod": "point", "table": {"pt": "pt"}}))
+    out = '{"command": "pullback", "etale": true, "ok": true, "total": ["(pt|m)", "(pt|n)"]}\n'
+    assert run_with_output(doc, ["--format", "machine-readable", "pullback", "id_point", "fold"], tmp_path) == (0, out, "")
+
+
+def test_a_bundles_entry_with_stalk_ops_is_admitted_as_an_rl_bundle(tmp_path):
+    doc = json.loads(CORPUS)
+    doc["bundles"] = {"etmaxda6": doc["rl_bundles"].pop("etmaxda6")}
+    assert run_with_output(doc, ["check-rl-bundle", "etmaxda6"], tmp_path) == (0, "rl-bundle: valid\n", "")
+    rc, out, err = run_with_output(doc, ["validate"], tmp_path)
+    assert (rc, err) == (0, "")
+    assert {"bundle etmaxda6: valid (continuous projection)", "rl_bundle etmaxda6: valid"} <= set(out.splitlines())
+
+
+BREAK_DISC2 = (["spaces", "disc2", "opens"], [[], ["m"], ["n"]])
+BREAK_A2 = (["rl_bundles", "a2_over_point", "zero"], {"pt": "(pt|0)", "zz": "(pt|0)"})
+BREAK_ETSPECHA4 = (["rl_bundles", "etspecha4", "zero"], {"F2": "0_1", "F3": "0_2", "zz": "0_1"})
+
+
+@pytest.mark.parametrize(
+    "edits, line",
+    [
+        ([BREAK_DISC2], "maps.fold_disc2: depends on spaces.disc2"),
+        ([BREAK_DISC2, (["bundles", "fold"], FOLD)], "bundles.fold: depends on spaces.disc2"),
+        ([BREAK_A2], "rle_spaces.R_point_a2: depends on rl_bundles.a2_over_point"),
+        ([BREAK_ETSPECHA4], "morphisms.collapse_etspecha4: depends on rl_bundles.etspecha4"),
+        ([BREAK_A2], "morphisms.rle_m1: depends on rle_spaces.R_point_a2"),
+    ],
+    ids=["map", "bundle", "rle_space", "bundle-morphism", "rle_inv-morphism"],
+)
+def test_lenient_parse_leaves_out_what_depends_on_a_left_out_entry(edits, line, tmp_path):
+    rc, out, err = run_with_output(corpus_with_each(*edits), ["--lenient", "validate"], tmp_path)
+    assert (rc, err) == (1, "")
+    assert f"diagnostic: {line}, which has a diagnostic" in out.splitlines()
+
+
+def table_of(carrier, op):
+    return {f"{x},{y}": op(x, y) for x in carrier for y in carrier}
+
+
+EMPTY_STALK = {
+    "spaces": {"pq": {"points": ["p", "q"], "opens": [[], ["p"], ["q"], ["p", "q"]]}, "t": {"points": ["t"], "opens": [[], ["t"]]}},
+    "rl_bundles": {"e": {
+        "total": "t", "base": "pq", "proj": {"t": "p"},
+        "stalk_ops": {"p": {name: {"t,t": "t"} for name in ("join", "meet", "mul", "imp")},
+                      "q": {name: {} for name in ("join", "meet", "mul", "imp")}},
+        "zero": {"p": "t"}, "one": {"p": "t"},
+    }},
+}
+SQUARE = ["0", "a", "b", "c", "d", "1"]
+NOT_A_LATTICE = {"lattices": {"L": {
+    "carrier": SQUARE,
+    "leq": [["0", x] for x in SQUARE[1:]] + [[x, y] for x in "ab" for y in "cd"] + [[x, "1"] for x in SQUARE[1:-1]],
+    "mul": table_of(SQUARE, lambda x, y: "0"), "bot": "0", "top": "1",
+}}}
+ALPHA = json.loads(CORPUS)["morphisms"]["rle_m1"]["alpha"]
+ALPHA_SWAPPED = dict(ALPHA, **{"(F2|(pt|0))": ALPHA["(F3|(pt|1))"], "(F3|(pt|1))": ALPHA["(F2|(pt|0))"]})
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (EMPTY_STALK, "rl_bundles.e: stalk-empty: q"),
+        (corpus_with_each(BREAK_A2), "rl_bundles.a2_over_point: zero-not-a-map: map has extra keys"),
+        (corpus_with(["rle_spaces", "bad"], {"base": "point", "etale": "indiscrete_a2_over_point"}),
+         "rle_spaces.bad: projection is not a local homeomorphism"),
+        (corpus_with(["rle_spaces", "bad"], {"base": "disc2", "etale": "a2_over_point"}),
+         "rle_spaces.bad: etale does not live over the declared base"),
+        (corpus_with(["morphisms", "rle_m1", "alpha"], ALPHA_SWAPPED),
+         "morphisms.rle_m1: alpha is not an RL-bundle morphism: triangle fails at (F2|(pt|0))"),
+        (NOT_A_LATTICE, "lattices.L: not a lattice: join/meet of (a,b) missing"),
+    ],
+    ids=["empty-stalk", "constant-off-the-base", "rle-space-not-etale", "rle-space-wrong-base", "alpha-off-the-base",
+         "no-join"],
+)
+def test_an_input_the_checks_refuse_exits_1(doc, line, tmp_path):
+    assert run_with_output(doc, ["validate"], tmp_path) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("row, mismatch", [(["F2", "F3"], False), (["F9"], True), (["F1"], True)])
+def test_validate_checks_each_classification_row(row, mismatch, tmp_path):
+    rc, out, err = run_with_output(corpus_with(["expectations", "classification", "A4", "max"], row), ["validate"], tmp_path)
+    assert (rc, err) == (int(mismatch), "")
+    assert ("expectation classification[A4.max]: MISMATCH" in out.splitlines()) == mismatch
+
+
+def test_validate_refuses_a_filters_row_that_names_a_filter_twice_before_reading_classification(tmp_path):
+    """The row holds every filter, so it matches, but the classification rows cannot be named by it."""
+    names = {"F1": ["1"], "F2": ["1", "a"], "F3": ["1", "b"], "F4": ["0", "1", "a", "b"], "X": ["a", "1"]}
+    doc = corpus_with(["expectations", "filters", "A4"], names)
+    assert run_with_output(doc, ["validate"], tmp_path) == (1, "", "error: expectations.filters.A4 names the filter {1,a} twice (F2, X)\n")
+
+
+def test_a_classification_row_is_read_only_once_its_filters_row_matched(tmp_path):
+    doc = corpus_with_each((["expectations", "filters", "A4", "F2"], ["1", "b"]), (["expectations", "classification", "A4", "max"], ["F9"]))
+    rc, out, err = run_with_output(doc, ["validate"], tmp_path)
+    assert (rc, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("expectation ")] == [
+        "expectation filters[A4]: MISMATCH", "expectation filters[A6]: match", "expectation filters[A8]: match"]
+
+
+@pytest.mark.parametrize(
+    "path, value, argv, message",
+    [
+        (["expectations", "classification", "A4", "foo"], ["F1"], ["validate"], "expectations.classification.A4: unknown keys ['foo']"),
+        (["spaces", "sierpinski", "opens"], [[], ["x", "x"], ["x", "y"]], ["validate"], "spaces.sierpinski.opens[1]: duplicate points"),
+        (["expectations", "filters", "A4", "F2"], ["1", "a", "a"], ["filters", "A4"], "expectations.filters.A4.F2: duplicate names"),
+    ],
+    ids=["classification-kind", "open-point-twice", "expectation-name-twice"],
+)
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_name_listed_twice_or_an_unknown_classification_kind_exits_2(path, value, argv, message, lenient, tmp_path):
+    doc = corpus_with(path, value)
+    assert run_with_output(doc, ["--lenient"] * lenient + argv, tmp_path) == (2, "", f"error: {message}\n")

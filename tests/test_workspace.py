@@ -257,6 +257,12 @@ def test_serializing_the_parsed_corpus_gives_back_the_corpus():
     assert out == {key: section for key, section in doc.items() if section}
 
 
+def test_serializing_a_plain_bundle_gives_it_back():
+    doc = json.loads(bundled_text())
+    doc["bundles"] = {"fold": {"total": "disc2", "base": "point", "proj": {"m": "pt", "n": "pt"}}}
+    assert workspace.serialize_workspace(workspace.parse_workspace(doc))["bundles"] == doc["bundles"]
+
+
 def test_fixture_corpus_regenerates_byte_identically():
     import importlib.util
 
