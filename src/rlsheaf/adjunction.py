@@ -226,7 +226,7 @@ def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace,
     prod, p1, p2 = fintop.product(b, x)
     fs = compact_open_space(b, t)
     return _hom_bijection(
-        fintop.continuous_maps(prod, t), {k.table for k in fintop.continuous_maps(x, fs.space)},
+        fintop.continuous_maps(prod, t), set(fintop._monotone_search(x, fs.space, None)),
         lambda h: curry(h, p1, p2, fs).table, "curry of a continuous map is not continuous",
         lambda k: uncurry(SpaceMap(x, fs.space, k), p1, p2, fs), "uncurry . curry is not the identity",
     )
@@ -242,7 +242,7 @@ def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: boo
     g_space, by_id = gamma_space(b)
     ids = {tuple(sorted(s.table.items())): i for i, s in by_id.items()}
     return _hom_bijection(
-        lhs, {k.table for k in fintop.continuous_maps(x, g_space)},
+        lhs, set(fintop._monotone_search(x, g_space, None)),
         lambda h: tuple((xp, ids.get(tuple(sorted(sl)))) for xp, sl in _slices(h, p1, p2).items()),
         "corestriction is not continuous",
     )
@@ -253,7 +253,7 @@ def check_projection_adjunction(xb: Bundle, y: FiniteSpace) -> dict:
     prod, p1, p2 = fintop.product(xb.base, y)
     proj, second = xb.proj.mapping, p2.mapping
     return _hom_bijection(
-        [g.table for g in fintop.continuous_maps(xb.total, y)], set(bnd.morphism_tables(xb, Bundle(prod, xb.base, p1))),
+        list(fintop._monotone_search(xb.total, y, None)), set(bnd.morphism_tables(xb, Bundle(prod, xb.base, p1))),
         lambda g: tuple((t, pair_id(proj[t], v)) for t, v in g), "pairing of continuous maps is not continuous",
         lambda k: tuple((t, second[kt]) for t, kt in k), "projection round trip failed",
     )

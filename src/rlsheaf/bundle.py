@@ -273,11 +273,15 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
 def _stalk_rows_pass(rows: tuple) -> bool:
     """Whether the algebra with these stalk rows passes `verify_rl`, its elements named by position.
 
-    Renaming the elements, carrier order kept, renames `verify_rl`'s witnesses and keeps its
-    verdict, so each distinct stalk structure gets one axiom pass while the cache holds it.  A
-    stalk that fails is checked again under its own names, which its witnesses need.
+    Renaming the elements keeps `verify_rl`'s verdict, so each distinct stalk structure gets one
+    axiom pass while the cache holds it: `rlcore._rl_gate` on the rows themselves, with the order
+    read off meet, on at most `rlcore._GATE_MAX` elements.  A stalk that fails is checked again
+    under its own names, which its witnesses need.
     """
     n, *tabs, bot, top = rows
+    if n <= rlcore._GATE_MAX:
+        order = rlcore._Order(n, [v == k // n for k, v in enumerate(tabs[1])])
+        return rlcore._rl_gate(order, *map(bytes, tabs), bot, top)
     names = [str(i) for i in range(n)]
     pairs = list(itertools.product(names, repeat=2))
     join, meet, mul, imp = ({xy: names[v] for xy, v in zip(pairs, row)} for row in tabs)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
-from operator import and_
+from itertools import compress, product
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .fintop import _bits, _transitive_closure
@@ -129,6 +129,94 @@ def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[st
     return _order_bounds(carrier, leq)[1].extremum(xs)
 
 
+# Carrier positions are stored one to a byte, so the whole-table gate runs on carriers of at most this size.
+_GATE_MAX = 256
+
+
+class _Order:
+    """A relation read once over carrier positions (`le` flat, row-major): `rows[i][j]` says x_i <= x_j,
+    `cols[j]` is column j as 0/1 bytes (the down-set of x_j), `up`/`down` are bitmask rows, and
+    `partial` says whether the relation is a partial order on the carrier."""
+
+    def __init__(self, n: int, le: list[bool]):
+        powers = [1 << i for i in range(n)]
+        self.full = (1 << n) - 1
+        self.rows = [le[i:i + n] for i in range(0, n * n, n)]
+        self.cols = [bytes(le[j::n]) for j in range(n)]
+        self.up = [sum(compress(powers, r)) for r in self.rows]
+        self.down = [sum(compress(powers, c)) for c in self.cols]
+        # Reflexive and antisymmetric: each row and column meet in their own element; transitive: each
+        # up-row holds the up-rows of its elements.
+        self.partial = all(u & d == p for u, d, p in zip(self.up, self.down, powers)) and all(
+            reduce(or_, compress(self.up, r), 0) == u for r, u in zip(self.rows, self.up))
+
+    @classmethod
+    def of(cls, elems: tuple[str, ...] | list[str], leq: frozenset[tuple[str, str]]) -> _Order:
+        return cls(len(elems), list(map(leq.__contains__, product(elems, repeat=2))))
+
+
+def _positions(elems: tuple[str, ...] | list[str], tab: Mapping[tuple[str, str], str]) -> list[int | None]:
+    """A table as carrier positions, row-major; None where an entry is missing or outside the carrier."""
+    pos = {x: i for i, x in enumerate(elems)}
+    return list(map(pos.get, map(tab.get, product(elems, repeat=2))))
+
+
+def _extrema(elems: tuple[str, ...], rows: list[int]) -> list[str] | None:
+    """For each pair of positions, row-major, the element whose row is the AND of theirs; None if one has none."""
+    named = dict(zip(rows, elems))
+    out: list[str | None] = []
+    for r in rows:
+        out += map(named.get, map(r.__and__, rows))
+    return None if None in out else out
+
+
+def _residual_rows(elems: list[str] | tuple[str, ...], order: _Order, mul: Mapping[tuple[str, str], str]) -> Table | None:
+    """x->y for each pair, row-major, as the element whose down-set is {z | x*z <= y}.
+
+    For each y, mul read through the order column of y gives those sets as byte rows, one per x.
+    None unless `order` is a partial order on at most `_GATE_MAX` elements, every product lies in
+    the carrier and each such set is a down-set.
+    """
+    n = len(elems)
+    if n > _GATE_MAX or not order.partial:
+        return None
+    flat = _positions(elems, mul)
+    if None in flat:
+        return None
+    mul, pad = bytes(flat), bytes(256 - n)
+    downs = {c: i for i, c in enumerate(order.cols)}
+    rows = [slice(i, i + n) for i in range(0, n * n, n)]
+    cols = [list(map(downs.get, map(mul.translate(c + pad).__getitem__, rows))) for c in order.cols]
+    found = [j for row in zip(*cols) for j in row]
+    return None if None in found else dict(zip(product(elems, repeat=2), map(elems.__getitem__, found)))
+
+
+def _rl_gate(order: _Order, join: bytes, meet: bytes, mul: bytes, imp: bytes, bot: int, top: int) -> bool:
+    """Whether complete tables of carrier positions (row-major bytes) satisfy every residuated-lattice axiom.
+
+    Exactly `verify_rl`'s verdict: under a partial order the join of x and y is the element whose
+    up-row is up[x] & up[y], and the meet likewise on down-rows.  Associativity compares, for each x,
+    the rows of mul at x*y laid end to end with mul read through row x; adjointness compares, for
+    each y, mul read through the order column of y with the down-sets of the x->y laid end to end.
+    """
+    n = len(order.cols)
+    up, down = order.up, order.down
+    if not order.partial or up[bot] != order.full or down[top] != order.full:
+        return False
+    for i, ux, dx in zip(range(0, n * n, n), up, down):
+        if list(map(up.__getitem__, join[i:i + n])) != list(map(ux.__and__, up)):
+            return False
+        if list(map(down.__getitem__, meet[i:i + n])) != list(map(dx.__and__, down)):
+            return False
+    if b"".join(mul[j::n] for j in range(n)) != mul or mul[top * n:top * n + n] != bytes(range(n)):
+        return False
+    pad = bytes(256 - n)
+    rows = [mul[i:i + n] for i in range(0, n * n, n)]
+    if any(b"".join(map(rows.__getitem__, r)) != mul.translate(r + pad) for r in rows):
+        return False
+    return all(mul.translate(c + pad) == b"".join(map(order.cols.__getitem__, imp[y::n])) for y, c in enumerate(order.cols))
+
+
 def derive_residual(
     carrier: Iterable[str],
     leq: frozenset[tuple[str, str]],
@@ -136,11 +224,17 @@ def derive_residual(
 ) -> Table:
     """imp[x,y] = sup{z | x*z <= y}; NotResiduated when adjointness fails afterwards.
 
-    Assumes the bounded-lattice and commutative-monoid axioms already hold. Works on carrier
-    positions: `{z | x*z <= y}` is row x of mul read through the column of y, and adjointness
-    for (x, y) is that row being equal to the column of x->y.
+    Assumes the bounded-lattice and commutative-monoid axioms already hold.  Under a partial order
+    on at most `_GATE_MAX` elements, with every product in the carrier, x->y is the element whose
+    down-set is {z | x*z <= y}, read a whole table at a time (`_residual_rows`).  Where some such set is
+    no down-set, or those conditions fail, a walk over carrier positions names the first failure:
+    `{z | x*z <= y}` is row x of mul read through the column of y, and adjointness for (x, y) is
+    that row being equal to the column of x->y.
     """
     elems = sorted(carrier)
+    found = _residual_rows(elems, _Order.of(elems, leq), mul)
+    if found is not None:
+        return found
     n = len(elems)
     sup, _ = _order_bounds(elems, leq)
     ups = [sup.row(z) for z in elems]
@@ -193,36 +287,56 @@ def lattice_from_order(
     top: str,
     imp: Mapping[tuple[str, str], str] | None = None,
 ) -> ResiduatedLattice:
-    """Build from a full order relation and a mul table: join and meet derived, imp derived when absent."""
+    """Build from a full order relation and a mul table: join and meet derived, imp derived when absent.
+
+    Under a partial order, x v y is the element whose up-row is up[x] & up[y] and x ^ y the one
+    whose down-row is down[x] & down[y], a row at a time.  Otherwise, or where one is missing, each
+    is picked from its bounds, which names the first pair that has none.
+    """
     elems = tuple(sorted(carrier))
-    sup, inf = _order_bounds(elems, leq)
-    ups = [sup.row(x) for x in elems]
-    downs = [inf.row(x) for x in elems]
-    join: Table = {}
-    meet: Table = {}
-    for x, ux, dx in zip(elems, ups, downs):
-        for y, uy, dy in zip(elems, ups, downs):
-            j = sup.pick(ux & uy)
-            m = inf.pick(dx & dy)
-            if j is None or m is None:
-                raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
-            join[x, y] = j
-            meet[x, y] = m
+    order = _Order.of(elems, leq)
+    joins = order.partial and _extrema(elems, order.up)
+    meets = joins and _extrema(elems, order.down)
+    if meets:
+        keys = list(product(elems, repeat=2))
+        join, meet = dict(zip(keys, joins)), dict(zip(keys, meets))
+    else:
+        sup, inf = _order_bounds(elems, leq)
+        ups = [sup.row(x) for x in elems]
+        downs = [inf.row(x) for x in elems]
+        join, meet = {}, {}
+        for x, ux, dx in zip(elems, ups, downs):
+            for y, uy, dy in zip(elems, ups, downs):
+                j = sup.pick(ux & uy)
+                m = inf.pick(dx & dy)
+                if j is None or m is None:
+                    raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
+                join[x, y] = j
+                meet[x, y] = m
     mul = dict(mul)
-    derived = dict(imp) if imp is not None else derive_residual(elems, leq, mul)
+    derived = dict(imp) if imp is not None else _residual_rows(elems, order, mul) or derive_residual(elems, leq, mul)
     return ResiduatedLattice(elems, leq, join, meet, mul, derived, bot, top)
 
 
 def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
     """Report every failed residuated-lattice axiom with witnesses.
 
-    Once the tables are complete they are read as rows over carrier positions, and each cubic
-    axiom compares whole rows; single elements are visited only where two rows differ, to name
-    the witnesses in carrier order.
+    On at most `_GATE_MAX` elements, complete tables are read as bytes of carrier positions and the
+    verdict comes from `_rl_gate`, which compares whole rows and tables.  When it fails, or on a
+    larger carrier, a walk reads the tables as rows over carrier positions and compares them a row
+    at a time; single elements are visited only where two rows differ, to name the witnesses in
+    carrier order.
     """
     bad: list[Violation] = []
     elems = lat.carrier
     eset = set(elems)
+    pos = {x: i for i, x in enumerate(elems)}
+    order = _Order.of(elems, lat.leq)
+    if len(elems) <= _GATE_MAX:
+        tabs = [_positions(elems, t) for t in (lat.join, lat.meet, lat.mul, lat.imp)]
+        ends = [pos.get(lat.bot), pos.get(lat.top)]
+        if not any(None in t for t in (*tabs, ends)) and _rl_gate(order, *map(bytes, tabs), *ends):
+            return ValidationReport("residuated-lattice", ())
 
     def tab_ok(name: str, tab: Table) -> bool:
         complete = True
@@ -243,12 +357,7 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
     if not all(tab_ok(n, t) for n, t in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]):
         return ValidationReport("residuated-lattice", tuple(bad))
 
-    pos = {x: i for i, x in enumerate(elems)}
-    leq = lat.leq
-    le = [[(x, y) in leq for y in elems] for x in elems]
-    col = [list(c) for c in zip(*le)]
-    powers = [1 << i for i in range(len(elems))]
-    up = [sum(compress(powers, r)) for r in le]
+    le, col, up = order.rows, order.cols, order.up
     mul = [[pos[lat.mul[x, y]] for y in elems] for x in elems]
     imp = [[pos[lat.imp[x, y]] for y in elems] for x in elems]
 
@@ -269,7 +378,7 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
         if not lat.le(x, lat.top):
             bad.append(Violation("top-not-greatest", x))
 
-    sup, inf = _order_bounds(elems, leq)
+    sup, inf = _order_bounds(elems, lat.leq)
     ups = [sup.row(x) for x in elems]
     downs = [inf.row(x) for x in elems]
     for x, ux, dx in zip(elems, ups, downs):
@@ -296,7 +405,7 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
 
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            below, under = list(map(col[j].__getitem__, mul[i])), col[imp[i][j]]
+            below, under = bytes(map(col[j].__getitem__, mul[i])), col[imp[i][j]]
             if below != under:
                 for z, a, b in zip(elems, below, under):
                     if a != b:

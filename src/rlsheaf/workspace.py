@@ -98,6 +98,10 @@ def _parse_pairs(raw: Any, path: str) -> list[tuple[str, str]]:
 def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
     if not isinstance(raw, dict):
         raise WorkspaceSyntaxError(f"{path}: expected an object keyed 'x,y'")
+    # A key is split on ',' and its halves stripped, so no key names such an element.
+    unnameable = sorted(el for el in carrier if "," in el or el != el.strip())
+    if unnameable:
+        raise WorkspaceSyntaxError(f"{path}: {unnameable[0]!r} cannot be named in an 'x,y' key")
     out: dict[tuple[str, str], str] = {}
     for key, val in raw.items():
         parts = key.split(",")

@@ -619,3 +619,12 @@ def test_a_classification_row_is_read_only_once_its_filters_row_matched(tmp_path
 def test_a_name_listed_twice_or_an_unknown_classification_kind_exits_2(path, value, argv, message, lenient, tmp_path):
     doc = corpus_with(path, value)
     assert run_with_output(doc, ["--lenient"] * lenient + argv, tmp_path) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["a,b", " a", "a ", "a\t"])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_an_element_no_key_can_name_is_refused_once(name, lenient, tmp_path):
+    """Keys are split on ',' and stripped, so such an element could never get a complete table."""
+    lat = {"carrier": ["0", name], "hasse": [["0", name]], "mul": {"0,0": "0"}, "bot": "0", "top": name}
+    rc, out, err = run_with_output({"lattices": {"L": lat}}, ["--lenient"] * lenient + ["validate"], tmp_path)
+    assert (rc, out, err) == (2, "", f"error: lattices.L.mul: {name!r} cannot be named in an 'x,y' key\n")

@@ -17,7 +17,7 @@ from conftest import (
     scan_lub,
     verify_rl_literal,
 )
-from rlsheaf import fixtures, rlcore
+from rlsheaf import bundle, fixtures, rlcore
 
 A4 = fixtures.rl_a4()
 A6 = fixtures.rl_a6()
@@ -431,3 +431,145 @@ def test_make_lattice_tables_match_the_literal_scans(name):
         assert lat.meet[x, y] == scan_glb(lat.carrier, lat.leq, [x, y])
         assert lat.imp[x, y] == residual_by_formula(lat, x, y)
     assert rlcore.verify_rl(lat).ok
+
+
+def built_literally(carrier, leq, mul):
+    """Oracle: `lattice_from_order`'s carrier, join, meet and imp from the literal scans.  The first pair of sorted
+    elements without a join or a meet raises, and so does a residual that `derive_residual_literal` cannot take."""
+    elems = sorted(carrier)
+    join, meet = {}, {}
+    for x, y in itertools.product(elems, repeat=2):
+        j, m = scan_lub(elems, leq, [x, y]), scan_glb(elems, leq, [x, y])
+        if j is None or m is None:
+            raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
+        join[x, y], meet[x, y] = j, m
+    return rlcore.ResiduatedLattice(tuple(elems), leq, join, meet, dict(mul), derive_residual_literal(elems, leq, mul), "", "")
+
+
+def built(fn, *args):
+    """The carrier and the join, meet and imp entries in insertion order, or the exception type and message."""
+    try:
+        lat = fn(*args)
+    except (ValueError, KeyError) as e:
+        return type(e), str(e)
+    return lat.carrier, lat.leq, *(list(getattr(lat, name).items()) for name in ("join", "meet", "imp"))
+
+
+@st.composite
+def any_relations(draw):
+    """A fixture lattice's carrier (sometimes shuffled), bot, top and mul (a few cells changed, dropped or pointed
+    outside the carrier) with any relation: its order with a few pairs toggled, any set of pairs, or a Hasse list
+    (the covering pairs with some pairs added or dropped, or any pairs; cycles included).  The Hasse list is None
+    unless the relation is one."""
+    lat = FIXTURE_LATTICES[draw(st.sampled_from(sorted(FIXTURE_LATTICES)))]
+    carrier = list(lat.carrier)
+    elems = st.sampled_from(carrier)
+    pairs = st.tuples(elems, elems)
+    hasse = None
+    kind = draw(st.sampled_from(["toggled", "any", "covers", "hasse"]))
+    if kind == "toggled":
+        leq = set(lat.leq)
+        for p in draw(st.lists(st.tuples(elems | st.just(OUTSIDE), elems), max_size=3)):
+            leq ^= {p}
+        leq = frozenset(leq)
+    elif kind == "any":
+        leq = draw(st.frozensets(pairs))
+    else:
+        if kind == "covers":
+            hasse = hasse_of(carrier, lat.leq)
+            hasse = [p for p in hasse if draw(st.integers(0, 5))] + draw(st.lists(pairs, max_size=2))
+        else:
+            hasse = draw(st.lists(pairs, max_size=12))
+        leq = leq_from_hasse_literal(carrier, hasse)
+    mul = dict(lat.mul)
+    for _ in range(draw(st.integers(0, 2))):
+        cell, change = (draw(elems), draw(elems)), draw(st.integers(0, 4))
+        if change == 0:
+            mul.pop(cell, None)
+        else:
+            mul[cell] = OUTSIDE if change == 1 else draw(elems)
+    if draw(st.booleans()):
+        carrier = draw(st.permutations(carrier))
+    return carrier, hasse, leq, mul, lat.bot, lat.top
+
+
+@given(any_relations())
+@settings(max_examples=400, deadline=None)
+@example(relation=(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "0"), ("b", "1")],
+                   leq_from_hasse_literal(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "0"), ("b", "1")]),
+                   dict(A4.mul), "0", "1"))
+def test_lattice_from_order_and_make_lattice_match_the_literal_scans_on_any_relation(relation):
+    """Tables in insertion order, or the same exception and message, for cyclic, non-transitive and
+    non-antisymmetric relations as for lattices."""
+    carrier, hasse, leq, mul, bot, top = relation
+    expected = built(built_literally, carrier, leq, mul)
+    assert built(rlcore.lattice_from_order, carrier, leq, mul, bot, top) == expected
+    if hasse is not None:
+        assert built(rlcore.make_lattice, carrier, hasse, mul, bot, top) == expected
+
+
+def gated_answers(lat):
+    """What `verify_rl`, `derive_residual` and `lattice_from_order` give on the parts of `lat`."""
+    return (
+        rlcore.verify_rl(lat),
+        outcome(rlcore.derive_residual, lat.carrier, lat.leq, lat.mul),
+        built(rlcore.lattice_from_order, lat.carrier, lat.leq, lat.mul, lat.bot, lat.top),
+    )
+
+
+@given(corrupted_lattices())
+@settings(max_examples=200, deadline=None)
+@example(lat=A8)
+def test_the_walks_alone_give_the_same_answers_below_the_byte_bound(lat):
+    """With the bound under every fixture size, the walks decide every verdict, table and message."""
+    expected = gated_answers(lat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rlcore, "_GATE_MAX", 1)
+        assert gated_answers(lat) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_LATTICES))
+def test_built_lattices_are_the_same_below_the_byte_bound(name, monkeypatch):
+    carrier, leq, mul, bot, top = BUILT_LATTICES[name]()
+    args = (carrier, hasse_of(carrier, leq), mul, bot, top)
+    lat = rlcore.make_lattice(*args)
+    expected = built(rlcore.make_lattice, *args), rlcore.verify_rl(lat)
+    assert expected[1].ok
+    monkeypatch.setattr(rlcore, "_GATE_MAX", 1)
+    assert (built(rlcore.make_lattice, *args), rlcore.verify_rl(lat)) == expected
+
+
+@st.composite
+def stalk_rows(draw):
+    """A fixture lattice as `verify_rl_bundle`'s integer rows over its sorted carrier (size, join, meet, mul, imp,
+    bot, top), with a few entries and sometimes the constants moved to other positions."""
+    lat = FIXTURE_LATTICES[draw(st.sampled_from(sorted(FIXTURE_LATTICES)))]
+    elems = sorted(lat.carrier)
+    n, pos = len(elems), {x: i for i, x in enumerate(elems)}
+    tabs = [[pos[getattr(lat, name)[xy]] for xy in itertools.product(elems, repeat=2)] for name in ("join", "meet", "mul", "imp")]
+    for _ in range(draw(st.integers(0, 3))):
+        tabs[draw(st.integers(0, 3))][draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+    positions = st.integers(0, n - 1)
+    bot = draw(positions) if draw(st.integers(0, 4)) == 0 else pos[lat.bot]
+    top = draw(positions) if draw(st.integers(0, 4)) == 0 else pos[lat.top]
+    return (n, *map(tuple, tabs), bot, top)
+
+
+@given(stalk_rows())
+@settings(max_examples=300, deadline=None)
+@example(rows=(2, (0, 1, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0), (1, 1, 1, 1), 0, 1))  # x*y = 0: every axiom but the unit
+# the chain 0 < 1 < 2 < 3 with 1*1 = 0 and 1*2 = 2*2 = 1: every axiom but associativity
+@example(rows=(4, (0, 1, 2, 3, 1, 1, 2, 3, 2, 2, 2, 3, 3, 3, 3, 3), (0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 2, 2, 0, 1, 2, 3),
+               (0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 0, 1, 2, 3), (3, 3, 3, 3, 1, 3, 3, 3, 0, 2, 3, 3, 0, 1, 2, 3), 0, 3))
+# the Sugihara monoid -1 < 0 < 1 with its unit 0 as top: every axiom but top-not-greatest
+@example(rows=(3, (0, 1, 2, 1, 1, 2, 2, 2, 2), (0, 0, 0, 0, 1, 1, 0, 1, 2), (0, 0, 0, 0, 1, 2, 0, 2, 2), (2, 2, 2, 0, 1, 2, 0, 0, 2), 0, 1))
+def test_stalk_rows_pass_is_the_verdict_of_the_literal_check(rows):
+    """On and below the byte bound, with the order read off meet as `from_tables` reads it."""
+    n, *tabs, bot, top = rows
+    names = [str(i) for i in range(n)]
+    join, meet, mul, imp = ({xy: names[v] for xy, v in zip(itertools.product(names, repeat=2), row)} for row in tabs)
+    expected = not verify_rl_literal(rlcore.from_tables(names, join, meet, mul, imp, names[bot], names[top]))
+    assert bundle._stalk_rows_pass.__wrapped__(rows) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rlcore, "_GATE_MAX", 1)
+        assert bundle._stalk_rows_pass.__wrapped__(rows) == expected

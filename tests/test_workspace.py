@@ -57,11 +57,14 @@ def counted_calls(monkeypatch, *targets):
 def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monkeypatch):
     """17 stalks of 3 structures get 3 axiom passes, and the 4 rle_spaces reuse the checks of their
     rl_bundles entries.  The 4 rle_inv entries build 3 pullbacks: rle_m1 and rle_m3 both pull
-    R_point_a2 back along the one map from spec_h_a4 to the point."""
-    calls = counted_calls(monkeypatch, (rlcore, "verify_rl"), (bundle, "verify_rl_bundle"), (basechange, "pullback_rl_etale"))
+    R_point_a2 back along the one map from spec_h_a4 to the point.  An axiom pass is one `_rl_gate`
+    call: `verify_rl` makes one for each lattice, and `_stalk_rows_pass` one for each stalk structure."""
+    calls = counted_calls(
+        monkeypatch, (rlcore, "verify_rl"), (rlcore, "_rl_gate"), (bundle, "verify_rl_bundle"), (basechange, "pullback_rl_etale"))
     ws = workspace.parse_workspace(bundled_text())
     assert bundle._stalk_rows_pass.cache_info().misses == 3
-    assert calls == {"verify_rl": len(ws.lattices) + 3, "verify_rl_bundle": len(ws.rl_bundles), "pullback_rl_etale": 3}
+    assert calls == {"verify_rl": len(ws.lattices), "_rl_gate": len(ws.lattices) + 3, "verify_rl_bundle": len(ws.rl_bundles),
+                     "pullback_rl_etale": 3}
     assert (len(ws.lattices), len(ws.rl_bundles), len(ws.rle_spaces)) == (5, 7, 4)
     assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
 
@@ -88,12 +91,13 @@ def test_check_rl_bundle_reuses_the_report_of_the_parse(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["quotient", "A6", "d,1"], ["gamma", "R_speca4"]])
 def test_quotient_and_gamma_check_their_algebra_once(argv, monkeypatch, capsys):
-    """The parse makes 8 axiom passes (5 lattices, 3 stalk structures); `quotient` and
-    `pointwise_rl_on_sections` each refuse an algebra that fails, so each command adds one."""
-    calls = counted_calls(monkeypatch, (rlcore, "verify_rl"))
+    """The parse makes 8 axiom passes, each one `_rl_gate` call (5 lattices through `verify_rl`, 3 stalk
+    structures); `quotient` and `pointwise_rl_on_sections` each refuse an algebra that fails, so each
+    command adds one."""
+    calls = counted_calls(monkeypatch, (rlcore, "verify_rl"), (rlcore, "_rl_gate"))
     assert cli.run(argv) == 0
     assert capsys.readouterr().out.endswith("verify_rl: valid\n")
-    assert calls == {"verify_rl": 9}
+    assert calls == {"verify_rl": 6, "_rl_gate": 9}
 
 
 def test_law_suite_builds_one_pullback_per_base_map_and_etale(monkeypatch):
@@ -271,3 +275,22 @@ def test_fixture_corpus_regenerates_byte_identically():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     assert mod.corpus_text() == bundled_text()
+
+
+def test_a_stalk_point_no_key_can_name_is_refused():
+    doc = json.loads(bundled_text())
+    entry = doc["rl_bundles"]["a2_over_point"]
+    space = doc["spaces"][entry["total"]]
+    renamed = {"(pt|0)": " t0"}
+
+    def rename(node):
+        if isinstance(node, dict):
+            return {",".join(renamed.get(k, k) for k in key.split(",")): rename(v) for key, v in node.items()}
+        if isinstance(node, list):
+            return [rename(v) for v in node]
+        return renamed.get(node, node)
+
+    doc["rl_bundles"]["a2_over_point"], doc["spaces"][entry["total"]] = rename(entry), rename(space)
+    for strict in (True, False):
+        with pytest.raises(workspace.WorkspaceSyntaxError, match=r"^rl_bundles\.a2_over_point\.stalk_ops\.pt\.\w+: ' t0' cannot be named"):
+            workspace.parse_workspace(json.dumps(doc), strict=strict)
