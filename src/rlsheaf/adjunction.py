@@ -220,15 +220,23 @@ def _hom_bijection(lhs: Sequence, rhs: Collection, send: Callable, msg: str, bac
 
 
 def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) by curry, with uncurry . curry = 1, on tables."""
+    """Hom-set bijection Top(BxX, T) = Top(X, C(B,T)) by curry, with uncurry . curry = 1, on tables.
+    The round trip uncurries the map curry returned, looked up by its table."""
     if not b.is_discrete() and not explore_nondiscrete:
         raise ValueError("continuity half asserted only for finite discrete bases")
     prod, p1, p2 = fintop.product(b, x)
     fs = compact_open_space(b, t)
+    curried: dict = {}
+
+    def send(h: SpaceMap) -> tuple:
+        k = curry(h, p1, p2, fs)
+        curried[k.table] = k
+        return k.table
+
     return _hom_bijection(
         fintop.continuous_maps(prod, t), set(fintop._monotone_search(x, fs.space, None)),
-        lambda h: curry(h, p1, p2, fs).table, "curry of a continuous map is not continuous",
-        lambda k: uncurry(SpaceMap(x, fs.space, k), p1, p2, fs), "uncurry . curry is not the identity",
+        send, "curry of a continuous map is not continuous",
+        lambda k: uncurry(curried[k], p1, p2, fs), "uncurry . curry is not the identity",
     )
 
 

@@ -160,7 +160,14 @@ def cmd_spectrum(ws: workspace.Workspace, args) -> dict:
 
 def cmd_sections(ws: workspace.Workspace, args) -> dict:
     b = ws.bundle_like(args.bundle, "sections")
-    dom = frozenset(x.strip() for x in args.open.split(",") if x.strip()) if args.open is not None else b.base.points
+    if args.open is None:
+        dom = b.base.points
+    else:
+        listed = [x.strip() for x in args.open.split(",") if x.strip()]
+        twice = next((x for i, x in enumerate(listed) if x in listed[:i]), None)
+        if twice is not None:  # a list read as a set would merge the two silently
+            raise CommandError(f"--open lists {twice} twice", 2)
+        dom = frozenset(listed)
     if not dom <= b.base.points:
         raise CommandError(f"subset {fmt_set(dom)} escapes the base", 2)
     secs = bundle.sections(b, dom)

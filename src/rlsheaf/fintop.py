@@ -510,8 +510,14 @@ def _monotone_search(
     """`monotone_tables` as (point, value) pair tuples, by one loop over an explicit stack.
 
     Point i's candidates are a bitmask over `cod.sorted_points`: its choices cut
-    by up[f(q)] for every earlier q below it and by down[f(q)] for every earlier
-    q above it.  The lowest bit goes first, so values come in
+    by up[f(q)] for each earlier q on its lower frontier and by down[f(q)] for
+    each earlier q on its upper frontier.  An earlier q <= i leaves the lower
+    frontier when another earlier r sits strictly between (q < r <= i), or ties
+    with q at a lower index; the upper frontier is the same with the order
+    reversed.  That gives every node the same candidates as checking all the
+    earlier comparable points: q and r were both placed before i, so f(q) <= f(r)
+    already holds, and f(r) <= f(i) then forces f(q) <= f(i) by transitivity.
+    The lowest bit goes first, so values come in
     sorted order.  The choices are read before the first table.
     """
     pts, cpts = dom.sorted_points, cod.sorted_points
@@ -520,8 +526,10 @@ def _monotone_search(
     opts = [(1 << len(cpts)) - 1 if choices is None else _to_mask(choices[p], cidx) for p in pts]
     down_d, up_d = dom.order_masks
     down_c, up_c = cod.order_masks
-    below = [list(_bits(down_d[i] & ((1 << i) - 1))) for i in range(n)]
-    above = [list(_bits(up_d[i] & ((1 << i) - 1))) for i in range(n)]
+    below = [[j for j in _bits(e) if not e & up_d[j] & ~(down_d[j] & -(1 << j))]
+             for e in (down_d[i] & ((1 << i) - 1) for i in range(n))]
+    above = [[j for j in _bits(e) if not e & down_d[j] & ~(up_d[j] & -(1 << j))]
+             for e in (up_d[i] & ((1 << i) - 1) for i in range(n))]
     pairs = [[(p, v) for v in cpts] for p in pts]
 
     def tables() -> Iterator[tuple[tuple[str, str], ...]]:
@@ -562,8 +570,9 @@ def monotone_tables(
     """Every continuous table dom -> cod taking each point p into choices[p] (anywhere in cod when None).
 
     Continuity is specialization monotonicity: q in U_p forces f(q) in U_f(p).
-    The points are assigned in sorted order, each checked against the earlier
-    points comparable to it, so the tables come out
+    The points are assigned in sorted order, each checked against its frontier:
+    the nearest earlier points below and above it, one of each tied block (the
+    farther ones follow by transitivity), so the tables come out
     lexicographic in the sorted points with each point's values in sorted order.
     """
     return map(dict, _monotone_search(dom, cod, choices))

@@ -72,7 +72,10 @@ def _name(raw: Any, path: str) -> str:
 def _str_list(raw: Any, path: str) -> list[str]:
     if not isinstance(raw, list):
         raise WorkspaceSyntaxError(f"{path}: expected a list")
-    return [_name(x, f"{path}[{i}]") for i, x in enumerate(raw)]
+    for i, x in enumerate(raw):  # a path is formatted only for the element that fails
+        if not isinstance(x, str):
+            _name(x, f"{path}[{i}]")
+    return list(raw)
 
 
 def _distinct(names: list[str], path: str, what: str) -> list[str]:
@@ -92,7 +95,11 @@ def _section(doc: dict, key: str) -> dict:
 def _parse_pairs(raw: Any, path: str) -> list[tuple[str, str]]:
     if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
         raise WorkspaceSyntaxError(f"{path}: expected a list of [x,y] pairs")
-    return [(_name(a, f"{path}[{i}][0]"), _name(b, f"{path}[{i}][1]")) for i, (a, b) in enumerate(raw)]
+    for i, pair in enumerate(raw):
+        for j, el in enumerate(pair):
+            if not isinstance(el, str):
+                _name(el, f"{path}[{i}][{j}]")
+    return [(a, b) for a, b in raw]
 
 
 def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
@@ -103,12 +110,13 @@ def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool
     if unnameable:
         raise WorkspaceSyntaxError(f"{path}: {unnameable[0]!r} cannot be named in an 'x,y' key")
     out: dict[tuple[str, str], str] = {}
-    for key, val in raw.items():
+    for key, v in raw.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise WorkspaceSyntaxError(f"{path}.{key}: key must be 'x,y'")
         x, y = parts[0].strip(), parts[1].strip()
-        v = _name(val, f"{path}.{key}")
+        if not isinstance(v, str):
+            _name(v, f"{path}.{key}")
         for el in (x, y, v):
             if el not in carrier:
                 raise WorkspaceSyntaxError(f"{path}.{key}: {el!r} is not a carrier element")
@@ -119,9 +127,8 @@ def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool
             if (y, x) in out and out[y, x] != v:
                 raise WorkspaceSyntaxError(f"{path}.{key}: symmetrization conflict at ({y},{x})")
             out[y, x] = v
-    missing = [(x, y) for x in carrier for y in carrier if (x, y) not in out]
-    if missing:
-        x, y = sorted(missing)[0]
+    if len(out) != len(carrier) ** 2:  # every key lies in the carrier, so the count decides completeness
+        x, y = min((x, y) for x in carrier for y in carrier if (x, y) not in out)
         raise WorkspaceSyntaxError(f"{path}: table incomplete, e.g. ({x},{y}) missing")
     return out
 
@@ -175,7 +182,11 @@ def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
 def _parse_point_map(raw: Any, path: str) -> dict[str, str]:
     if not isinstance(raw, dict):
         raise WorkspaceSyntaxError(f"{path}: expected an object of point -> point")
-    return {_name(k, path): _name(v, f"{path}.{k}") for k, v in raw.items()}
+    for k, v in raw.items():
+        _name(k, path)
+        if not isinstance(v, str):
+            _name(v, f"{path}.{k}")
+    return dict(raw)
 
 
 def _parse_stalk_ops(raw: Any, bnd: bundle.Bundle, path: str) -> bundle.StalkOps:

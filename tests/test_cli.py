@@ -369,6 +369,23 @@ def test_a_number_where_a_name_belongs_exits_2(doc, message, lenient, tmp_path):
     assert run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path) == (2, "", f"error: {message}\n")
 
 
+S1 = {"points": ["1"], "opens": [[], ["1"]]}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"lattices": {"L": dict(A2_LEQ, leq=[["0", "1"], ["0", 1]])}}, "lattices.L.leq[1][1]: expected a string, got int"),
+        ({"spaces": {"s": S1}, "maps": {"m": {"dom": "s", "cod": "s", "table": {"1": 1}}}}, "maps.m.table.1: expected a string, got int"),
+    ],
+    ids=["order-pair", "map-value"],
+)
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_number_in_an_order_pair_or_a_map_table_exits_2(doc, message, lenient, tmp_path):
+    """The element that is not a string is named by its path, which is built only once it fails."""
+    assert run_with_output(doc, ["--lenient"] * lenient + ["validate"], tmp_path) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("lenient", [False, True])
 def test_a_workspace_key_given_twice_exits_2(lenient, tmp_path):
     """A second lattices.A4 (a 2-chain) before the real one is refused, not read as the later entry."""
@@ -453,6 +470,13 @@ def test_sections_over_an_empty_open_list_is_the_empty_subset(spelling, tmp_path
     """Only an absent --open means the whole base; an empty list names the empty subset."""
     rc, out, err = run_with_output(json.loads(CORPUS), ["sections", "etspecha4", "--open", spelling], tmp_path)
     assert (rc, out, err) == (0, "sections over {}: 1\n  {}\n", "")
+
+
+@pytest.mark.parametrize("spelling, twice", [("F2,F2", "F2"), (" F3 ,F2, F3", "F3"), ("zz,zz", "zz")])
+def test_sections_over_an_open_list_naming_a_point_twice_exits_2(spelling, twice, tmp_path):
+    """--open is read as a set, so a point listed twice is refused (as the workspace refuses it) and not merged."""
+    rc, out, err = run_with_output(json.loads(CORPUS), ["sections", "etspecha4", "--open", spelling], tmp_path)
+    assert (rc, out, err) == (2, "", f"error: --open lists {twice} twice\n")
 
 
 BAD_BUNDLE_MORPHISMS = [

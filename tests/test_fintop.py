@@ -513,6 +513,64 @@ def test_continuous_maps_of_sierpinski_powers_are_the_dedekind_numbers(k, count)
     assert len({m.table for m in maps}) == count
 
 
+def relabelled(space, labels):
+    """`space` with its sorted points renamed to `labels` in turn, so a shuffled label list
+    gives a sorted order that need not list any point after the points below it."""
+    names = dict(zip(space.sorted_points, labels))
+    return fintop.FiniteSpace(frozenset(labels), {names[p]: {names[q] for q in u} for p, u in space.min_nbhds})
+
+
+def _tied(k):
+    """S^k with each point blown up to an indiscrete pair: every point ties with one other."""
+    return fintop.product(sierpinski_power(k), fintop.indiscrete("ab"))[0]
+
+
+# Spaces whose points tie in blocks: an indiscrete factor in a product, on its own, or beside a discrete one.
+TIED_SPACES = [
+    fintop.indiscrete("abc"),
+    _tied(1),
+    _tied(2),
+    fintop.product(fintop.indiscrete("abc"), fintop.discrete("uv"))[0],
+    fintop.product(fintop.sierpinski(), fintop.product(fintop.indiscrete("ab"), fintop.sierpinski())[0])[0],
+]
+
+
+@st.composite
+def relabelled_search_cases(draw):
+    """A Sierpinski power S^k (k <= 4) or a space with tied points as the domain, and S, S^2 or a tied
+    space as the codomain, each relabelled by a drawn permutation; the choices are None or drawn sets."""
+    dom = draw(st.sampled_from([sierpinski_power(k) for k in range(5)] + TIED_SPACES))
+    cod = draw(st.sampled_from([sierpinski_power(1), sierpinski_power(2)] + TIED_SPACES[:3]))
+    n, m = len(dom.points), len(cod.points)
+    dom = relabelled(dom, [f"q{i:02d}" for i in draw(st.permutations(range(n)))])
+    cod = relabelled(cod, [f"c{i}" for i in draw(st.permutations(range(m)))])
+    if draw(st.booleans()):
+        return dom, cod, None
+    return dom, cod, {p: draw(st.sets(st.sampled_from(sorted(cod.points)))) for p in sorted(dom.points)}
+
+
+@given(relabelled_search_cases())
+@example((relabelled(_tied(1), ["d", "a", "c", "b"]), fintop.sierpinski(), None))  # ties listed apart in sorted order
+@settings(max_examples=150, deadline=None)
+def test_monotone_tables_match_the_literal_search_under_relabelling(case):
+    dom, cod, choices = case
+    limit = 1 << 15
+    got = list(itertools.islice(fintop.monotone_tables(dom, cod, choices), limit))
+    assert got == list(itertools.islice(monotone_tables_literal(dom, cod, choices), limit))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_continuous_maps_of_a_relabelled_sierpinski_power_are_the_dedekind_number(seed):
+    """M(5) = 7,581 maps S^5 -> S whichever order the labels of S^5 and S put the points in."""
+    rng = random.Random(seed)
+    dom = relabelled(sierpinski_power(5), [f"q{i:02d}" for i in rng.sample(range(32), 32)])
+    cod = relabelled(fintop.sierpinski(), rng.sample(["s0", "s1"], 2))
+    maps = fintop.continuous_maps(dom, cod)
+    assert len(maps) == 7581
+    assert len({m.table for m in maps}) == 7581
+    assert [m.mapping for m in maps[:64]] == list(itertools.islice(monotone_tables_literal(dom, cod), 64))
+
+
 def test_space_map_constructor_contract():
     s = fintop.sierpinski()
     with pytest.raises(ValueError) as e:
