@@ -77,7 +77,8 @@ def _slices(table: tuple[tuple[str, str], ...], p1: SpaceMap, p2: SpaceMap) -> d
 
 def curry(h: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
     """h: BxX -> T becomes X -> C(B,T): each slice (b, h(b,x)), sorted by b, is looked up among the
-    tables of C(B,T), and the first x in sorted order whose slice is not one of them is named."""
+    tables of C(B,T), and the first x in sorted order whose slice is not one of them is named.  The result
+    is keyed by the sorted points of X, with ids from the index, so it is not checked again."""
     ids = fs.index[0]
     table = []
     for xpt, sl in _slices(h.table, p1, p2).items():
@@ -86,14 +87,15 @@ def curry(h: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMa
         if mid is None:
             raise ValueError(f"curried slice at {xpt} is not continuous")
         table.append((xpt, mid))
-    return SpaceMap(p2.cod, fs.space, tuple(table))
+    return fintop._settled_map(p2.cod, fs.space, tuple(table))
 
 
 def uncurry(k: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
-    """k: X -> C(B,T) becomes BxX -> T on the canonical product."""
+    """k: X -> C(B,T) becomes BxX -> T on the canonical product, keyed by its sorted points, with values
+    read from maps into T, so it is not checked again."""
     values, m1, m2, km = fs.index[1], p1.mapping, p2.mapping, k.mapping
     prod = p1.dom
-    return SpaceMap(prod, fs.cod, tuple((pt, values[km[m2[pt]]][m1[pt]]) for pt in prod.sorted_points))
+    return fintop._settled_map(prod, fs.cod, tuple((pt, values[km[m2[pt]]][m1[pt]]) for pt in prod.sorted_points))
 
 
 def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, Section]:

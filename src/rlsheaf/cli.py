@@ -57,6 +57,15 @@ def _need(ws_dict: dict, name: str, kind: str) -> Any:
     return ws_dict[name]
 
 
+def _names(text: str, what: str) -> frozenset[str]:
+    """A comma list of names, blanks dropped; a name listed twice exits 2 (read as a set, the two would merge)."""
+    listed = [x.strip() for x in text.split(",") if x.strip()]
+    twice = next((x for i, x in enumerate(listed) if x in listed[:i]), None)
+    if twice is not None:
+        raise CommandError(f"{what} lists {twice} twice", 2)
+    return frozenset(listed)
+
+
 def cmd_validate(ws: workspace.Workspace, args) -> dict:
     # parse_workspace admits a lattice, space or rl-bundle only once its
     # validator passed, and records every rejection as a diagnostic.
@@ -121,7 +130,7 @@ def cmd_classify(ws: workspace.Workspace, args) -> dict:
 
 def cmd_quotient(ws: workspace.Workspace, args) -> dict:
     lat = _need(ws.lattices, args.name, "lattice")
-    elements = frozenset(x.strip() for x in args.filter.split(",") if x.strip())
+    elements = _names(args.filter, "filter")
     if not rlcore.is_filter(lat, elements):
         raise CommandError(f"{fmt_set(elements)} is not a filter of {args.name}", 1)
     q, proj = rlcore.quotient(lat, elements)  # raises unless verify_rl(q) passes
@@ -163,11 +172,7 @@ def cmd_sections(ws: workspace.Workspace, args) -> dict:
     if args.open is None:
         dom = b.base.points
     else:
-        listed = [x.strip() for x in args.open.split(",") if x.strip()]
-        twice = next((x for i, x in enumerate(listed) if x in listed[:i]), None)
-        if twice is not None:  # a list read as a set would merge the two silently
-            raise CommandError(f"--open lists {twice} twice", 2)
-        dom = frozenset(listed)
+        dom = _names(args.open, "--open")
     if not dom <= b.base.points:
         raise CommandError(f"subset {fmt_set(dom)} escapes the base", 2)
     secs = bundle.sections(b, dom)

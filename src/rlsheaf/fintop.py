@@ -276,7 +276,9 @@ topology_from_basis = topology_from_subbasis
 
 @dataclass(frozen=True)
 class SpaceMap:
-    """A total function between finite spaces; continuity is a checked property."""
+    """A total function between finite spaces.  The constructor checks that the table is total on the
+    domain, with no extra keys, and that its values lie in the codomain, and keeps it sorted by point;
+    continuity is not checked here, it is `is_continuous`."""
 
     dom: FiniteSpace
     cod: FiniteSpace
@@ -312,6 +314,16 @@ class SpaceMap:
     @cached_property
     def id_str(self) -> str:
         return "{" + ",".join(f"{k}:{v}" for k, v in self.table) + "}"
+
+
+def _settled_map(dom: FiniteSpace, cod: FiniteSpace, table: tuple[tuple[str, str], ...]) -> SpaceMap:
+    """A SpaceMap built with no check, for a caller that has settled what `__post_init__` checks:
+    `table` is keyed by exactly `dom.sorted_points`, in that order, and every value is a point of `cod`."""
+    m = object.__new__(SpaceMap)
+    object.__setattr__(m, "dom", dom)
+    object.__setattr__(m, "cod", cod)
+    object.__setattr__(m, "table", table)
+    return m
 
 
 def space_map(dom: FiniteSpace, cod: FiniteSpace, table: Mapping[str, str]) -> SpaceMap:
@@ -579,5 +591,6 @@ def monotone_tables(
 
 
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> list[SpaceMap]:
-    """All continuous maps dom -> cod, in lexicographic order of their tables."""
-    return [SpaceMap(dom, cod, table) for table in _monotone_search(dom, cod, None)]
+    """All continuous maps dom -> cod, in lexicographic order of their tables.  The search keys each
+    table by `dom.sorted_points` in order, with values from `cod.sorted_points`, so none is checked again."""
+    return [_settled_map(dom, cod, table) for table in _monotone_search(dom, cod, None)]

@@ -348,6 +348,14 @@ def curry_literal(h: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap, 
     return fintop.space_map(x_space, fs.space, table)
 
 
+def assert_checked_twin(settled: fintop.SpaceMap, twin: fintop.SpaceMap) -> None:
+    """A map built without the constructor's checks reads as its checked twin: equal, with the same
+    hash, table, value mapping and id."""
+    assert type(settled) is fintop.SpaceMap
+    assert settled == twin and hash(settled) == hash(twin)
+    assert (settled.table, settled.mapping, settled.id_str) == (twin.table, twin.mapping, twin.id_str)
+
+
 def uncurry_literal(k: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap, fs: adjunction.FunctionSpace) -> fintop.SpaceMap:
     """Oracle: `adjunction.uncurry` through the function space's `by_id` lookup."""
     lookup = fs.by_id()

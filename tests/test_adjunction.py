@@ -2,12 +2,15 @@ import collections
 import itertools
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_checked_twin,
     check_exponential_adjunction_literal,
     check_projection_adjunction_literal,
     check_section_adjunction_literal,
@@ -339,6 +342,20 @@ def table_or_error(fn, *args):
     return out.table if isinstance(out, fintop.SpaceMap) else {x: s.table for x, s in out.items()}
 
 
+def test_curried_and_uncurried_maps_read_as_their_checked_twins():
+    """On the adjunction suite's exponential cases, and one non-discrete base, every map curry and uncurry
+    return equals the map the literal bodies build through `space_map`, in hash, table, mapping and id."""
+    chain3 = fintop.topology_from_subbasis(["x", "y", "z"], [["x"], ["x", "y"]])
+    d3, four = fintop.discrete(["u", "v", "w"]), fintop.discrete(["q0", "q1", "q2", "q3"])
+    for b, x, t in [(PT, four, T2), (D2, SK, T2), (D2, chain3, T2), (d3, D2, T2), (D2, four, SK), (SK, D2, T2)]:
+        prod, p1, p2 = fintop.product(b, x)
+        fs = adjunction.compact_open_space(b, t)
+        for h in fintop.continuous_maps(prod, t):
+            assert_checked_twin(adjunction.curry(h, p1, p2, fs), curry_literal(h, p1, p2, fs))
+        for k in fintop.continuous_maps(x, fs.space):
+            assert_checked_twin(adjunction.uncurry(k, p1, p2, fs), uncurry_literal(k, p1, p2, fs))
+
+
 def random_maps(rng, dom, cod, n):
     """n seed-drawn tables dom -> cod, continuous or not (none when no map exists)."""
     return [suites.random_map(rng, dom, cod) for _ in range(n)] if cod.points or not dom.points else []
@@ -553,6 +570,26 @@ def test_adjunction_suite_wraps_no_listed_morphism_or_corestriction(monkeypatch)
         monkeypatch.setattr(cls, "__post_init__", counted)
     assert suites.adjunction_suite().ok
     assert counts["BundleMorphism"] == 0 and counts["Section"] <= 60
+
+
+COUNT_CHECKED_MAPS = """
+from rlsheaf import fintop, suites
+count, check = [0], fintop.SpaceMap.__post_init__
+def counted(self):
+    count[0] += 1
+    check(self)
+fintop.SpaceMap.__post_init__ = counted
+assert suites.adjunction_suite().ok
+print(count[0])
+"""
+
+
+def test_adjunction_suite_checks_only_the_maps_no_search_or_index_settled():
+    """The maps `continuous_maps`, `curry` and `uncurry` return are settled by the monotone search or the
+    function-space index and built unchecked: one suite runs `SpaceMap.__post_init__` 112 times.  It runs
+    in a fresh interpreter, since the fixtures it builds are cached across a test session."""
+    run = subprocess.run([sys.executable, "-c", COUNT_CHECKED_MAPS], capture_output=True, text=True, check=True)
+    assert run.stdout == "112\n"
 
 
 def test_section_check_fails_when_a_slice_is_not_a_listed_global_section(monkeypatch):

@@ -479,6 +479,14 @@ def test_sections_over_an_open_list_naming_a_point_twice_exits_2(spelling, twice
     assert (rc, out, err) == (2, "", f"error: --open lists {twice} twice\n")
 
 
+@pytest.mark.parametrize("spelling, twice", [("a,a,1", "a"), (" 1 ,a, 1", "1"), ("zz,zz", "zz")])
+def test_quotient_by_a_filter_naming_an_element_twice_exits_2(spelling, twice, tmp_path):
+    """The filter is read as a set, as --open is: {1,a} is a filter of A4, yet `a,a,1` is refused and not merged."""
+    assert run_with_output(json.loads(CORPUS), ["quotient", "A4", "a,1"], tmp_path)[0] == 0
+    rc, out, err = run_with_output(json.loads(CORPUS), ["quotient", "A4", spelling], tmp_path)
+    assert (rc, out, err) == (2, "", f"error: filter lists {twice} twice\n")
+
+
 BAD_BUNDLE_MORPHISMS = [
     ({"kind": "bundle", "src": "etspecha4", "dst": "trivial_a2_over_spec_h_a4",
       "table": {"0_1": "(F3|0)", "0_2": "(F3|0)", "1_1": "(F2|1)", "1_2": "(F3|1)"}},

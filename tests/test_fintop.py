@@ -1,12 +1,22 @@
+import ast
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import final_topology_literal, lattice_closure, monotone_tables_literal, outputs_under_hash_seeds, verify_topology_literal
+from conftest import (
+    assert_checked_twin,
+    final_topology_literal,
+    lattice_closure,
+    monotone_tables_literal,
+    outputs_under_hash_seeds,
+    small_spaces,
+    verify_topology_literal,
+)
 from rlsheaf import bundle, fintop, fixtures
 from rlsheaf.report import fmt_set
 
@@ -511,6 +521,45 @@ def test_continuous_maps_of_sierpinski_powers_are_the_dedekind_numbers(k, count)
     maps = fintop.continuous_maps(sierpinski_power(k), fintop.sierpinski())
     assert len(maps) == count
     assert len({m.table for m in maps}) == count
+
+
+def test_continuous_maps_read_as_their_checked_twins():
+    """Over every ordered pair of labelled spaces with at most 3 points, and S^3 -> S: the maps the
+    search lists unchecked are, in order, the checked `SpaceMap` of each product table `is_continuous`
+    accepts, with the same hash, table, mapping and id."""
+    spaces = list(small_spaces(3))
+    for dom, cod in [*itertools.product(spaces, repeat=2), (sierpinski_power(3), fintop.sierpinski())]:
+        twins = [fintop.SpaceMap(dom, cod, tuple(zip(dom.sorted_points, values)))
+                 for values in itertools.product(cod.sorted_points, repeat=len(dom.points))]
+        twins = [m for m in twins if fintop.is_continuous(m)]
+        maps = fintop.continuous_maps(dom, cod)
+        assert len(maps) == len(twins)
+        for m, twin in zip(maps, twins):
+            assert_checked_twin(m, twin)
+
+
+def _mentions(node, scope, calls, out):
+    """Each mention of `_settled_map` under `node` (a name, an attribute, an import or a string) as
+    (enclosing function path, whether it is the callee of a call)."""
+    for child in ast.iter_child_nodes(node):
+        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+        name = (child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias) else child.value if isinstance(child, ast.Constant) else None)
+        if name == "_settled_map":
+            out.append((".".join(inner), id(child) in calls))
+        _mentions(child, inner, calls, out)
+
+
+def test_only_the_search_and_the_function_space_index_build_unchecked_maps():
+    """`_settled_map` runs none of the SpaceMap checks, so only callers that settle them for all their
+    tables may reach it: the package mentions it only as the callee in these three functions, and
+    workspace input stays on the checked path."""
+    out = []
+    for path in sorted(pathlib.Path(fintop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        _mentions(tree, (path.stem,), calls, out)
+    assert sorted(out) == [("adjunction.curry", True), ("adjunction.uncurry", True), ("fintop.continuous_maps", True)]
 
 
 def relabelled(space, labels):
