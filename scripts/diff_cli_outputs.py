@@ -4,11 +4,15 @@ Run from the repository root:  python3 scripts/diff_cli_outputs.py OTHER_CHECKOU
 
 Every argv recorded in tests/data/cli_golden.json (with the environment it
 records) is run twice on each side: as text and with `--format
-machine-readable`.  Each side runs all of its commands in one subprocess of its
-own, importing rlsheaf from that checkout's `src/`, under the same
-PYTHONHASHSEED (0 unless the caller sets one).  Every (argv, format) whose exit
-code, stdout or stderr differs is printed; the exit code is 1 if any does and
-0 if the two checkouts answer every command identically.
+machine-readable`.  So are `validate` and `--lenient validate` on each of
+`EDITS` copies of the bundled corpus with one seeded edit each (an entry
+dropped, a value replaced, a key respelled or a value copied from a
+neighbour), written to a temporary directory, so malformed input is compared
+too.  Each side runs all of its commands in one subprocess of its own,
+importing rlsheaf from that checkout's `src/`, under the same PYTHONHASHSEED
+(0 unless the caller sets one).  Every (argv, format) whose exit code, stdout
+or stderr differs is printed; the exit code is 1 if any does and 0 if the two
+checkouts answer every command identically.
 """
 
 from __future__ import annotations
@@ -16,12 +20,17 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+CORPUS = ROOT / "src" / "rlsheaf" / "data" / "paper_fixtures.json"
 FORMATS = {"text": [], "machine-readable": ["--format", "machine-readable"]}
+EDITS = 60
+ODD_VALUES = [None, 1, True, "zz", " a", "a,b", [], ["zz"], {}]
 
 # Reads [argv, env] pairs from stdin, runs each through cli.run in this process,
 # and writes one [exit code, stdout, stderr] triple per command to stdout.
@@ -63,6 +72,48 @@ def replay(checkout: pathlib.Path, runs: list[tuple[list[str], dict[str, str]]])
     return json.loads(r.stdout)
 
 
+def edited_corpora(n: int = EDITS, seed: int = 0) -> list[str]:
+    """`n` copies of the bundled corpus as JSON text, each with one edit at a place drawn by `seed` from
+    every object entry and list element: dropped, replaced by a value of `ODD_VALUES`, given the value
+    of a neighbour, or (an object entry) respelled with edge whitespace or a third ',' part."""
+    rng = random.Random(seed)
+    text = CORPUS.read_text(encoding="utf-8")
+    base = json.loads(text)
+    places: list[list] = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            places.append([*path, key])
+            walk(child, [*path, key])
+
+    walk(base, [])
+    out = []
+    for _ in range(n):
+        doc = json.loads(text)
+        *path, key = rng.choice(places)
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+        edit = rng.choice(["drop", "replace", "neighbour", "respell"])
+        if edit == "drop":
+            del parent[key]
+        elif edit == "replace":
+            parent[key] = rng.choice(ODD_VALUES)
+        elif edit == "neighbour":
+            parent[key] = parent[rng.choice(keys)]
+        elif isinstance(parent, dict):
+            spelling = rng.choice([f" {key}", f"{key} ", f"{key},{key}"])
+            items = [(spelling if k == key else k, v) for k, v in parent.items()]
+            parent.clear()
+            parent.update(items)
+        else:
+            parent.insert(key, parent[key])
+        out.append(json.dumps(doc))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (pathlib.Path(argv[0]) / "src" / "rlsheaf").is_dir():
         print("usage: python3 scripts/diff_cli_outputs.py OTHER_CHECKOUT (a directory holding src/rlsheaf)", file=sys.stderr)
@@ -74,7 +125,16 @@ def main(argv: list[str]) -> int:
         for fmt, flags in FORMATS.items():
             labels.append((e["argv"], fmt))
             runs.append(([*flags, *e["argv"]], e["env"]))
-    here, there = replay(ROOT, runs), replay(other, runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, text in enumerate(edited_corpora()):
+            path = pathlib.Path(tmp) / f"edit{i:02d}.json"
+            path.write_text(text, encoding="utf-8")
+            for lenient in ([], ["--lenient"]):
+                for fmt, flags in FORMATS.items():
+                    args = ["--workspace", str(path), *lenient, "validate"]
+                    labels.append((args, fmt))
+                    runs.append(([*flags, *args], {}))
+        here, there = replay(ROOT, runs), replay(other, runs)
     differ = 0
     for (args, fmt), mine, theirs in zip(labels, here, there):
         fields = [name for name, a, b in zip(("rc", "stdout", "stderr"), mine, theirs) if a != b]

@@ -209,20 +209,19 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
         if not carrier:
             bad.append(Violation("stalk-empty", p))
             continue
-        pos = {x: i for i, x in enumerate(carrier)}
-        pairs = list(itertools.product(carrier, repeat=2))
         tabs = []
         for name in StalkOps.OPS:
             tab = rb.ops.op(name).get(p, {})
-            row = tuple(pos.get(tab.get(xy)) for xy in pairs)
+            row = tuple(rlcore._positions(carrier, tab))
             if None in row:
-                for (x, y), i in zip(pairs, row):
+                for (x, y), i in zip(itertools.product(carrier, repeat=2), row):
                     v = tab.get((x, y))
                     if v is None:
                         bad.append(Violation(f"stalk-{name}-missing", f"{p}:({x},{y})"))
                     elif i is None:
                         bad.append(Violation(f"stalk-{name}-escapes", f"{p}:({x},{y})->{v}"))
             tabs.append(row)
+        pos = {x: i for i, x in enumerate(carrier)}
         bot, top = pos.get(rb.ops.zero.get(p)), pos.get(rb.ops.one.get(p))
         if bot is None or top is None:
             bad.append(Violation("stalk-constants-escape", p))

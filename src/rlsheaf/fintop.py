@@ -7,9 +7,12 @@ below p iff q is in U_p).  A space is therefore stored as its points and
 the map p -> U_p.  Builders produce U_p directly, continuity and the other
 map properties are read off it, and the open family is a view (`Opens`)
 that counts its members and lists them only when iterated, both by one
-pivot split of the down-sets.  `verify_topology` checks families that come
-from outside the program on the same U_p, read off the family: it is a
-topology iff it holds the empty set and each member's union with each U_p.
+pivot split of the down-sets.  A family that comes from outside the program
+is checked on the same U_p, read off the family: it is a topology iff it
+holds the empty set and each member's union with each U_p.
+`space_from_opens` decides that on bitmasks over the sorted points;
+`_family_check`, which `verify_topology` reads, walks the family as sets
+only when the masks find a failure, to name it.
 """
 
 from __future__ import annotations
@@ -235,12 +238,40 @@ def verify_topology(points: Iterable[str], family: Iterable[Iterable[str]]) -> V
     return ValidationReport("topology", tuple(dict.fromkeys([*bad, *incomplete])))  # each violation once, in order
 
 
+def _opens_space(pts: PointSet, family: list) -> FiniteSpace | None:
+    """The space whose open family is `family`, decided on bitmasks over the sorted points; None when
+    a member holds an element outside the points or lists one twice, or the family is no topology.
+
+    The family must hold the empty set, the full set and each member's union with each U_p, where
+    the U_p are those of `topology_from_subbasis` on the family: `_family_check`'s test, on ints.
+    """
+    bit = {p: 1 << i for i, p in enumerate(sorted(pts))}
+    try:
+        masks = [sum(map(bit.__getitem__, s)) for s in family]
+    except (KeyError, TypeError):
+        return None
+    # A sum of k powers of two has k bits set iff they are distinct: only then is it their union.
+    fam = set(masks)
+    if list(map(int.bit_count, masks)) != list(map(len, family)) or 0 not in fam or (1 << len(pts)) - 1 not in fam:
+        return None
+    space = topology_from_subbasis(pts, family)
+    downs = {sum(map(bit.__getitem__, u)) for _, u in space.min_nbhds}
+    return space if all({a | u for a in fam} <= fam for u in downs) else None
+
+
 def space_from_opens(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
-    """The space with the given open family; a ValueError names the first violated axiom."""
-    bad, space, incomplete = _family_check(points, opens)
-    first = next(itertools.chain(bad, incomplete), None)
-    if first is not None:
-        raise ValueError(str(first))
+    """The space with the given open family; a ValueError names the first violated axiom.
+
+    The family is decided on masks (`_opens_space`); only a family that fails goes through
+    `_family_check`, which names the first failure.  Each input is read once.
+    """
+    pts, fam = frozenset(points), [frozenset(s) for s in opens]
+    space = _opens_space(pts, fam)
+    if space is None:
+        bad, space, incomplete = _family_check(pts, fam)
+        first = next(itertools.chain(bad, incomplete), None)
+        if first is not None:
+            raise ValueError(str(first))
     return space
 
 

@@ -8,6 +8,8 @@ when absent.  Unknown keys are rejected; diagnostics carry document paths.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -102,13 +104,42 @@ def _parse_pairs(raw: Any, path: str) -> list[tuple[str, str]]:
     return [(a, b) for a, b in raw]
 
 
-def _parse_binary_table(raw: Any, carrier: set[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
+@functools.lru_cache(maxsize=64)
+def _cells(carrier: frozenset[str]) -> tuple[list[str], dict[str, tuple[str, str]]]:
+    """The elements no 'x,y' key can name, sorted, and each pair of elements by its exact key; the four
+    tables of a stalk share them.  A key is split on ',' and its halves stripped, so no key names an
+    element holding ',' or edge whitespace."""
+    pairs = list(itertools.product(carrier, repeat=2))
+    return sorted(el for el in carrier if "," in el or el != el.strip()), dict(zip(map(",".join, pairs), pairs))
+
+
+def _parse_binary_table(raw: Any, carrier: frozenset[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
+    """The table keyed by carrier pairs.  One whose keys are all exactly 'x,y', with values in the carrier,
+    no entry conflicting with its mirror and every pair given, is read by key lookup; any other goes
+    through `_binary_table_walk`, which raises its first error or reads the keys it strips."""
     if not isinstance(raw, dict):
         raise WorkspaceSyntaxError(f"{path}: expected an object keyed 'x,y'")
-    # A key is split on ',' and its halves stripped, so no key names such an element.
-    unnameable = sorted(el for el in carrier if "," in el or el != el.strip())
+    unnameable, cell = _cells(frozenset(carrier))
     if unnameable:
         raise WorkspaceSyntaxError(f"{path}: {unnameable[0]!r} cannot be named in an 'x,y' key")
+    out: dict[tuple[str, str], str] = {}
+    try:
+        if carrier.issuperset(raw.values()):
+            for xy, v in zip(map(cell.__getitem__, raw), raw.values()):
+                if out.setdefault(xy, v) != v:  # only the mirror of an earlier key sets xy first
+                    break
+                if symmetrize:
+                    out[xy[::-1]] = v
+            else:
+                if len(out) == len(cell):
+                    return out
+    except (KeyError, TypeError):
+        pass
+    return _binary_table_walk(raw, carrier, path, symmetrize)
+
+
+def _binary_table_walk(raw: dict, carrier: frozenset[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
+    """`_parse_binary_table` key by key: each key split on ',' and its halves stripped."""
     out: dict[tuple[str, str], str] = {}
     for key, v in raw.items():
         parts = key.split(",")
@@ -139,7 +170,7 @@ def _parse_lattice(name: str, raw: Any) -> rlcore.ResiduatedLattice:
     if ("leq" in raw) == ("hasse" in raw):
         raise WorkspaceSyntaxError(f"{path}: exactly one of 'leq'/'hasse' is required")
     carrier = _distinct(_str_list(raw["carrier"], f"{path}.carrier"), f"{path}.carrier", "elements")
-    cset = set(carrier)
+    cset = frozenset(carrier)
     mul = _parse_binary_table(raw["mul"], cset, f"{path}.mul", symmetrize=True)
     imp = None
     if "imp" in raw:
@@ -170,9 +201,15 @@ def _parse_space(name: str, raw: Any) -> fintop.FiniteSpace:
     path = f"spaces.{name}"
     _require_keys(raw, {"points", "opens"}, {"points", "opens"}, path)
     points = _distinct(_str_list(raw["points"], f"{path}.points"), f"{path}.points", "points")
-    if not isinstance(raw["opens"], list) or not all(isinstance(o, list) for o in raw["opens"]):
+    opens = raw["opens"]
+    if not isinstance(opens, list) or not all(isinstance(o, list) for o in opens):
         raise WorkspaceSyntaxError(f"{path}.opens: expected a list of lists")
-    opens = [_distinct(_str_list(o, f"{path}.opens[{i}]"), f"{path}.opens[{i}]", "points") for i, o in enumerate(raw["opens"])]
+    # Opens that list distinct points and form a topology are read once, as masks.  Any other family is
+    # walked open by open, so a syntax error in any open comes before a topology error.
+    space = fintop._opens_space(frozenset(points), opens)
+    if space is not None:
+        return space
+    opens = [_distinct(_str_list(o, f"{path}.opens[{i}]"), f"{path}.opens[{i}]", "points") for i, o in enumerate(opens)]
     try:
         return fintop.space_from_opens(points, opens)
     except ValueError as e:
@@ -197,7 +234,7 @@ def _parse_stalk_ops(raw: Any, bnd: bundle.Bundle, path: str) -> bundle.StalkOps
         if pt not in bnd.base.points:
             raise WorkspaceReferenceError(f"{path}.{pt}: not a base point")
         _require_keys(tabs, set(tables), set(tables), f"{path}.{pt}")
-        stalk = set(bnd.stalk_points(pt))
+        stalk = bnd.stalk_points(pt)
         for name, out in tables.items():
             out[pt] = _parse_binary_table(tabs[name], stalk, f"{path}.{pt}.{name}", symmetrize=name != "imp")
     missing = sorted(set(bnd.base.points) - set(raw))

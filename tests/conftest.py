@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from rlsheaf import adjunction, basechange, bundle, fintop, rlcore, sheafify
+from rlsheaf import adjunction, basechange, bundle, fintop, rlcore, sheafify, workspace
 from rlsheaf.report import Violation, fmt_set
 
 
@@ -526,6 +526,38 @@ def verify_topology_literal(points, family) -> tuple[Violation, ...]:
         if a & b not in famset:
             bad.append(Violation("intersection-escapes", f"{fmt_set(a)} * {fmt_set(b)} -> {fmt_set(a & b)}"))
     return tuple(dict.fromkeys(bad))
+
+
+def binary_table_literal(raw, carrier: set[str], path: str, symmetrize: bool) -> dict[tuple[str, str], str]:
+    """Oracle: `workspace._parse_binary_table` as a per-key reader, each key split on ',' and its halves
+    stripped; every error is the `WorkspaceSyntaxError` the reader raises."""
+    if not isinstance(raw, dict):
+        raise workspace.WorkspaceSyntaxError(f"{path}: expected an object keyed 'x,y'")
+    unnameable = sorted(el for el in carrier if "," in el or el != el.strip())
+    if unnameable:
+        raise workspace.WorkspaceSyntaxError(f"{path}: {unnameable[0]!r} cannot be named in an 'x,y' key")
+    out: dict[tuple[str, str], str] = {}
+    for key, v in raw.items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise workspace.WorkspaceSyntaxError(f"{path}.{key}: key must be 'x,y'")
+        x, y = parts[0].strip(), parts[1].strip()
+        if not isinstance(v, str):
+            raise workspace.WorkspaceSyntaxError(f"{path}.{key}: expected a string, got {type(v).__name__}")
+        for el in (x, y, v):
+            if el not in carrier:
+                raise workspace.WorkspaceSyntaxError(f"{path}.{key}: {el!r} is not a carrier element")
+        if (x, y) in out and out[x, y] != v:
+            raise workspace.WorkspaceSyntaxError(f"{path}.{key}: conflicting duplicate entry")
+        out[x, y] = v
+        if symmetrize:
+            if (y, x) in out and out[y, x] != v:
+                raise workspace.WorkspaceSyntaxError(f"{path}.{key}: symmetrization conflict at ({y},{x})")
+            out[y, x] = v
+    missing = [(x, y) for x in carrier for y in carrier if (x, y) not in out]
+    if missing:
+        raise workspace.WorkspaceSyntaxError(f"{path}: table incomplete, e.g. ({min(missing)[0]},{min(missing)[1]}) missing")
+    return out
 
 
 def section_image_basis_literal(e: bundle.Bundle) -> list[frozenset]:

@@ -84,6 +84,58 @@ def test_space_from_opens_is_the_generated_space_or_names_the_first_violation(ca
         assert str(e.value) == str(rep.violations[0])
 
 
+def mask_decision_cases():
+    """Every family of subsets of 0-3 points (256 on 3 points), families with a member outside the
+    points, and seeded families on 4 and 5 points: random subsets, or a topology with one member
+    dropped or one subset added."""
+    for n in range(4):
+        pts = [f"p{i}" for i in range(n)]
+        subsets = [sorted(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
+        for bits in range(1 << len(subsets)):
+            yield pts, [s for i, s in enumerate(subsets) if bits >> i & 1]
+    yield [], [[], ["zz"]]
+    yield ["a", "b"], [[], ["a"], ["a", "b"], ["a", "zz"]]
+    yield ["a", "b"], [[], ["zz", "a"], ["a"], ["b"], ["a", "b"]]
+    rng = random.Random(21)
+    for n in (4, 5):
+        pts = [f"p{i}" for i in range(n)]
+        for _ in range(150):
+            subsets = [[p for p in pts if rng.random() < 0.5] for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:
+                yield pts, subsets
+                continue
+            opens = [sorted(o) for o in fintop.topology_from_subbasis(pts, subsets).sorted_opens()]
+            if rng.random() < 0.5:
+                del opens[rng.randrange(len(opens))]
+            else:
+                opens.insert(rng.randrange(len(opens) + 1), rng.choice(subsets or [pts]))
+            yield pts, opens
+
+
+def test_open_families_are_decided_on_masks_as_verify_topology_decides_them():
+    """The mask decision accepts exactly the topologies; `space_from_opens` then returns the generated
+    space and otherwise names `verify_topology`'s first violation, also when every input is a generator."""
+    cases = list(mask_decision_cases())
+    assert len(cases) == 2 + 4 + 16 + 256 + 3 + 300
+    for pts, family in cases:
+        rep = fintop.verify_topology(pts, family)
+        decided = fintop._opens_space(frozenset(pts), [frozenset(s) for s in family])
+        assert (decided is not None) == rep.ok, (pts, family)
+        for args in [(pts, family), (iter(pts), (iter(s) for s in family))]:
+            if rep.ok:
+                assert fintop.space_from_opens(*args) == decided == fintop.topology_from_subbasis(pts, family)
+            else:
+                with pytest.raises(ValueError) as e:
+                    fintop.space_from_opens(*args)
+                assert str(e.value) == str(rep.violations[0])
+
+
+def test_the_mask_decision_refuses_a_member_that_lists_a_point_twice():
+    """A workspace open is a list, so a point listed twice is left to the reader that names it."""
+    assert fintop._opens_space(frozenset("xy"), [[], ["x"], ["x", "y"]]) == fintop.sierpinski("x", "y")
+    assert fintop._opens_space(frozenset("xy"), [[], ["x"], ["x", "x"], ["x", "y"]]) is None
+
+
 @given(open_families())
 @example((["x", "y", "z"], [["x", "y"], ["y", "z"], ["x", "y", "z"]]))  # misses only U_y = {y}
 @settings(max_examples=300, deadline=None)

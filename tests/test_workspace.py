@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from conftest import binary_table_literal
 from rlsheaf import basechange, bundle, cli, fintop, fixtures, rlcore, suites, workspace
 
 
@@ -80,6 +81,84 @@ def test_compose_rle_builds_one_pullback_per_base_map(monkeypatch, capsys):
     calls.update(dict.fromkeys(calls, 0))
     basechange.identity_rle_morphism(ws.rle_spaces["R_speca4"])
     assert calls == {"pullback_etale": 1, "pullback_rl_etale": 1}
+
+
+def test_corpus_parse_decides_every_open_family_and_table_without_the_walks(monkeypatch):
+    """The corpus is read on masks and by key lookup; one family that is not a topology is named by
+    one `_family_check` call, and the other spaces still take the mask decision."""
+    calls = counted_calls(monkeypatch, (fintop, "_family_check"), (workspace, "_binary_table_walk"))
+    workspace.parse_workspace(bundled_text())
+    assert calls == {"_family_check": 0, "_binary_table_walk": 0}
+    doc = json.loads(bundled_text())
+    doc["spaces"]["sierpinski"]["opens"].remove([])
+    ws = workspace.parse_workspace(doc, strict=False)
+    assert ws.diagnostics[0] == "spaces.sierpinski: missing-empty-set: {}"
+    assert calls == {"_family_check": 1, "_binary_table_walk": 0}
+
+
+def corpus_tables():
+    """(path, table, carrier, symmetrize) for each lattice's mul and each stalk's four tables in the corpus."""
+    doc = json.loads(bundled_text())
+    for name, lat in sorted(doc["lattices"].items()):
+        yield f"lattices.{name}.mul", lat["mul"], set(lat["carrier"]), True
+    for name, rb in sorted(doc["rl_bundles"].items()):
+        for p, tabs in sorted(rb["stalk_ops"].items()):
+            stalk = {t for t, q in rb["proj"].items() if q == p}
+            for op, tab in sorted(tabs.items()):
+                yield f"rl_bundles.{name}.stalk_ops.{p}.{op}", tab, stalk, op != "imp"
+
+
+def single_entry_corruptions(table: dict, carrier: set[str]):
+    """(table, carrier) with one entry, or one carrier element, corrupted: each key dropped, spelled with
+    edge whitespace or a third part, or holding a value outside the carrier or one that is no string;
+    each entry's mirror given a different value; and an element renamed to hold a ','."""
+    def with_entry(i, key, value):
+        return {**dict(list(table.items())[:i]), key: value, **dict(list(table.items())[i + 1:])}
+
+    odd_values = [None, 1, 1.5, True, ["x"], {}]
+    for i, (key, v) in enumerate(table.items()):
+        x, y = key.split(",")
+        yield {k: w for k, w in table.items() if k != key}, carrier
+        yield with_entry(i, [f" {key}", f"{x} ,{y}", f"{key}\t"][i % 3], v), carrier
+        yield with_entry(i, f"{key},{x}", v), carrier
+        yield with_entry(i, key, "zz"), carrier
+        yield with_entry(i, key, odd_values[i % len(odd_values)]), carrier
+        other = next((c for c in sorted(carrier) if c != v), None)
+        if x != y and other is not None:
+            yield {**table, f"{y},{x}": other}, carrier
+    el = min(carrier)
+    yield table, carrier - {el} | {f"{el},q"}
+
+
+def test_table_reader_matches_the_per_key_reader_on_every_single_entry_corruption():
+    cases = 0
+    for path, table, carrier, symmetrize in corpus_tables():
+        for raw, c in [(table, carrier), *single_entry_corruptions(table, carrier)]:
+            cases += 1
+            try:
+                want = binary_table_literal(raw, c, path, symmetrize)
+            except workspace.WorkspaceSyntaxError as e:
+                with pytest.raises(workspace.WorkspaceSyntaxError) as got:
+                    workspace._parse_binary_table(raw, c, path, symmetrize)
+                assert (type(got.value), str(got.value)) == (type(e), str(e))
+                continue
+            assert list(workspace._parse_binary_table(raw, c, path, symmetrize).items()) == list(want.items())
+    assert cases > 2000
+
+
+@pytest.mark.parametrize("opens, error", [
+    ([["zz"], ["x", 1]], "spaces.s.opens[1][1]: expected a string, got int"),
+    ([["x"], ["y", "y"]], "spaces.s.opens[1]: duplicate points"),
+    ([[], ["x"], ["x", "x"], ["x", "y"]], "spaces.s.opens[2]: duplicate points"),
+    ([["x"], "y"], "spaces.s.opens: expected a list of lists"),
+])
+def test_a_syntax_error_in_any_open_comes_before_a_topology_error(opens, error):
+    """The open that cannot be read is named, whether or not the family would be a topology."""
+    doc = {"spaces": {"s": {"points": ["x", "y"], "opens": opens}}}
+    for strict in (True, False):
+        with pytest.raises(workspace.WorkspaceSyntaxError) as e:
+            workspace.parse_workspace(doc, strict=strict)
+        assert str(e.value) == error
 
 
 def test_check_rl_bundle_reuses_the_report_of_the_parse(monkeypatch, capsys):
