@@ -8,7 +8,9 @@ machine-readable`.  So are `validate` and `--lenient validate` on each of
 `EDITS` copies of the bundled corpus with one seeded edit each (an entry
 dropped, a value replaced, a key respelled or a value copied from a
 neighbour), written to a temporary directory, so malformed input is compared
-too.  Each side runs all of its commands in one subprocess of its own,
+too.  So are the argv-level cases of `argv_cases`, once each as given: help,
+usage errors and the bare commands, which the recorded argvs never reach.
+Each side runs all of its commands in one subprocess of its own,
 importing rlsheaf from that checkout's `src/`, under the same PYTHONHASHSEED
 (0 unless the caller sets one).  Every (argv, format) whose exit code, stdout
 or stderr differs is printed; the exit code is 1 if any does and 0 if the two
@@ -72,6 +74,18 @@ def replay(checkout: pathlib.Path, runs: list[tuple[list[str], dict[str, str]]])
     return json.loads(r.stdout)
 
 
+def argv_cases(entries: list[dict]) -> list[list[str]]:
+    """Top-level `-h`, no arguments and an unknown command; then, for each command, `-h`, the bare command
+    and the command's first recorded argv with one argument too many."""
+    first: dict[str, list[str]] = {}
+    for e in entries:
+        first.setdefault(e["argv"][0], e["argv"])
+    cases = [["-h"], [], ["no-such-command"]]
+    for name, argv in first.items():
+        cases += [[name, "-h"], [name], [*argv, "extra"]]
+    return cases
+
+
 def edited_corpora(n: int = EDITS, seed: int = 0) -> list[str]:
     """`n` copies of the bundled corpus as JSON text, each with one edit at a place drawn by `seed` from
     every object entry and list element: dropped, replaced by a value of `ODD_VALUES`, given the value
@@ -125,6 +139,9 @@ def main(argv: list[str]) -> int:
         for fmt, flags in FORMATS.items():
             labels.append((e["argv"], fmt))
             runs.append(([*flags, *e["argv"]], e["env"]))
+    for argv in argv_cases(entries):
+        labels.append((argv, "as given"))
+        runs.append((argv, {}))
     with tempfile.TemporaryDirectory() as tmp:
         for i, text in enumerate(edited_corpora()):
             path = pathlib.Path(tmp) / f"edit{i:02d}.json"

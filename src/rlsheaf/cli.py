@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 failed assertion or validation, 2 usage, syntax,
 or reference errors.  Output ordering is lexicographic throughout; the
 machine-readable format is a single JSON object per invocation.
+
+Only the invoked command's argument parser is built.  The top-level `command`
+positional has a sub-parsers action's dest, nargs and choices, so usage lines,
+help and error messages read as they did with every command's sub-parser built.
 """
 
 from __future__ import annotations
@@ -288,34 +292,16 @@ def cmd_export_dot(ws: workspace.Workspace, args) -> dict:
     return {"ok": True, "lines": [text], "dot": text}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rlsheaf", description=__doc__)
-    p.add_argument("--workspace", help="path to a workspace JSON document (default: bundled fixture corpus)")
-    p.add_argument("--format", choices=["text", "machine-readable"], default="text")
-    p.add_argument("--lenient", action="store_true", help="record validation diagnostics instead of failing")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate")
-    sp = sub.add_parser("filters"); sp.add_argument("name")
-    sp = sub.add_parser("classify"); sp.add_argument("name")
-    sp = sub.add_parser("quotient"); sp.add_argument("name"); sp.add_argument("filter")
-    sp = sub.add_parser("spectrum")
-    sp.add_argument("name")
-    sp.add_argument("--set", required=True, choices=["spec", "max", "min"])
-    sp.add_argument("--flavor", required=True, choices=["hull", "dual", "patch"])
-    sp = sub.add_parser("sections"); sp.add_argument("bundle"); sp.add_argument("--open", default=None)
-    sp = sub.add_parser("check-etale"); sp.add_argument("bundle")
-    sp = sub.add_parser("check-rl-bundle"); sp.add_argument("bundle")
-    sp = sub.add_parser("sheafify"); sp.add_argument("bundle")
-    sp = sub.add_parser("counit-check"); sp.add_argument("bundle")
-    sp = sub.add_parser("pullback"); sp.add_argument("map"); sp.add_argument("bundle")
-    sp = sub.add_parser("compose-rle"); sp.add_argument("m1"); sp.add_argument("m2")
-    sp = sub.add_parser("gamma"); sp.add_argument("rlespace")
-    sub.add_parser("adjunction-suite")
-    sub.add_parser("law-suite")
-    sp = sub.add_parser("export-dot"); sp.add_argument("object")
-    return p
-
+# Each command's add_argument calls, in HANDLERS order: a name is a positional, a pair an option.
+ARGUMENTS: dict[str, list] = {
+    "validate": [], "filters": ["name"], "classify": ["name"], "quotient": ["name", "filter"],
+    "spectrum": ["name", ("--set", {"required": True, "choices": ["spec", "max", "min"]}),
+                 ("--flavor", {"required": True, "choices": ["hull", "dual", "patch"]})],
+    "sections": ["bundle", ("--open", {"default": None})],
+    "check-etale": ["bundle"], "check-rl-bundle": ["bundle"], "sheafify": ["bundle"], "counit-check": ["bundle"],
+    "pullback": ["map", "bundle"], "compose-rle": ["m1", "m2"], "gamma": ["rlespace"],
+    "adjunction-suite": [], "law-suite": [], "export-dot": ["object"],
+}
 
 HANDLERS = {
     "validate": cmd_validate,
@@ -337,10 +323,35 @@ HANDLERS = {
 }
 
 
-def run(argv: list[str]) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its help shows the module docstring without the last paragraph."""
+    p = argparse.ArgumentParser(prog="rlsheaf", description=__doc__.rsplit("\n\n", 1)[0])
+    p.add_argument("--workspace", help="path to a workspace JSON document (default: bundled fixture corpus)")
+    p.add_argument("--format", choices=["text", "machine-readable"], default="text")
+    p.add_argument("--lenient", action="store_true", help="record validation diagnostics instead of failing")
+    p.add_argument("command", nargs=argparse.PARSER, choices=list(HANDLERS))
+    return p
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` as a sub-parsers action would, building the sub-parser of the invoked command only."""
     parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    args.command, *rest = args.command
+    sub = argparse.ArgumentParser(prog=f"rlsheaf {args.command}")
+    for arg in ARGUMENTS[args.command]:
+        flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        sub.add_argument(flag, **kwargs)
+    sub_args, more = sub.parse_known_args(rest)
+    vars(args).update(vars(sub_args))
+    if extras or more:
+        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
@@ -349,13 +360,10 @@ def run(argv: list[str]) -> int:
     except CommandError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except (workspace.WorkspaceSyntaxError, workspace.WorkspaceReferenceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except workspace.WorkspaceValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:  # a library refusal inside a command
+    except ValueError as e:  # a workspace syntax or reference error, or a library refusal inside a command
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -17,7 +17,11 @@ DEFAULT_SEED = 271828
 
 
 def suite_seed() -> int:
-    return int(os.environ.get("RLSHEAF_SEED", DEFAULT_SEED))
+    text = os.environ.get("RLSHEAF_SEED", DEFAULT_SEED)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RLSHEAF_SEED must be an integer, got {text!r}") from None
 
 
 @dataclass

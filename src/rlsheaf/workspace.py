@@ -262,6 +262,8 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise WorkspaceSyntaxError(f"document: invalid JSON ({e})")
+        except RecursionError:
+            raise WorkspaceSyntaxError("document: invalid JSON (nested too deeply)") from None
     else:
         doc = text
     if not isinstance(doc, dict):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import os
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from rlsheaf import adjunction, basechange, bundle, fintop, rlcore, sheafify, workspace
+from rlsheaf import adjunction, basechange, bundle, cli, fintop, rlcore, sheafify, workspace
 from rlsheaf.report import Violation, fmt_set
 
 
@@ -755,3 +756,34 @@ def outputs_under_hash_seeds(code: str, seeds) -> list[str]:
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
         out.append(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout)
     return out
+
+
+def build_parser_literal() -> argparse.ArgumentParser:
+    """The eager parser `cli.parse_args` stands for: a sub-parsers action with every command's sub-parser built.
+    The description is `cli`'s own; the diff gate compares the help that shows it with another checkout's."""
+    p = argparse.ArgumentParser(prog="rlsheaf", description=cli.build_parser().description)
+    p.add_argument("--workspace", help="path to a workspace JSON document (default: bundled fixture corpus)")
+    p.add_argument("--format", choices=["text", "machine-readable"], default="text")
+    p.add_argument("--lenient", action="store_true", help="record validation diagnostics instead of failing")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("validate")
+    sp = sub.add_parser("filters"); sp.add_argument("name")
+    sp = sub.add_parser("classify"); sp.add_argument("name")
+    sp = sub.add_parser("quotient"); sp.add_argument("name"); sp.add_argument("filter")
+    sp = sub.add_parser("spectrum")
+    sp.add_argument("name")
+    sp.add_argument("--set", required=True, choices=["spec", "max", "min"])
+    sp.add_argument("--flavor", required=True, choices=["hull", "dual", "patch"])
+    sp = sub.add_parser("sections"); sp.add_argument("bundle"); sp.add_argument("--open", default=None)
+    sp = sub.add_parser("check-etale"); sp.add_argument("bundle")
+    sp = sub.add_parser("check-rl-bundle"); sp.add_argument("bundle")
+    sp = sub.add_parser("sheafify"); sp.add_argument("bundle")
+    sp = sub.add_parser("counit-check"); sp.add_argument("bundle")
+    sp = sub.add_parser("pullback"); sp.add_argument("map"); sp.add_argument("bundle")
+    sp = sub.add_parser("compose-rle"); sp.add_argument("m1"); sp.add_argument("m2")
+    sp = sub.add_parser("gamma"); sp.add_argument("rlespace")
+    sub.add_parser("adjunction-suite")
+    sub.add_parser("law-suite")
+    sp = sub.add_parser("export-dot"); sp.add_argument("object")
+    return p

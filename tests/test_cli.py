@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_chain_bundle, verify_rl_literal
+from conftest import build_parser_literal, mixed_chain_bundle, verify_rl_literal
 from rlsheaf import cli, fixtures, rlcore, workspace
 
 RUN = [sys.executable, "-m", "rlsheaf"]
@@ -660,3 +662,81 @@ def test_an_element_no_key_can_name_is_refused_once(name, lenient, tmp_path):
     lat = {"carrier": ["0", name], "hasse": [["0", name]], "mul": {"0,0": "0"}, "bot": "0", "top": name}
     rc, out, err = run_with_output({"lattices": {"L": lat}}, ["--lenient"] * lenient + ["validate"], tmp_path)
     assert (rc, out, err) == (2, "", f"error: lattices.L.mul: {name!r} cannot be named in an 'x,y' key\n")
+
+
+def test_a_workspace_nested_too_deeply_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert cli.run(["--workspace", str(path), "validate"]) == 2
+    assert capsys.readouterr() == ("", "error: document: invalid JSON (nested too deeply)\n")
+
+
+@pytest.mark.parametrize("seed", ["x", "1.5", ""])
+def test_a_seed_that_is_not_an_integer_is_named_and_exits_2(seed, monkeypatch, capsys):
+    monkeypatch.setenv("RLSHEAF_SEED", seed)
+    assert cli.run(["law-suite"]) == 2
+    assert capsys.readouterr() == ("", f"error: RLSHEAF_SEED must be an integer, got {seed!r}\n")
+
+
+def parse_outcome(parse, argv):
+    """What parsing `argv` gives: the namespace or the SystemExit code, with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as e:
+            result = ("SystemExit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_by_the_literal_parser(argv):
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(build_parser_literal().parse_args, argv), argv
+
+
+def command_args(name):
+    """A value for each required argument of the command, from its argument table."""
+    args = []
+    for arg in cli.ARGUMENTS[name]:
+        if isinstance(arg, str):
+            args.append("x")
+        elif arg[1].get("required"):
+            args += [arg[0], arg[1]["choices"][0]]
+    return args
+
+
+PARSE_CASES = [[], ["-h"], ["--help"], ["nope"], ["--format", "xml", "validate"], ["--form=text", "filters", "A4"],
+               ["validate", "--form=text"], ["--", "validate"], ["filters", "--", "A4"], ["filters", "A4", "--"],
+               ["spectrum", "A4", "--set", "all", "--flavor", "hull"], ["spectrum", "A4", "--set", "spec", "--flavor", "flat"],
+               ["spectrum", "A4", "--se", "spec", "--fl", "dual"], ["spectrum", "A4", "--set=max", "--flavor=patch"],
+               ["sections", "b", "--open="], ["--bogus", "validate", "extra"], ["--lenient", "--workspace"]]
+for _name in cli.HANDLERS:
+    PARSE_CASES += [[_name, "-h"], [_name], [_name, *command_args(_name), "extra"], [_name, *command_args(_name)],
+                    ["--lenient", _name, *command_args(_name)], ["--format", "machine-readable", _name, *command_args(_name)]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parse_args_agrees_with_the_eager_parser(argv):
+    assert_parsed_as_by_the_literal_parser(argv)
+
+
+def test_parse_args_agrees_with_the_eager_parser_on_drawn_argvs():
+    tokens = ["-h", "--help", "--workspace", "w.json", "--format", "text", "machine-readable", "--form=text", "--lenient",
+              "--len", "--", "-", "-x", "--bogus", "--set", "spec", "--se", "max", "--set=min", "--flavor", "hull", "--fl",
+              "--open", "--open=", "a,b", "A4", "x", *cli.HANDLERS]
+    rng = random.Random(0)
+    for _ in range(300):
+        assert_parsed_as_by_the_literal_parser([rng.choice(tokens) for _ in range(rng.randint(0, 6))])
+
+
+def test_one_run_builds_the_top_level_parser_and_the_invoked_commands_only(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.run(["--format", "machine-readable", "filters", "A4"]) == 0
+    assert built == ["rlsheaf", "rlsheaf filters"]
+    assert list(cli.ARGUMENTS) == list(cli.HANDLERS)
