@@ -324,8 +324,8 @@ HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; its help shows the module docstring without the last paragraph."""
-    p = argparse.ArgumentParser(prog="rlsheaf", description=__doc__.rsplit("\n\n", 1)[0])
+    """The top-level parser; its help shows the module docstring without the last paragraph (none under -OO)."""
+    p = argparse.ArgumentParser(prog="rlsheaf", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     p.add_argument("--workspace", help="path to a workspace JSON document (default: bundled fixture corpus)")
     p.add_argument("--format", choices=["text", "machine-readable"], default="text")
     p.add_argument("--lenient", action="store_true", help="record validation diagnostics instead of failing")

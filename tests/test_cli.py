@@ -728,6 +728,11 @@ def test_parse_args_agrees_with_the_eager_parser_on_drawn_argvs():
         assert_parsed_as_by_the_literal_parser([rng.choice(tokens) for _ in range(rng.randint(0, 6))])
 
 
+def test_help_without_docstrings():
+    r = subprocess.run([sys.executable, "-OO", *RUN[1:], "-h"], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "") and r.stdout.startswith("usage: rlsheaf [-h]")
+
+
 def test_one_run_builds_the_top_level_parser_and_the_invoked_commands_only(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
