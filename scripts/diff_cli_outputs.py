@@ -8,7 +8,10 @@ machine-readable`.  So are `validate` and `--lenient validate` on each of
 `EDITS` copies of the bundled corpus with one seeded edit each (an entry
 dropped, a value replaced, a key respelled or a value copied from a
 neighbour), written to a temporary directory, so malformed input is compared
-too.  So are the argv-level cases of `argv_cases`, once each as given: help,
+too, and on each of `WITNESS_EDITS` copies with one value of an `rl_bundles`
+stalk table, or of an `rle_inv` morphism's `alpha`, replaced by another element
+of the same stalk, so the proper-map continuity and RL-morphism witnesses are
+compared on input that parses.  So are the argv-level cases of `argv_cases`, once each as given: help,
 usage errors and the bare commands, which the recorded argvs never reach.
 Each side runs all of its commands in one subprocess of its own,
 importing rlsheaf from that checkout's `src/`, under the same PYTHONHASHSEED
@@ -19,6 +22,7 @@ checkouts answer every command identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pathlib
@@ -32,6 +36,7 @@ GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 CORPUS = ROOT / "src" / "rlsheaf" / "data" / "paper_fixtures.json"
 FORMATS = {"text": [], "machine-readable": ["--format", "machine-readable"]}
 EDITS = 60
+WITNESS_EDITS = 40
 ODD_VALUES = [None, 1, True, "zz", " a", "a,b", [], ["zz"], {}]
 
 # Reads [argv, env] pairs from stdin, runs each through cli.run in this process,
@@ -128,6 +133,65 @@ def edited_corpora(n: int = EDITS, seed: int = 0) -> list[str]:
     return out
 
 
+def witness_edits(n: int = WITNESS_EDITS, seed: int = 0) -> list[str]:
+    """`n` copies of the bundled corpus as JSON text, each with one edit drawn by `seed` that keeps every
+    value in its stalk.  Either one entry of an `rl_bundles.*.stalk_ops` table (and its mirror, in a
+    table that is not `imp`) or of an `rle_inv` morphism's `alpha` (whose values lie in the etale of
+    the morphism's `src`) is replaced by another point of its stalk, or one stalk of an RL-bundle's
+    total is ordered as a chain, in a drawn order, and the total's opens are rewritten as the
+    down-sets of that order closed with its own: the projection stays continuous and the stalk
+    algebras stay valid, so only the continuity of the proper maps and constants can change."""
+    rng = random.Random(seed)
+    text = CORPUS.read_text(encoding="utf-8")
+    base = json.loads(text)
+
+    def fibres(proj: dict) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for t, p in sorted(proj.items()):
+            out.setdefault(p, []).append(t)
+        return out
+
+    entries, alphas, stalks = [], [], []  # (path to a table, key, the points its value may take)
+    for name, rb in sorted(base["rl_bundles"].items()):
+        over = fibres(rb["proj"])
+        stalks += [(name, pts) for _, pts in sorted(over.items()) if len(pts) > 1]
+        for p, ops in sorted(rb["stalk_ops"].items()):
+            for op, tab in sorted(ops.items()):
+                entries += [(["rl_bundles", name, "stalk_ops", p, op], key, over[p]) for key in sorted(tab)]
+    for name, m in sorted(base["morphisms"].items()):
+        if m["kind"] == "rle_inv":
+            proj = base["rl_bundles"][base["rle_spaces"][m["src"]]["etale"]]["proj"]
+            alphas += [(["morphisms", name, "alpha"], key, fibres(proj)[proj[v]]) for key, v in sorted(m["alpha"].items())]
+    out = []
+    for _ in range(n):
+        doc = json.loads(text)
+        kind = rng.choice(["entry", "alpha", "chain"])
+        if kind == "chain":
+            name, pts = rng.choice(stalks)
+            chain = rng.sample(pts, len(pts))
+            space = doc["spaces"][doc["rl_bundles"][name]["total"]]
+            points = space["points"]
+            # U_t is the intersection of the opens holding t; the chain puts its earlier points in it.
+            below = {t: set.intersection(*(set(o) for o in space["opens"] if t in o)) for t in points}
+            for i, t in enumerate(chain):
+                below[t] |= set(chain[:i])
+            for _ in points:  # transitive closure
+                below = {t: set().union(u, *(below[c] for c in u)) for t, u in below.items()}
+            subsets = (set(c) for r in range(len(points) + 1) for c in itertools.combinations(sorted(points), r))
+            space["opens"] = [sorted(s) for s in subsets if all(below[t] <= s for t in s)]
+        else:
+            path, key, pts = rng.choice(entries if kind == "entry" else alphas)
+            table = doc
+            for step in path:
+                table = table[step]
+            value = rng.choice([t for t in pts if t != table[key]])
+            mirror = ",".join(reversed(key.split(","))) if kind == "entry" and path[-1] != "imp" else key
+            for k in {key, mirror} & set(table):
+                table[k] = value
+        out.append(json.dumps(doc))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (pathlib.Path(argv[0]) / "src" / "rlsheaf").is_dir():
         print("usage: python3 scripts/diff_cli_outputs.py OTHER_CHECKOUT (a directory holding src/rlsheaf)", file=sys.stderr)
@@ -143,7 +207,7 @@ def main(argv: list[str]) -> int:
         labels.append((argv, "as given"))
         runs.append((argv, {}))
     with tempfile.TemporaryDirectory() as tmp:
-        for i, text in enumerate(edited_corpora()):
+        for i, text in enumerate(edited_corpora() + witness_edits()):
             path = pathlib.Path(tmp) / f"edit{i:02d}.json"
             path.write_text(text, encoding="utf-8")
             for lenient in ([], ["--lenient"]):

@@ -187,13 +187,16 @@ def stalk_ops_from_proper_map(b: Bundle, rho: Mapping[str, str]) -> dict[str, di
 def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     """Stalk algebras valid, proper maps continuous, constants continuous sections.
 
-    One pass reads each stalk's tables: it reports every missing or escaping entry and builds the
-    integer rows `_stalk_rows_pass` is keyed on.  Once it passes, every stalk is non-empty and both
+    The stalks are the fibres of `proj.table`, read off it once.  One pass reads each stalk's
+    tables: it reports every missing or escaping entry and builds the integer rows
+    `_stalk_rows_pass` is keyed on.  Once it passes, every stalk is non-empty and both
     constants lie in their stalk, so the projection is onto and zero and one are right inverses.
 
     A proper map is continuous iff op_q(c, d) lies in U_op_p(t1, t2) for each
-    pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q.  One
-    that is not is named `k -> kk` by the least kernel-pair id k with a failing
+    pair (t1, t2) over p and each c in U_t1, d in U_t2 over a common q.  Only the
+    pairs with a point whose U_t is more than itself are walked: for any other
+    pair the only (c, d) is (t1, t2), and op(t1, t2) lies in its own U.  A map
+    that is not continuous is named `k -> kk` by the least kernel-pair id k with a failing
     (c, d) and the least failing id kk under it.  Two pairs with one id would
     make such a witness ambiguous: the pairs are `kernel_pair_points(b)`, which
     refuses them with a ValueError.  Each distinct stalk structure gets
@@ -201,11 +204,13 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
     """
     bad: list[Violation] = []
     b = rb.bundle
+    fibres: dict[str, list[str]] = {p: [] for p in b.base.sorted_points}
+    for t, p in b.proj.table:  # sorted by point, so each fibre is too
+        fibres[p].append(t)
     rows = {}
-    for p in sorted(b.base.points):
+    for p, carrier in fibres.items():
         # The stalk as integer rows over its sorted carrier: its size, then join, meet, mul and imp
         # as positions, then bot and top.  The order is read off meet, as in `stalk_rl`.
-        carrier = sorted(b.stalk_points(p))
         if not carrier:
             bad.append(Violation("stalk-empty", p))
             continue
@@ -237,12 +242,14 @@ def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
             v = rep.violations[0]
             bad.append(Violation(f"stalk-not-rl[{v.rule}]", f"{p}: {v.witness}"))
 
-    # The kernel pairs in id order, each with its base point, and each U_t grouped by stalk.
-    pairs = sorted((k, b.proj(t1), t1, t2) for k, (t1, t2) in kernel_pair_points(b).items())
-    mins, over = b.total.min_nbhd_map, {t: {} for t in b.total.points}
+    # The kernel pairs that can fail, in id order, each with its base point, and each U_t grouped by stalk.
+    mins, base_of, over = b.total.min_nbhd_map, b.proj.mapping, {}
     for t, u in b.total.min_nbhds:
+        over[t] = cs = {}
         for c in u:
-            over[t].setdefault(b.proj(c), []).append(c)
+            cs.setdefault(base_of[c], []).append(c)
+    pairs = sorted((k, base_of[t1], t1, t2) for k, (t1, t2) in kernel_pair_points(b).items()
+                   if len(mins[t1]) > 1 or len(mins[t2]) > 1)
     for name in StalkOps.OPS:
         tabs = rb.ops.op(name)
         for k, p, t1, t2 in pairs:

@@ -144,7 +144,12 @@ class Opens(Set):
     """The open family of a space: membership is `is_open`, and the size is counted
     and (only when iterating) the members listed by one split on a pivot x: the opens
     inside a point set s are those inside s & ~up[x], which omit x and every point
-    above it, and down[x] & s joined with each open inside s & ~down[x]."""
+    above it, and down[x] & s joined with each open inside s & ~down[x].
+
+    `masks` holds the split's leaves, each open as a bitmask over `sorted_points`, and
+    the members are those masks as point sets.  Listing is refused past `MAX_OPENS`
+    opens; the count that decides it runs only when 2^n could pass that bound.
+    """
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -155,8 +160,8 @@ class Opens(Set):
         return isinstance(s, (set, frozenset)) and self.space.is_open(s)
 
     @cached_property
-    def _members(self) -> frozenset[PointSet]:
-        if self._count > MAX_OPENS:
+    def masks(self) -> list[int]:
+        if 1 << len(self.pts) > MAX_OPENS and self._count > MAX_OPENS:
             raise ValueError(f"refusing to materialize topology with {self._count} > 2^20 opens")
         down, up = self.down, self.up
         out, stack = [], [((1 << len(down)) - 1, 0)]
@@ -166,8 +171,12 @@ class Opens(Set):
                 x = s.bit_length() - 1
                 stack += [(s & ~up[x], acc), (s & ~down[x], acc | down[x] & s)]
             else:
-                out.append(_from_mask(acc, self.pts))
-        return frozenset(out)
+                out.append(acc)
+        return out
+
+    @cached_property
+    def _members(self) -> frozenset[PointSet]:
+        return frozenset(_from_mask(m, self.pts) for m in self.masks)
 
     def __iter__(self):
         return iter(self._members)
@@ -422,11 +431,35 @@ def _restriction_is_homeo_onto_open(m: SpaceMap, u: PointSet) -> bool:
 
 
 def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
-    """Literal neighbourhood definition: each point has an open nbhd mapped homeomorphically onto an open set."""
-    for p in m.dom.points:
-        if not any(p in u and _restriction_is_homeo_onto_open(m, u) for u in m.dom.opens):
-            return False
-    return True
+    """Literal neighbourhood definition: each point has an open nbhd mapped homeomorphically onto an open set.
+
+    Evaluated on the open families as masks over the sorted points: each open u is tested once, for
+    an open image that m|_u reaches bijectively, with the restriction continuous and open for the
+    subspace families of u and its image; m is a local homeomorphism iff those u cover the domain.
+    """
+    cidx = {p: i for i, p in enumerate(m.cod.sorted_points)}
+    to = [1 << cidx[v] for _, v in m.table]  # the image bit of each domain point, by `dom.sorted_points`
+    dom_opens, cod_opens = m.dom.opens.masks, m.cod.opens.masks
+    cod_set = set(cod_opens)
+
+    def image(s: int) -> int:
+        out = 0
+        for i in _bits(s):
+            out |= to[i]
+        return out
+
+    covered = 0
+    for u in dom_opens:
+        img = image(u)
+        if img not in cod_set or img.bit_count() != u.bit_count():
+            continue
+        back = {to[i].bit_length() - 1: 1 << i for i in _bits(u)}  # m|_u inverted: image index -> domain bit
+        sub_dom = {o & u for o in dom_opens}
+        sub_img = {o & img for o in cod_opens}
+        continuous = all(sum(back[j] for j in _bits(v)) in sub_dom for v in sub_img)
+        if continuous and all(image(o) in sub_img for o in sub_dom):
+            covered |= u
+    return covered == (1 << len(m.dom.sorted_points)) - 1
 
 
 def is_local_homeomorphism(m: SpaceMap) -> bool:
@@ -502,15 +535,21 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
 
 def pullback_pairs(f: SpaceMap, g: SpaceMap) -> dict[str, tuple[str, str]]:
     """The pairs (b, s) with f(b) = g(s), keyed by pair id in sorted point order; a ValueError names
-    the first id, in that order, that two pairs share."""
+    the first id, in that order, that two pairs share.
+
+    g's points are grouped by value in one pass over its table, and each (b, v) of f's table takes
+    the group of v: both tables are sorted by point, so the pairs come in the order of a double loop.
+    """
+    groups: dict[str, list[str]] = {}
+    for s, v in g.table:
+        groups.setdefault(v, []).append(s)
     pairs: dict[str, tuple[str, str]] = {}
-    for b in f.dom.sorted_points:
-        for s in g.dom.sorted_points:
-            if f(b) == g(s):
-                k = pair_id(b, s)
-                if k in pairs:
-                    raise ValueError(f"two pairs share the id {k}")
-                pairs[k] = (b, s)
+    for b, v in f.table:
+        for s in groups.get(v, ()):
+            k = pair_id(b, s)
+            if k in pairs:
+                raise ValueError(f"two pairs share the id {k}")
+            pairs[k] = (b, s)
     return pairs
 
 

@@ -507,6 +507,45 @@ def is_continuous_literal(m: fintop.SpaceMap) -> bool:
     return all(m.image(u) <= cod[m(x)] for x, u in m.dom.min_nbhds)
 
 
+def opens_literal(s: fintop.FiniteSpace) -> list[frozenset[str]]:
+    """Oracle: the open family of `s`, every subset of the points kept when `is_open` holds."""
+    pts = sorted(s.points)
+    subsets = itertools.chain.from_iterable(itertools.combinations(pts, r) for r in range(len(pts) + 1))
+    return [frozenset(c) for c in subsets if s.is_open(c)]
+
+
+def is_local_homeomorphism_direct_literal(m: fintop.SpaceMap) -> bool:
+    """Oracle: `fintop.is_local_homeomorphism_direct` on frozensets, point by point: each point lies in
+    an open u that m maps homeomorphically onto an open image, with the subspace families on both
+    sides, the opens listed by `opens_literal`."""
+    dom_opens, cod_opens = opens_literal(m.dom), set(opens_literal(m.cod))
+
+    def homeo_onto_open(u: frozenset[str]) -> bool:
+        img = m.image(u)
+        if img not in cod_opens or len(img) != len(u):
+            return False
+        sub_dom = {o & u for o in dom_opens}
+        sub_img = {o & img for o in cod_opens}
+        if any(frozenset(p for p in u if m(p) in v) not in sub_dom for v in sub_img):
+            return False
+        return all(m.image(o) in sub_img for o in sub_dom)
+
+    return all(any(p in u and homeo_onto_open(u) for u in dom_opens) for p in m.dom.points)
+
+
+def pullback_pairs_literal(f: fintop.SpaceMap, g: fintop.SpaceMap) -> dict[str, tuple[str, str]]:
+    """Oracle: `fintop.pullback_pairs` as the double loop over the sorted points of both domains."""
+    pairs: dict[str, tuple[str, str]] = {}
+    for b in f.dom.sorted_points:
+        for s in g.dom.sorted_points:
+            if f(b) == g(s):
+                k = fintop.pair_id(b, s)
+                if k in pairs:
+                    raise ValueError(f"two pairs share the id {k}")
+                pairs[k] = (b, s)
+    return pairs
+
+
 def verify_topology_literal(points, family) -> tuple[Violation, ...]:
     """Oracle: the violations of `fintop.verify_topology`'s former check, which scans every
     pair of members for an escaping union or intersection."""

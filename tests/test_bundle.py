@@ -305,6 +305,22 @@ def test_mixed_chain_bundle_names_the_discontinuous_proper_maps():
     assert rep.violations == verify_rl_bundle_literal(mixed_chain_bundle())
 
 
+def test_a_failing_kernel_pair_with_one_lone_point_is_walked():
+    """A2 over a point on the down-set topology, U_(pt|1) = {(pt|0), (pt|1)}: imp fails first at
+    ((pt|1)|(pt|0)), whose second point is lone and whose first is not; the pair of two lone
+    points before it in id order cannot fail and is not walked."""
+    a2, base = fixtures.rl_a2(), fixtures.space_point()
+    ids = {x: fintop.pair_id("pt", x) for x in a2.carrier}
+    total = fintop.FiniteSpace(frozenset(ids.values()), {ids[x]: frozenset(ids[y] for y in a2.carrier if a2.le(y, x)) for x in a2.carrier})
+    rb = fixtures.constant_rl_bundle(base, a2, total=total)
+    assert not bundle.stalk(rb.bundle, "pt").is_discrete()
+    mins = rb.total.min_nbhd_map
+    assert (len(mins["(pt|1)"]), len(mins["(pt|0)"])) == (2, 1)
+    rep = bundle.verify_rl_bundle(rb)
+    assert [str(v) for v in rep.violations] == ["proper-map-discontinuous[imp]: ((pt|1)|(pt|0)) -> ((pt|0)|(pt|0))"]
+    assert rep.violations == verify_rl_bundle_literal(rb)
+
+
 ALGEBRAS = [fixtures.rl_a2(), fixtures.rl_a3(), three_chain("0"), fixtures.rl_a4()]
 BASES = [fintop.discrete(["b0", "b1"]), fintop.indiscrete(["b0", "b1"]), fintop.sierpinski("x", "y")]
 

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from conftest import (
     assert_checked_twin,
     final_topology_literal,
+    is_local_homeomorphism_direct_literal,
     lattice_closure,
     monotone_tables_literal,
+    opens_literal,
     outputs_under_hash_seeds,
+    pullback_pairs_literal,
     small_spaces,
     verify_topology_literal,
 )
-from rlsheaf import bundle, fintop, fixtures
+from rlsheaf import bundle, fintop, fixtures, suites
 from rlsheaf.report import fmt_set
 
 
@@ -225,6 +228,57 @@ def test_local_homeo_equivalence_on_random_maps():
     assert seen[True] and seen[False]
 
 
+def all_maps(dom: fintop.FiniteSpace, cod: fintop.FiniteSpace):
+    """Every table dom -> cod, continuous or not, as a checked SpaceMap."""
+    for values in itertools.product(cod.sorted_points, repeat=len(dom.points)):
+        yield fintop.space_map(dom, cod, dict(zip(dom.sorted_points, values)))
+
+
+def test_the_mask_oracle_gives_the_literal_verdict_on_every_small_map():
+    """Every map, continuous or not, between the first 12 labelled spaces on at most 3 points (every
+    space on at most 2 among them): the oracle on masks and the one on frozensets agree."""
+    spaces = list(itertools.islice(small_spaces(3), 12))
+    assert all(x in spaces for x in small_spaces(2))
+    verdicts = {True: 0, False: 0}
+    for dom, cod in itertools.product(spaces, repeat=2):
+        for m in all_maps(dom, cod):
+            a = fintop.is_local_homeomorphism_direct(m)
+            assert a == is_local_homeomorphism_direct_literal(m), m.table
+            verdicts[a] += 1
+    assert verdicts == {True: 175, False: 1318}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_the_mask_oracle_gives_the_literal_verdict_on_the_law_suite_maps(seed):
+    """The 120 random maps `law_suite(seed)` draws, drawn again from the same rng."""
+    rng = random.Random(seed)
+    for _ in range(120):
+        dom, cod = suites.random_space(rng, 5, "d"), suites.random_space(rng, 5, "c")
+        m = suites.random_map(rng, dom, cod)
+        assert fintop.is_local_homeomorphism_direct(m) == is_local_homeomorphism_direct_literal(m), m.table
+
+
+def test_open_masks_are_the_open_family_on_every_space_of_four_points():
+    """Over each labelled space on at most 4 points, the masks read as point sets are the subsets that
+    `is_open` holds, each once, and they are listed without counting them."""
+    spaces = 0
+    for x in small_spaces(4):
+        opens = x.opens
+        sets = [frozenset(p for i, p in enumerate(x.sorted_points) if mask >> i & 1) for mask in opens.masks]
+        assert len(sets) == len(set(sets)) and set(sets) == set(opens_literal(x)) == set(opens)
+        assert "_count" not in vars(opens) and len(opens) == len(sets)
+        spaces += 1
+    assert spaces == 1 + 1 + 4 + 29 + 355
+
+
+def test_twenty_one_discrete_points_are_refused_before_any_open_is_listed():
+    opens = fintop.discrete([f"p{i:02d}" for i in range(21)]).opens
+    for listing in (lambda: opens.masks, lambda: next(iter(opens))):
+        with pytest.raises(ValueError, match=r"^refusing to materialize topology with 2097152 > 2\^20 opens$"):
+            listing()
+    assert "masks" not in vars(opens) and "_members" not in vars(opens)
+
+
 def test_local_homeo_composition_and_restriction():
     rb = fixtures.et_spec_h_a4()
     proj = rb.proj
@@ -384,6 +438,50 @@ def test_the_clash_a_pullback_names_does_not_depend_on_the_hash_seed():
     """(a|b, c) and (a, b|c) share (a|b|c), and (x|y, z) and (x, y|z) share (x|y|z): the pairs are
     listed in sorted point order, so the first clash in that order is named in every process."""
     assert outputs_under_hash_seeds(TWO_CLASHES, range(1, 5)) == ["two pairs share the id (a|b|c)\n"] * 4
+
+
+def pullback_outcome(pairs, f: fintop.SpaceMap, g: fintop.SpaceMap):
+    try:
+        return list(pairs(f, g).items())
+    except ValueError as e:
+        return str(e)
+
+
+def relabel(x: fintop.FiniteSpace, names: dict[str, str]) -> fintop.FiniteSpace:
+    return fintop.FiniteSpace(frozenset(map(names.get, x.points)), {names[p]: frozenset(map(names.get, u)) for p, u in x.min_nbhds})
+
+
+def test_pullback_pairs_match_the_double_loop_on_every_pair_of_small_maps():
+    """Every pair of maps from the labelled spaces on at most 2 points into a common one, also with the
+    domains renamed to a|b, a and c, b|c so that (a|b, c) and (a, b|c) clash: the same pairs in the same
+    order, or the same error."""
+    spaces = list(small_spaces(2))
+    clash = [{"b0": "a|b", "b1": "a"}, {"b0": "c", "b1": "b|c"}]
+    cases = errors = 0
+    for z in spaces:
+        for names_f, names_g in [({}, {}), tuple(clash)]:
+            fs = [m for x in spaces for m in all_maps(relabel(x, {p: names_f.get(p, p) for p in x.points}), z)]
+            gs = [m for x in spaces for m in all_maps(relabel(x, {p: names_g.get(p, p) for p in x.points}), z)]
+            for f, g in itertools.product(fs, gs):
+                got = pullback_outcome(fintop.pullback_pairs, f, g)
+                assert got == pullback_outcome(pullback_pairs_literal, f, g)
+                cases += 1
+                errors += isinstance(got, str)
+    assert (cases, errors) == (2962, 272)
+
+
+def test_pullback_pairs_name_the_first_clash_in_sorted_point_order():
+    """Two clashes on discrete domains: over a point (a|b|c) comes first; with the a-points sent apart
+    from the c-points only (x|y, z) and (x, y|z) still meet, and (x|y|z) is named."""
+    b, s = fintop.discrete(["a|b", "a", "x|y", "x"]), fintop.discrete(["c", "b|c", "z", "y|z"])
+    pt, two = fixtures.space_point(), fintop.discrete(["u", "v"])
+    for z, fb, fs, want in [
+        (pt, dict.fromkeys(b.points, "pt"), dict.fromkeys(s.points, "pt"), "(a|b|c)"),
+        (two, {"a|b": "u", "a": "u", "x|y": "v", "x": "v"}, {"c": "v", "b|c": "v", "z": "v", "y|z": "v"}, "(x|y|z)"),
+    ]:
+        f, g = fintop.space_map(b, z, fb), fintop.space_map(s, z, fs)
+        assert pullback_outcome(fintop.pullback_pairs, f, g) == pullback_outcome(pullback_pairs_literal, f, g) == (
+            f"two pairs share the id {want}")
 
 
 def test_pullback_universal_property():

@@ -2,7 +2,7 @@
 suite's lifts fail the command through their own check."""
 
 from conftest import outputs_under_hash_seeds
-from rlsheaf import adjunction, cli
+from rlsheaf import adjunction, cli, fintop, suites
 from rlsheaf.report import ValidationReport, Violation
 
 DRAW = """
@@ -38,3 +38,19 @@ def test_a_lift_that_fails_its_check_fails_the_adjunction_suite_command(monkeypa
     assert cli.run(["adjunction-suite"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: failed assertion: lifted algebra failed: operation-discontinuous: mul\n"
+
+
+def test_a_generator_that_cannot_draw_fails_the_sheafification_check(monkeypatch, capsys):
+    """With every map taken for a local homeomorphism no non-etale bundle can be drawn: the law suite
+    still reports, its sheafification check failing on the generator, and the command exits 1 with
+    the suite's lines instead of an error."""
+    monkeypatch.setattr(fintop, "is_local_homeomorphism", lambda m: True)
+    rep = suites.law_suite(seed=1)
+    failed = {label: detail for label, ok, detail in rep.checks if not ok}
+    assert failed["sheafification: etale output, counit properties, unique factorization"] == (
+        "generator: generator failed to produce enough non-etale bundles")
+    assert cli.run(["law-suite"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[0] == "law-suite: FAIL"
+    assert "  [FAIL] sheafification: etale output, counit properties, unique factorization" \
+        " (generator: generator failed to produce enough non-etale bundles)" in out.splitlines()
