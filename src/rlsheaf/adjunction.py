@@ -13,13 +13,12 @@ interface, not a mathematical need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, Mapping, Sequence
 
 from . import bundle as bnd
 from . import fintop, fixtures, rlcore
 from .bundle import Bundle, RLBundle, Section
-from .fintop import FiniteSpace, SpaceMap, pair_id
+from .fintop import FiniteSpace, SpaceMap, cached_attribute, pair_id
 from .report import ValidationReport, Violation
 
 
@@ -35,7 +34,7 @@ class FunctionSpace:
     def by_id(self) -> dict[str, SpaceMap]:
         return {m.id_str: m for m in self.maps}
 
-    @cached_property
+    @cached_attribute
     def index(self) -> tuple[dict[tuple[tuple[str, str], ...], str], dict[str, dict[str, str]]]:
         """Each map's sorted table to its id, and each id to its values by domain point."""
         return {m.table: m.id_str for m in self.maps}, {m.id_str: m.mapping for m in self.maps}

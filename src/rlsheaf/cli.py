@@ -34,7 +34,7 @@ def load_workspace(path: str | None, strict: bool = True) -> workspace.Workspace
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CommandError(f"cannot read workspace: {e}", 2)
     return workspace.parse_workspace(text, strict=strict)
 

@@ -4,15 +4,19 @@ Every finite space is Alexandrov: each point p has a least open set U_p,
 the intersection of the opens that contain it, and the opens are exactly
 the unions of the U_p: the down-sets of the specialization preorder (q
 below p iff q is in U_p).  A space is therefore stored as its points and
-the map p -> U_p.  Builders produce U_p directly, continuity and the other
-map properties are read off it, and the open family is a view (`Opens`)
-that counts its members and lists them only when iterated, both by one
-pivot split of the down-sets.  A family that comes from outside the program
-is checked on the same U_p, read off the family: it is a topology iff it
-holds the empty set and each member's union with each U_p.
-`space_from_opens` decides that on bitmasks over the sorted points;
-`_family_check`, which `verify_topology` reads, walks the family as sets
-only when the masks find a failure, to name it.
+the map p -> U_p, and with each U_p as a bitmask row over the sorted points:
+the constructor reads the rows once, checks the preorder on them and keeps
+them for the kernels (`Opens`, the monotone search, the local-homeomorphism
+cross-check), which read no U_p as a set again; `topology_from_subbasis`
+builds the rows straight from its members' masks.  Builders produce U_p
+directly, continuity and the other map properties are read off it, and the
+open family is a view (`Opens`) that counts its members and lists them only
+when iterated, both by one pivot split of the down-sets.  A family that
+comes from outside the program is checked on the same U_p, read off the
+family: it is a topology iff it holds the empty set and each member's union
+with each U_p.  `space_from_opens` decides that on bitmasks over the sorted
+points; `_family_check`, which `verify_topology` reads, walks the family as
+sets only when the masks find a failure, to name it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import itertools
 import operator
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .report import ValidationReport, Violation, fmt_set, set_key
 
@@ -47,6 +50,23 @@ def keyed_by_id(items: Iterable, what: str) -> dict:
         if out.setdefault(item.id_str, item) is not item:
             raise ValueError(f"two {what} share the id {item.id_str}")
     return out
+
+
+class cached_attribute:
+    """An attribute computed on its first read and stored in the instance `__dict__`, where later reads find it
+    ahead of this non-data descriptor: `functools.cached_property` without the lock it takes before Python 3.12.
+    Like it, it writes past a frozen dataclass's `__setattr__`, and two threads may both compute the value."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +94,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _preorder_up(down: list[int]) -> list[int] | None:
+    """The up-rows of the rows `down` (up[j] holds bit i when down[i] holds bit j); None unless each
+    row holds its own bit and the row of each point in it, that is unless the rows are the U_p of a preorder."""
+    up = [0] * len(down)
+    for i, d in enumerate(down):
+        bit = 1 << i
+        if not d & bit:
+            return None
+        rest = d
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if down[j] & ~d:
+                return None
+            up[j] |= bit
+            rest ^= low
+    return up
+
+
 def _transitive_closure(rows: list[int]) -> None:
     """Close bitmask rows under transitivity in place (Warshall): row i takes in row k
     whenever it holds bit k.  Reflexive rows stay reflexive; cycles are fine."""
@@ -84,46 +123,61 @@ def _transitive_closure(rows: list[int]) -> None:
                 rows[i] = r | row
 
 
+class _Rows(NamedTuple):
+    """U_p handed to `FiniteSpace` as bitmask rows over the sorted points, by a builder that made the rows."""
+
+    pts: list[str]
+    down: list[int]
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite topological space: its points and each point's minimal open set U_p.
 
     `min_nbhds` may be given as a mapping or as (point, U_p) pairs; it is
     kept as pairs sorted by point, so two spaces are equal exactly when they
-    have the same points and the same topology.  The constructor checks that
-    the U_p form a preorder (p in U_p within the points, and q in U_p implies
-    U_q inside U_p), which is what makes their unions a topology.
+    have the same points and the same topology.  The constructor reads each
+    U_p as a bitmask row over the sorted points (builders that make the rows
+    themselves hand them over as `_Rows`) and checks on the rows that they
+    form a preorder (each row holds its own bit and the row of each point in
+    it: p in U_p within the points, and q in U_p implies U_q inside U_p),
+    which is what makes their unions a topology.  Only U_p the rows refuse
+    are walked as sets, in the order given, to name the first one at fault.
+
+    The rows are kept with the points: `sorted_points`, `min_nbhd_map` (U_p
+    by point, in sorted order) and `order_masks`, where down[i] is U_i and
+    up[i] the points whose U holds i, both as bitmasks over `sorted_points`.
     """
 
     points: PointSet
     min_nbhds: tuple[tuple[str, PointSet], ...]
 
     def __post_init__(self):
-        mins = {p: frozenset(u) for p, u in dict(self.min_nbhds).items()}
-        object.__setattr__(self, "min_nbhds", tuple(sorted(mins.items())))
-        if set(mins) != self.points:
+        if isinstance(self.min_nbhds, _Rows):
+            pts, down = self.min_nbhds
+            given = mins = {p: _from_mask(d, pts) for p, d in zip(pts, down)}
+        else:
+            given = {p: frozenset(u) for p, u in dict(self.min_nbhds).items()}
+            pts = sorted(given)
+            mins = {p: given[p] for p in pts}
+            bit = {p: 1 << i for i, p in enumerate(pts)}
+            try:
+                down = [sum(map(bit.__getitem__, u)) for u in mins.values()]
+            except KeyError:  # a U_p holds a point that is not a key
+                down = None
+        object.__setattr__(self, "min_nbhds", tuple(mins.items()))
+        if given.keys() != self.points:
             raise ValueError("minimal neighbourhoods must be given for exactly the points")
-        for p, u in mins.items():
-            if p not in u or not u <= self.points or any(not mins[q] <= u for q in u):
-                raise ValueError(f"{fmt_set(u)} cannot be the minimal neighbourhood of {p} in a preorder")
+        up = None if down is None else _preorder_up(down)
+        if up is None:  # walk the U_p as sets, in the order given, to name the first one at fault
+            for p, u in given.items():
+                if p not in u or not u <= self.points or any(not given[q] <= u for q in u):
+                    raise ValueError(f"{fmt_set(u)} cannot be the minimal neighbourhood of {p} in a preorder")
+        object.__setattr__(self, "sorted_points", tuple(pts))
+        object.__setattr__(self, "min_nbhd_map", mins)
+        object.__setattr__(self, "order_masks", (down, up))
 
-    @cached_property
-    def sorted_points(self) -> tuple[str, ...]:
-        return tuple(sorted(self.points))
-
-    @cached_property
-    def min_nbhd_map(self) -> dict[str, PointSet]:
-        return dict(self.min_nbhds)
-
-    @cached_property
-    def order_masks(self) -> tuple[list[int], list[int]]:
-        """Bitmask rows over `sorted_points`: down[i] is U_i, up[i] the points whose U holds i."""
-        idx = {p: i for i, p in enumerate(self.sorted_points)}
-        down = [_to_mask(self.min_nbhd_map[p], idx) for p in self.sorted_points]
-        up = [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
-        return down, up
-
-    @cached_property
+    @cached_attribute
     def opens(self) -> Opens:
         """The open family as a set-like view; see `Opens`."""
         return Opens(self)
@@ -159,7 +213,7 @@ class Opens(Set):
     def __contains__(self, s) -> bool:
         return isinstance(s, (set, frozenset)) and self.space.is_open(s)
 
-    @cached_property
+    @cached_attribute
     def masks(self) -> list[int]:
         if 1 << len(self.pts) > MAX_OPENS and self._count > MAX_OPENS:
             raise ValueError(f"refusing to materialize topology with {self._count} > 2^20 opens")
@@ -174,14 +228,14 @@ class Opens(Set):
                 out.append(acc)
         return out
 
-    @cached_property
+    @cached_attribute
     def _members(self) -> frozenset[PointSet]:
         return frozenset(_from_mask(m, self.pts) for m in self.masks)
 
     def __iter__(self):
         return iter(self._members)
 
-    @cached_property
+    @cached_attribute
     def _count(self) -> int:
         """The pivot split over each connected component, memoized on the points left."""
         down, up = self.down, self.up
@@ -264,8 +318,7 @@ def _opens_space(pts: PointSet, family: list) -> FiniteSpace | None:
     if list(map(int.bit_count, masks)) != list(map(len, family)) or 0 not in fam or (1 << len(pts)) - 1 not in fam:
         return None
     space = topology_from_subbasis(pts, family)
-    downs = {sum(map(bit.__getitem__, u)) for _, u in space.min_nbhds}
-    return space if all({a | u for a in fam} <= fam for u in downs) else None
+    return space if all({a | u for a in fam} <= fam for u in set(space.order_masks[0])) else None
 
 
 def space_from_opens(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
@@ -300,14 +353,25 @@ def sierpinski(open_point: str = "x", closed_point: str = "y") -> FiniteSpace:
 
 
 def topology_from_subbasis(points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> FiniteSpace:
-    """Generated topology: U_p is the intersection of the members containing p (the whole space if none)."""
+    """Generated topology: U_p is the intersection of the members containing p (the whole space if none).
+
+    Each member is read as a mask over the sorted points, its points outside them dropped, and each
+    U_p is the AND of the masks that hold p.
+    """
     pts = frozenset(points)
-    mins = dict.fromkeys(pts, pts)
+    plist = sorted(pts)
+    bit = {p: 1 << i for i, p in enumerate(plist)}
+    down = [(1 << len(plist)) - 1] * len(plist)
     for s in subbasis:
-        s = frozenset(s)
-        for p in s & pts:
-            mins[p] &= s
-    return FiniteSpace(pts, mins)
+        m = 0
+        for p in s:
+            m |= bit.get(p, 0)
+        rest = m
+        while rest:
+            low = rest & -rest
+            down[low.bit_length() - 1] &= m
+            rest ^= low
+    return FiniteSpace(pts, _Rows(plist, down))
 
 
 # On a finite set a basis generates the same U_p as it does as a subbasis.
@@ -337,7 +401,7 @@ class SpaceMap:
             stray = sorted(v for _, v in self.table if v not in self.cod.points)
             raise ValueError(f"map values escape codomain: {stray}")
 
-    @cached_property
+    @cached_attribute
     def mapping(self) -> dict[str, str]:
         return dict(self.table)
 
@@ -351,7 +415,7 @@ class SpaceMap:
         t = set(s)
         return frozenset(p for p, v in self.table if v in t)
 
-    @cached_property
+    @cached_attribute
     def id_str(self) -> str:
         return "{" + ",".join(f"{k}:{v}" for k, v in self.table) + "}"
 
@@ -530,7 +594,7 @@ def final_topology(points: Iterable[str], family: Iterable[tuple[FiniteSpace, Ma
         for p, u in src.min_nbhds:
             down[idx[t[p]]] |= _to_mask((t[q] for q in u), idx)
     _transitive_closure(down)
-    return FiniteSpace(pts, {p: _from_mask(d, plist) for p, d in zip(plist, down)})
+    return FiniteSpace(pts, _Rows(plist, down))
 
 
 def pullback_pairs(f: SpaceMap, g: SpaceMap) -> dict[str, tuple[str, str]]:

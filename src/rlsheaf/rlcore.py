@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 from itertools import compress, product
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .fintop import _bits, _transitive_closure
+from .fintop import _bits, _transitive_closure, cached_attribute
 from .report import ValidationReport, Violation, fmt_set, set_key
 
 Table = dict[tuple[str, str], str]
@@ -152,7 +152,16 @@ class _Order:
 
     @classmethod
     def of(cls, elems: tuple[str, ...] | list[str], leq: frozenset[tuple[str, str]]) -> _Order:
-        return cls(len(elems), list(map(leq.__contains__, product(elems, repeat=2))))
+        """`leq` read over `elems`, once per carrier and frozenset relation while `_order_of` holds them,
+        so a lattice's build and its `verify_rl` share one read; a relation given as a mutable set is read afresh."""
+        if isinstance(leq, frozenset):
+            return _order_of(tuple(elems), leq)
+        return _order_of.__wrapped__(elems, leq)
+
+
+@lru_cache(maxsize=64)
+def _order_of(elems: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> _Order:
+    return _Order(len(elems), list(map(leq.__contains__, product(elems, repeat=2))))
 
 
 def _positions(elems: tuple[str, ...] | list[str], tab: Mapping[tuple[str, str], str]) -> list[int | None]:
@@ -519,7 +528,7 @@ class Congruence:
     parent: ResiduatedLattice
     blocks: tuple[Subset, ...]
 
-    @cached_property
+    @cached_attribute
     def block_of(self) -> dict[str, Subset]:
         return {x: b for b in self.blocks for x in b}
 

@@ -8,12 +8,11 @@ neighbourhood equivalence (that coincidence is itself under test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import bundle as bnd
 from . import fintop
 from .bundle import Bundle, BundleMorphism, RLBundle, Section
-from .fintop import FiniteSpace, SpaceMap
+from .fintop import FiniteSpace, SpaceMap, cached_attribute
 from .report import fmt_set
 
 
@@ -69,7 +68,7 @@ class GermSpace:
     proj: SpaceMap
     germs: dict[str, Germ]
 
-    @cached_property
+    @cached_attribute
     def as_bundle(self) -> Bundle:
         return Bundle(self.space, self.source.base, self.proj)
 

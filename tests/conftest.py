@@ -507,6 +507,42 @@ def is_continuous_literal(m: fintop.SpaceMap) -> bool:
     return all(m.image(u) <= cod[m(x)] for x, u in m.dom.min_nbhds)
 
 
+def finite_space_literal(points, min_nbhds) -> tuple[tuple[str, frozenset[str]], ...]:
+    """Oracle: `fintop.FiniteSpace`'s former check on frozensets.  The U_p as pairs sorted by point, or
+    the ValueError it raised: each given U_p in the order given, tested for p, for the points and for
+    holding the U_q of each of its points."""
+    mins = {p: frozenset(u) for p, u in dict(min_nbhds).items()}
+    if set(mins) != points:
+        raise ValueError("minimal neighbourhoods must be given for exactly the points")
+    for p, u in mins.items():
+        if p not in u or not u <= points or any(not mins[q] <= u for q in u):
+            raise ValueError(f"{fmt_set(u)} cannot be the minimal neighbourhood of {p} in a preorder")
+    return tuple(sorted(mins.items()))
+
+
+def topology_from_subbasis_literal(points, subbasis) -> fintop.FiniteSpace:
+    """Oracle: `fintop.topology_from_subbasis` on frozensets: U_p is the intersection of the members that
+    hold p, the whole space if none does."""
+    pts = frozenset(points)
+    mins = dict.fromkeys(pts, pts)
+    for s in subbasis:
+        s = frozenset(s)
+        for p in s & pts:
+            mins[p] &= s
+    return fintop.FiniteSpace(pts, mins)
+
+
+def space_rows_literal(s: fintop.FiniteSpace) -> tuple:
+    """Oracle: the sorted points, the U_p by point and the (down, up) bitmask rows over the sorted points,
+    as `FiniteSpace`'s former cached properties computed them from `min_nbhds`."""
+    pts = tuple(sorted(s.points))
+    mins = dict(s.min_nbhds)
+    idx = {p: i for i, p in enumerate(pts)}
+    down = [sum(1 << idx[q] for q in mins[p]) for p in pts]
+    up = [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+    return pts, mins, (down, up)
+
+
 def opens_literal(s: fintop.FiniteSpace) -> list[frozenset[str]]:
     """Oracle: the open family of `s`, every subset of the points kept when `is_open` holds."""
     pts = sorted(s.points)

@@ -535,6 +535,15 @@ def test_no_command_and_a_missing_workspace_exit_2(tmp_path, capsys):
     assert out == "" and err.startswith("error: cannot read workspace: ")
 
 
+def test_a_workspace_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    assert cli.run(["--workspace", str(path), "validate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot read workspace: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
 FOLD = {"total": "disc2", "base": "point", "proj": {"m": "pt", "n": "pt"}}
 
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import math
 import pathlib
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_checked_twin,
     final_topology_literal,
+    finite_space_literal,
     is_local_homeomorphism_direct_literal,
     lattice_closure,
     monotone_tables_literal,
@@ -18,9 +20,11 @@ from conftest import (
     outputs_under_hash_seeds,
     pullback_pairs_literal,
     small_spaces,
+    space_rows_literal,
+    topology_from_subbasis_literal,
     verify_topology_literal,
 )
-from rlsheaf import bundle, fintop, fixtures, suites
+from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore, sheafify, suites, workspace
 from rlsheaf.report import fmt_set
 
 
@@ -499,6 +503,101 @@ def test_space_map_totality_errors():
         fintop.space_map(s, s, {"x": "x"})
     with pytest.raises(ValueError):
         fintop.space_map(s, s, {"x": "x", "y": "zzz"})
+
+
+# ---------------------------------------------------------------------------
+# construction: each U_p read as a bitmask row, the preorder checked on the rows
+
+
+def construction_outcome(build):
+    try:
+        return build()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def min_nbhd_assignments():
+    """Every assignment of a U_p to each point of at most 3, each U_p a subset of the points and the
+    outside point z; on at most 2 points also with the last key missing and with z as an extra key."""
+    for n in range(4):
+        pts = ["a", "b", "c"][:n]
+        subsets = [frozenset(c) for r in range(n + 2) for c in itertools.combinations([*pts, "z"], r)]
+        keysets = [pts] if n == 3 else [pts, *([pts[:-1]] if n else []), [*pts, "z"]]
+        for keys in keysets:
+            for us in itertools.product(subsets, repeat=len(keys)):
+                yield frozenset(pts), list(zip(keys, us))
+
+
+def test_the_row_check_gives_the_literal_verdict_and_message_on_every_small_assignment():
+    """The same accepted U_p, or the same ValueError naming the same point, as the check on frozensets,
+    with the U_p given as a mapping and as shuffled pairs.  The 35 accepted assignments are the
+    preorders on at most 3 labelled points, and a space keeps the rows its properties computed."""
+    rng = random.Random(0)
+    accepted = 0
+    for points, pairs in min_nbhd_assignments():
+        for given_as in (dict(pairs), tuple(rng.sample(pairs, len(pairs)))):
+            want = construction_outcome(lambda: finite_space_literal(points, given_as))
+            got = construction_outcome(lambda: fintop.FiniteSpace(points, given_as))
+            if isinstance(want, str):
+                assert got == want, given_as
+            else:
+                assert got.min_nbhds == want and (got.sorted_points, got.min_nbhd_map, got.order_masks) == space_rows_literal(got)
+        accepted += not isinstance(want, str)
+    assert accepted == 1 + 1 + 4 + 29
+
+
+def test_a_refused_assignment_names_its_first_failing_point_in_the_order_given():
+    bad = {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c"}, "d": {"d", "z"}}
+    with pytest.raises(ValueError, match=r"^\{a,b\} cannot be the minimal neighbourhood of a in a preorder$"):
+        fintop.FiniteSpace(frozenset("abcd"), bad)
+    with pytest.raises(ValueError, match=r"^\{d,z\} cannot be the minimal neighbourhood of d in a preorder$"):
+        fintop.FiniteSpace(frozenset("abcd"), [("d", bad["d"]), *bad.items()])
+
+
+def test_the_stored_rows_are_what_the_properties_computed():
+    """On every labelled space of at most 4 points and on the 14 corpus spaces, the sorted points, the
+    U_p by point (in sorted order) and the bitmask rows kept at construction are the former values."""
+    from importlib import resources
+
+    ws = workspace.parse_workspace(resources.files("rlsheaf.data").joinpath("paper_fixtures.json").read_text("utf-8"))
+    spaces = [*small_spaces(4), *ws.spaces.values()]
+    assert len(spaces) == 390 + 14
+    for x in spaces:
+        assert (x.sorted_points, x.min_nbhd_map, x.order_masks) == space_rows_literal(x)
+        assert list(x.min_nbhd_map) == list(x.sorted_points)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_subbasis_rows_are_the_intersections_of_the_members_holding_each_point(data):
+    """Members may hold points outside the space, list a point twice or be empty."""
+    pts = [f"p{i}" for i in range(data.draw(st.integers(min_value=0, max_value=5)))]
+    members = data.draw(st.lists(st.lists(st.sampled_from([*pts, "q0", "q1"]), max_size=6), max_size=6))
+    space = fintop.topology_from_subbasis(pts, members)
+    assert space == topology_from_subbasis_literal(pts, members)
+    assert (space.sorted_points, space.min_nbhd_map, space.order_masks) == space_rows_literal(space)
+
+
+def test_each_cached_attribute_is_computed_once_per_instance(monkeypatch):
+    """Each cached attribute, on the frozen FiniteSpace too, is computed on its first read only and then
+    read from the instance."""
+    owners = {fintop.FiniteSpace: ["opens"], fintop.Opens: ["masks", "_members", "_count"],
+              fintop.SpaceMap: ["mapping", "id_str"], adjunction.FunctionSpace: ["index"],
+              rlcore.Congruence: ["block_of"], sheafify.GermSpace: ["as_bundle"]}
+    calls = collections.Counter()
+    for cls, names in owners.items():
+        for name in names:
+            desc = vars(cls)[name]
+            assert isinstance(desc, fintop.cached_attribute) and not hasattr(desc, "__set__")
+            monkeypatch.setattr(desc, "func", lambda self, f=desc.func, name=name: calls.update([(name, id(self))]) or f(self))
+    space = fintop.sierpinski()
+    instances = [space, space.opens, fintop.identity_map(space), adjunction.compact_open_space(space, space),
+                 rlcore.congruence_of_filter(fixtures.rl_a4(), ["a", "1"]), sheafify.etale_of(fixtures.a2_over_point().bundle)]
+    for obj in instances:
+        for name in owners[type(obj)]:
+            first = getattr(obj, name)
+            assert getattr(obj, name) is first and vars(obj)[name] is first
+            assert calls[name, id(obj)] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -28,6 +29,21 @@ FIXTURE_LATTICES = {"A2": fixtures.rl_a2(), "A3": fixtures.rl_a3(), "A4": A4, "A
 @pytest.mark.parametrize("name", sorted(FIXTURE_LATTICES))
 def test_fixture_lattices_verify(name):
     assert rlcore.verify_rl(FIXTURE_LATTICES[name]).ok
+
+
+def test_a_relation_given_as_a_set_gets_the_report_of_its_frozenset_twin():
+    """A mutable `leq` cannot key the order memo, so it is read afresh, to the same report, witnesses
+    included, on every fixture lattice and on each with one comparison x <= y (x != y) dropped."""
+    cases = list(FIXTURE_LATTICES.values())
+    for lat in list(cases):
+        cases += [dataclasses.replace(lat, leq=lat.leq - {xy}) for xy in sorted(lat.leq) if xy[0] != xy[1]]
+    rlcore._order_of.cache_clear()
+    for lat in cases:
+        report = rlcore.verify_rl(lat)
+        misses = rlcore._order_of.cache_info().misses
+        assert rlcore.verify_rl(dataclasses.replace(lat, leq=set(lat.leq))) == report
+        assert rlcore._order_of.cache_info().misses == misses
+    assert sum(not rlcore.verify_rl(lat).ok for lat in cases) == len(cases) - len(FIXTURE_LATTICES)
 
 
 def test_broken_mul_reports_witness():

@@ -70,6 +70,23 @@ def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monke
     assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
 
 
+def test_corpus_parse_reads_each_lattice_order_once(monkeypatch):
+    """`lattice_from_order` reads each of the 5 lattices' orders, and `verify_rl` gets that `_Order` back
+    from the memo; with the 3 stalk axiom passes a parse builds 8 `_Order`s."""
+    counted_calls(monkeypatch)
+    rlcore._order_of.cache_clear()
+    built, init = [0], rlcore._Order.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(rlcore._Order, "__init__", counted)
+    ws = workspace.parse_workspace(bundled_text())
+    info = rlcore._order_of.cache_info()
+    assert (info.misses, info.hits, built[0]) == (len(ws.lattices), len(ws.lattices), 8)
+
+
 def test_compose_rle_builds_one_pullback_per_base_map(monkeypatch, capsys):
     """The parse pulls back along 3 maps; compose-rle rle_m1 rle_m2 adds one along gf, which the
     composite's own check reuses.  An identity morphism pulls back once along the identity."""
