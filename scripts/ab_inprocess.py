@@ -9,11 +9,13 @@ package name of its own (`rlsheaf_parent`, `rlsheaf_change`) and imported
 there, so both live side by side.  The one absolute reference to the package,
 its bundled corpus `rlsheaf.data`, is renamed in the copy as well.
 
-Each round times four measures on each side, the side that goes first
+Each round times five measures on each side, the side that goes first
 alternating from round to round:
 
 - parse: the minimum of 60 cold-cache parses of the bundled corpus;
 - law-suite: `suites.law_suite` on 10 fresh seeds;
+- law-suite cli: `cli.run` of `law-suite` with `RLSHEAF_SEED` fixed at 1, so
+  whatever the command does around the suite is timed too;
 - corpus: the 21 corpus argvs of `perfbench/known_answers.json`, run through
   `cli.run` as the benchmark runs them;
 - adjunction-suite: `cli.run` of `adjunction-suite`.
@@ -39,12 +41,14 @@ import statistics
 import sys
 import tempfile
 from time import perf_counter
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SIDES = ("parent", "change")
 PARSES = 60
 LAW_SEEDS = 10
+CLI_LAW_SEED = "1"
 
 
 def load_side(tmp: pathlib.Path, checkout: pathlib.Path, side: str) -> dict:
@@ -88,6 +92,8 @@ def measures(modules: dict, text: str, argvs: list[list[str]], seeds: list[int])
 
     out = {"parse": min(timed(lambda: ws.parse_workspace(text)) for _ in range(PARSES))}
     out["law-suite"] = sum(timed(lambda s=s: suites.law_suite(s)) for s in seeds)
+    with mock.patch.dict(os.environ, RLSHEAF_SEED=CLI_LAW_SEED):
+        out["law-suite cli"] = timed(lambda: quiet_run(cli, ["--format", "machine-readable", "law-suite"]))
     out["corpus"] = sum(timed(lambda a=a: quiet_run(cli, a)) for a in argvs)
     out["adjunction-suite"] = timed(lambda: quiet_run(cli, ["--format", "machine-readable", "adjunction-suite"]))
     return out

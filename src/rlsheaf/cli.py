@@ -7,6 +7,9 @@ machine-readable format is a single JSON object per invocation.
 Only the invoked command's argument parser is built.  The top-level `command`
 positional has a sub-parsers action's dest, nargs and choices, so usage lines,
 help and error messages read as they did with every command's sub-parser built.
+Every command but the two suites reads a workspace document; `law-suite` and
+`adjunction-suite` build their own objects, so no workspace is loaded for them
+and `--workspace` and `--lenient` do not apply to them.
 """
 
 from __future__ import annotations
@@ -269,12 +272,12 @@ def cmd_gamma(ws: workspace.Workspace, args) -> dict:
     return {"ok": True, "lines": lines, "sections": list(ga.algebra.carrier)}
 
 
-def cmd_adjunction_suite(ws: workspace.Workspace, args) -> dict:
+def cmd_adjunction_suite(args) -> dict:
     rep = suites.adjunction_suite()
     return {"ok": rep.ok, "lines": rep.lines(), **rep.as_dict()}
 
 
-def cmd_law_suite(ws: workspace.Workspace, args) -> dict:
+def cmd_law_suite(args) -> dict:
     rep = suites.law_suite()
     return {"ok": rep.ok, "lines": rep.lines(), **rep.as_dict()}
 
@@ -322,6 +325,9 @@ HANDLERS = {
     "export-dot": cmd_export_dot,
 }
 
+# The commands that build their own objects: their handlers take `args` alone and no workspace is loaded.
+SELF_CONTAINED = frozenset({"adjunction-suite", "law-suite"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser; its help shows the module docstring without the last paragraph (none under -OO)."""
@@ -355,8 +361,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        ws = load_workspace(args.workspace, strict=not args.lenient)
-        result = HANDLERS[args.command](ws, args)
+        handler = HANDLERS[args.command]
+        if args.command in SELF_CONTAINED:
+            result = handler(args)
+        else:
+            result = handler(load_workspace(args.workspace, strict=not args.lenient), args)
     except CommandError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -754,3 +755,58 @@ def test_one_run_builds_the_top_level_parser_and_the_invoked_commands_only(monke
     assert cli.run(["--format", "machine-readable", "filters", "A4"]) == 0
     assert built == ["rlsheaf", "rlsheaf filters"]
     assert list(cli.ARGUMENTS) == list(cli.HANDLERS)
+
+
+def readme_argvs():
+    """The first argv of each command in the README's CLI block, shell redirections dropped."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    argvs = {}
+    for line in block.splitlines():
+        if line.startswith("rlsheaf "):
+            argv = shlex.split(line.partition(">")[0])[1:]
+            argvs.setdefault(argv[0], argv)
+    return argvs
+
+
+def test_only_the_suites_run_without_parsing_a_workspace(monkeypatch, capsys):
+    monkeypatch.setenv("RLSHEAF_SEED", "1")
+    argvs = readme_argvs()
+    assert sorted(argvs) == sorted(cli.HANDLERS)
+    parse = workspace.parse_workspace
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(workspace, "parse_workspace", counting_parse)
+    parses = {}
+    for name, argv in argvs.items():
+        calls.clear()
+        cli.run(argv)
+        parses[name] = len(calls)
+    capsys.readouterr()
+    assert parses == {name: 0 if name in ("law-suite", "adjunction-suite") else 1 for name in cli.HANDLERS}
+
+
+BAD_WORKSPACES = {"not utf-8": b"\xff\xfe{}", "invalid json": b"{", "not an object": b"[]",
+                  "lattices not an object": b'{"lattices": []}'}
+
+
+@pytest.mark.parametrize("suite", ["law-suite", "adjunction-suite"])
+def test_a_suite_ignores_workspace_and_lenient(suite, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RLSHEAF_SEED", "7")
+    prefixes = [[], ["--lenient"], ["--workspace", str(tmp_path / "missing.json")]]
+    for name, data in BAD_WORKSPACES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert cli.run(["--workspace", str(path), "validate"]) == 2, name  # a command that reads it refuses it
+        capsys.readouterr()
+        prefixes.append(["--workspace", str(path)])
+    outcomes = []
+    for prefix in prefixes:
+        rc = cli.run([*prefix, suite])
+        outcomes.append((rc, *capsys.readouterr()))
+    assert outcomes[0][0] == 0 and outcomes[0][1] and outcomes[0][2] == ""
+    assert outcomes == [outcomes[0]] * len(prefixes)
