@@ -11,7 +11,11 @@ neighbour), written to a temporary directory, so malformed input is compared
 too, and on each of `WITNESS_EDITS` copies with one value of an `rl_bundles`
 stalk table, or of an `rle_inv` morphism's `alpha`, replaced by another element
 of the same stalk, so the proper-map continuity and RL-morphism witnesses are
-compared on input that parses.  So are the argv-level cases of `argv_cases`, once each as given: help,
+compared on input that parses; and on each of `LATTICE_EDITS` copies with one
+`lattices` `mul` entry (and its mirror) replaced by another carrier element, or
+one `leq` pair dropped or added, so the walks that name why an order is no
+lattice, a residual is not adjoint or an axiom fails are compared.  So are the
+argv-level cases of `argv_cases`, once each as given: help,
 usage errors and the bare commands, which the recorded argvs never reach.
 Each side runs all of its commands in one subprocess of its own,
 importing rlsheaf from that checkout's `src/`, under the same PYTHONHASHSEED
@@ -37,6 +41,7 @@ CORPUS = ROOT / "src" / "rlsheaf" / "data" / "paper_fixtures.json"
 FORMATS = {"text": [], "machine-readable": ["--format", "machine-readable"]}
 EDITS = 60
 WITNESS_EDITS = 40
+LATTICE_EDITS = 40
 ODD_VALUES = [None, 1, True, "zz", " a", "a,b", [], ["zz"], {}]
 
 # Reads [argv, env] pairs from stdin, runs each through cli.run in this process,
@@ -192,6 +197,33 @@ def witness_edits(n: int = WITNESS_EDITS, seed: int = 0) -> list[str]:
     return out
 
 
+def lattice_edits(n: int = LATTICE_EDITS, seed: int = 3) -> list[str]:
+    """`n` copies of the bundled corpus as JSON text, each with one edit drawn by `seed` to a lattice given
+    by `leq`: one `mul` entry (and its mirror) set to another carrier element, or one pair x <= y with
+    x != y dropped from `leq` or added to it.  Under seed 3, 22 copies are refused as no lattice, 17 for a
+    residual that is not adjoint and one by `verify_rl`'s walk (`unit-fails`); seed 0 reaches no such walk."""
+    rng = random.Random(seed)
+    text = CORPUS.read_text(encoding="utf-8")
+    names = sorted(name for name, lat in json.loads(text)["lattices"].items() if "leq" in lat)
+    out = []
+    for _ in range(n):
+        doc = json.loads(text)
+        lat = doc["lattices"][rng.choice(names)]
+        carrier, mul, leq = lat["carrier"], lat["mul"], lat["leq"]
+        kind = rng.choice(["mul", "drop", "add"])
+        if kind == "mul":
+            key = rng.choice(sorted(mul))
+            value = rng.choice([x for x in carrier if x != mul[key]])
+            for k in {key, ",".join(reversed(key.split(",")))} & set(mul):
+                mul[k] = value
+        elif kind == "drop":
+            leq.remove(rng.choice([p for p in leq if p[0] != p[1]]))
+        else:
+            leq.append(rng.choice([[x, y] for x in carrier for y in carrier if x != y and [x, y] not in leq]))
+        out.append(json.dumps(doc))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (pathlib.Path(argv[0]) / "src" / "rlsheaf").is_dir():
         print("usage: python3 scripts/diff_cli_outputs.py OTHER_CHECKOUT (a directory holding src/rlsheaf)", file=sys.stderr)
@@ -207,7 +239,7 @@ def main(argv: list[str]) -> int:
         labels.append((argv, "as given"))
         runs.append((argv, {}))
     with tempfile.TemporaryDirectory() as tmp:
-        for i, text in enumerate(edited_corpora() + witness_edits()):
+        for i, text in enumerate(edited_corpora() + witness_edits() + lattice_edits()):
             path = pathlib.Path(tmp) / f"edit{i:02d}.json"
             path.write_text(text, encoding="utf-8")
             for lenient in ([], ["--lenient"]):

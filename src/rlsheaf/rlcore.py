@@ -68,80 +68,26 @@ def _leq_from_hasse(carrier: Iterable[str], hasse: Iterable[tuple[str, str]]) ->
     return frozenset((x, elems[j]) for x, row in zip(elems, above) for j in _bits(row))
 
 
-class _Bounds:
-    """One side of a relation as bitmask rows over the carrier: up-rows give sups, down-rows infs.
-
-    The bounds of xs are the carrier elements in every x's row, and the extremum is the bound
-    whose own row holds every bound (None unless exactly one does). Positions run by decreasing
-    row size, so under a partial order the extremum of any bounds is their lowest set bit.
-    """
-
-    def __init__(self, elems: list[str], rows: dict[str, list[str]], other: dict[str, list[str]]):
-        self.names = sorted(elems, key=lambda x: -len(rows.get(x, ())))
-        pos = {x: i for i, x in enumerate(self.names)}
-        powers = [1 << i for i in range(len(self.names))]
-
-        def mask(zs: Iterable[str]) -> int:
-            return sum({powers[pos[z]] for z in zs if z in pos})
-
-        self.full = (1 << len(self.names)) - 1
-        self.rows = {x: mask(zs) for x, zs in rows.items()}
-        self.own = [self.rows.get(x, 0) for x in self.names]
-        self.other = [mask(other.get(x, ())) for x in self.names]
-
-    def row(self, x: str) -> int:
-        return self.rows.get(x, 0)
-
-    def extremum(self, xs: Iterable[str]) -> str | None:
-        bounds = self.full
-        for x in xs:
-            bounds &= self.rows.get(x, 0)
-        return self.pick(bounds)
-
-    def pick(self, bounds: int) -> str | None:
-        """The extremum of a set of bounds. The lowest bit is the only candidate when its row holds
-        every bound and no other bound relates to it the other way; otherwise scan them all."""
-        low = bounds & -bounds
-        c = low.bit_length() - 1
-        if bounds and not bounds & ~self.own[c] and bounds & self.other[c] == low:
-            return self.names[c]
-        best = [b for b in _bits(bounds) if not bounds & ~self.own[b]]
-        return self.names[best[0]] if len(best) == 1 else None
-
-
-def _order_bounds(carrier: Iterable[str], leq: frozenset[tuple[str, str]]) -> tuple[_Bounds, _Bounds]:
-    """The (sup, inf) sides of any relation `leq` on the carrier, each built once."""
-    up: dict[str, list[str]] = {}
-    down: dict[str, list[str]] = {}
-    for x, y in leq:
-        up.setdefault(x, []).append(y)
-        down.setdefault(y, []).append(x)
-    elems = list(dict.fromkeys(carrier))
-    return _Bounds(elems, up, down), _Bounds(elems, down, up)
-
-
-def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    """Least upper bound of a subset, None when it does not exist."""
-    return _order_bounds(carrier, leq)[0].extremum(xs)
-
-
-def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    return _order_bounds(carrier, leq)[1].extremum(xs)
-
-
 # Carrier positions are stored one to a byte, so the whole-table gate runs on carriers of at most this size.
 _GATE_MAX = 256
 
 
+def _split(flat, n: int) -> list:
+    """A row-major sequence of n * n entries as its n rows."""
+    return [flat[i * n:i * n + n] for i in range(n)]
+
+
 class _Order:
-    """A relation read once over carrier positions (`le` flat, row-major): `rows[i][j]` says x_i <= x_j,
-    `cols[j]` is column j as 0/1 bytes (the down-set of x_j), `up`/`down` are bitmask rows, and
-    `partial` says whether the relation is a partial order on the carrier."""
+    """A relation read once over carrier positions (`le` flat, row-major), the one reader of a finite order:
+    `rows[i][j]` says x_i <= x_j, `cols[j]` is column j as 0/1 bytes (the down-set of x_j), `up`/`down` are
+    bitmask rows, and `partial` says whether the relation is a partial order on the carrier.  Every bound
+    is read off `up` or `down`: whole tables of joins, meets and residuals on the happy paths, and one
+    extremum at a time (`extremum`) for `lub`, `glb` and the walks that name a failure."""
 
     def __init__(self, n: int, le: list[bool]):
         powers = [1 << i for i in range(n)]
         self.full = (1 << n) - 1
-        self.rows = [le[i:i + n] for i in range(0, n * n, n)]
+        self.rows = _split(le, n)
         self.cols = [bytes(le[j::n]) for j in range(n)]
         self.up = [sum(compress(powers, r)) for r in self.rows]
         self.down = [sum(compress(powers, c)) for c in self.cols]
@@ -149,6 +95,13 @@ class _Order:
         # up-row holds the up-rows of its elements.
         self.partial = all(u & d == p for u, d, p in zip(self.up, self.down, powers)) and all(
             reduce(or_, compress(self.up, r), 0) == u for r, u in zip(self.rows, self.up))
+
+    @staticmethod
+    def extremum(rows: list[int], bounds: int) -> int | None:
+        """The one position of `bounds` whose row holds every bound, None unless exactly one does: on up-rows
+        the least of a set of upper bounds, on down-rows the greatest of a set of lower bounds."""
+        best = [b for b in _bits(bounds) if not bounds & ~rows[b]]
+        return best[0] if len(best) == 1 else None
 
     @classmethod
     def of(cls, elems: tuple[str, ...] | list[str], leq: frozenset[tuple[str, str]]) -> _Order:
@@ -162,6 +115,28 @@ class _Order:
 @lru_cache(maxsize=64)
 def _order_of(elems: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> _Order:
     return _Order(len(elems), list(map(leq.__contains__, product(elems, repeat=2))))
+
+
+def _bound(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str], side: str) -> str | None:
+    """The extremum, on the `side` ("up" or "down") of the carrier's `_Order`, of the carrier elements that
+    bound every x.  Arguments outside the carrier are read into that order after it, so the row of each holds
+    the carrier elements that `leq` relates it to."""
+    elems = list(dict.fromkeys(carrier))
+    xs = list(xs)
+    named = list(dict.fromkeys([*elems, *xs]))
+    rows = getattr(_Order.of(named, leq), side)
+    pos = {x: i for i, x in enumerate(named)}
+    i = _Order.extremum(rows, reduce(and_, (rows[pos[x]] for x in xs), (1 << len(elems)) - 1))
+    return None if i is None else elems[i]
+
+
+def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
+    """Least upper bound of a subset, None when it does not exist."""
+    return _bound(carrier, leq, xs, "up")
+
+
+def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
+    return _bound(carrier, leq, xs, "down")
 
 
 def _positions(elems: tuple[str, ...] | list[str], tab: Mapping[tuple[str, str], str]) -> list[int | None]:
@@ -194,8 +169,7 @@ def _residual_rows(elems: list[str] | tuple[str, ...], order: _Order, mul: Mappi
         return None
     mul, pad = bytes(flat), bytes(256 - n)
     downs = {c: i for i, c in enumerate(order.cols)}
-    rows = [slice(i, i + n) for i in range(0, n * n, n)]
-    cols = [list(map(downs.get, map(mul.translate(c + pad).__getitem__, rows))) for c in order.cols]
+    cols = [list(map(downs.get, _split(mul.translate(c + pad), n))) for c in order.cols]
     found = [j for row in zip(*cols) for j in row]
     return None if None in found else dict(zip(product(elems, repeat=2), map(elems.__getitem__, found)))
 
@@ -212,15 +186,15 @@ def _rl_gate(order: _Order, join: bytes, meet: bytes, mul: bytes, imp: bytes, bo
     up, down = order.up, order.down
     if not order.partial or up[bot] != order.full or down[top] != order.full:
         return False
-    for i, ux, dx in zip(range(0, n * n, n), up, down):
-        if list(map(up.__getitem__, join[i:i + n])) != list(map(ux.__and__, up)):
+    for js, ms, ux, dx in zip(_split(join, n), _split(meet, n), up, down):
+        if list(map(up.__getitem__, js)) != list(map(ux.__and__, up)):
             return False
-        if list(map(down.__getitem__, meet[i:i + n])) != list(map(dx.__and__, down)):
+        if list(map(down.__getitem__, ms)) != list(map(dx.__and__, down)):
             return False
-    if b"".join(mul[j::n] for j in range(n)) != mul or mul[top * n:top * n + n] != bytes(range(n)):
+    rows = _split(mul, n)
+    if b"".join(mul[j::n] for j in range(n)) != mul or rows[top] != bytes(range(n)):
         return False
     pad = bytes(256 - n)
-    rows = [mul[i:i + n] for i in range(0, n * n, n)]
     if any(b"".join(map(rows.__getitem__, r)) != mul.translate(r + pad) for r in rows):
         return False
     return all(mul.translate(c + pad) == b"".join(map(order.cols.__getitem__, imp[y::n])) for y, c in enumerate(order.cols))
@@ -237,38 +211,33 @@ def derive_residual(
     on at most `_GATE_MAX` elements, with every product in the carrier, x->y is the element whose
     down-set is {z | x*z <= y}, read a whole table at a time (`_residual_rows`).  Where some such set is
     no down-set, or those conditions fail, a walk over carrier positions names the first failure:
-    `{z | x*z <= y}` is row x of mul read through the column of y, and adjointness for (x, y) is
-    that row being equal to the column of x->y.
+    `{z | x*z <= y}` is row x of mul read through the column of y, its sup is the `_Order.extremum`
+    of its upper bounds, and adjointness for (x, y) is that row being equal to the column of x->y.
     """
     elems = sorted(carrier)
     found = _residual_rows(elems, _Order.of(elems, leq), mul)
     if found is not None:
         return found
     n = len(elems)
-    sup, _ = _order_bounds(elems, leq)
-    ups = [sup.row(z) for z in elems]
-    # Products outside the carrier get positions after it, so that every product has a column entry.
-    vals = list(elems)
+    # Products outside the carrier are read into the order after it, so that every product has a column entry.
+    eset = set(elems)
+    vals = elems + [v for v in dict.fromkeys(mul.values()) if v not in eset]
+    order = _Order.of(vals, leq)
     vpos = {v: i for i, v in enumerate(vals)}
-    for v in mul.values():
-        if v not in vpos:
-            vpos[v] = len(vals)
-            vals.append(v)
-    cols = [[(v, y) in leq for v in vals] for y in elems]
-    below_of = [col[:n] for col in cols]
     imp: Table = {}
     # Every sup is taken before any adjointness failure is raised: the first one found waits.
     unadjoint = None
     for x in elems:
         row = [vpos[mul[x, z]] for z in elems]
-        for y, col in zip(elems, cols):
-            below = list(map(col.__getitem__, row))
-            j = sup.pick(reduce(and_, compress(ups, below), sup.full))
+        for y, col in zip(elems, order.cols):
+            below = bytes(map(col.__getitem__, row))
+            j = order.extremum(order.up, reduce(and_, compress(order.up, below), (1 << n) - 1))
             if j is None:
                 raise NotResiduated(f"sup of {fmt_set(compress(elems, below))} does not exist for {x}->{y}")
-            imp[x, y] = j
-            if unadjoint is None and below != below_of[vpos[j]]:
-                z = next(z for z, a, b in zip(elems, below, below_of[vpos[j]]) if a != b)
+            imp[x, y] = elems[j]
+            under = order.cols[j][:n]
+            if unadjoint is None and below != under:
+                z = next(z for z, a, b in zip(elems, below, under) if a != b)
                 unadjoint = f"adjointness fails at x={x}, y={y}, z={z}"
     if unadjoint is not None:
         raise NotResiduated(unadjoint)
@@ -300,7 +269,7 @@ def lattice_from_order(
 
     Under a partial order, x v y is the element whose up-row is up[x] & up[y] and x ^ y the one
     whose down-row is down[x] & down[y], a row at a time.  Otherwise, or where one is missing, each
-    is picked from its bounds, which names the first pair that has none.
+    is the `_Order.extremum` of its bounds, which names the first pair that has none.
     """
     elems = tuple(sorted(carrier))
     order = _Order.of(elems, leq)
@@ -310,18 +279,14 @@ def lattice_from_order(
         keys = list(product(elems, repeat=2))
         join, meet = dict(zip(keys, joins)), dict(zip(keys, meets))
     else:
-        sup, inf = _order_bounds(elems, leq)
-        ups = [sup.row(x) for x in elems]
-        downs = [inf.row(x) for x in elems]
+        up, down = order.up, order.down
         join, meet = {}, {}
-        for x, ux, dx in zip(elems, ups, downs):
-            for y, uy, dy in zip(elems, ups, downs):
-                j = sup.pick(ux & uy)
-                m = inf.pick(dx & dy)
+        for x, ux, dx in zip(elems, up, down):
+            for y, uy, dy in zip(elems, up, down):
+                j, m = order.extremum(up, ux & uy), order.extremum(down, dx & dy)
                 if j is None or m is None:
                     raise ValueError(f"not a lattice: join/meet of ({x},{y}) missing")
-                join[x, y] = j
-                meet[x, y] = m
+                join[x, y], meet[x, y] = elems[j], elems[m]
     mul = dict(mul)
     derived = dict(imp) if imp is not None else _residual_rows(elems, order, mul) or derive_residual(elems, leq, mul)
     return ResiduatedLattice(elems, leq, join, meet, mul, derived, bot, top)
@@ -330,45 +295,37 @@ def lattice_from_order(
 def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
     """Report every failed residuated-lattice axiom with witnesses.
 
-    On at most `_GATE_MAX` elements, complete tables are read as bytes of carrier positions and the
-    verdict comes from `_rl_gate`, which compares whole rows and tables.  When it fails, or on a
-    larger carrier, a walk reads the tables as rows over carrier positions and compares them a row
-    at a time; single elements are visited only where two rows differ, to name the witnesses in
+    The order is the lattice's `_Order`, and each table is read once as carrier positions (`_positions`).
+    With the constants and every entry in the carrier, on at most `_GATE_MAX` elements, the verdict comes
+    from `_rl_gate`, which compares whole rows and tables.  When it fails, or on a larger carrier, a walk
+    over the same positions compares them a row at a time, takes each join and meet from
+    `_Order.extremum`, and visits single elements only where two rows differ, to name the witnesses in
     carrier order.
     """
-    bad: list[Violation] = []
     elems = lat.carrier
-    eset = set(elems)
+    n = len(elems)
     pos = {x: i for i, x in enumerate(elems)}
     order = _Order.of(elems, lat.leq)
-    if len(elems) <= _GATE_MAX:
-        tabs = [_positions(elems, t) for t in (lat.join, lat.meet, lat.mul, lat.imp)]
-        ends = [pos.get(lat.bot), pos.get(lat.top)]
-        if not any(None in t for t in (*tabs, ends)) and _rl_gate(order, *map(bytes, tabs), *ends):
-            return ValidationReport("residuated-lattice", ())
-
-    def tab_ok(name: str, tab: Table) -> bool:
-        complete = True
-        for x in elems:
-            for y in elems:
+    named = {"join": lat.join, "meet": lat.meet, "mul": lat.mul, "imp": lat.imp}
+    tabs = [_positions(elems, t) for t in named.values()]
+    bot, top = pos.get(lat.bot), pos.get(lat.top)
+    if bot is None or top is None:
+        return ValidationReport("residuated-lattice", (Violation("constants-escape", f"bot={lat.bot}, top={lat.top}"),))
+    bad: list[Violation] = []
+    for (name, tab), flat in zip(named.items(), tabs):
+        if None in flat:
+            for (x, y), i in zip(product(elems, repeat=2), flat):
                 v = tab.get((x, y))
                 if v is None:
                     bad.append(Violation(f"{name}-missing", f"({x},{y})"))
-                    complete = False
-                elif v not in eset:
+                elif i is None:
                     bad.append(Violation(f"{name}-escapes", f"({x},{y})->{v}"))
-                    complete = False
-        return complete
+            return ValidationReport("residuated-lattice", tuple(bad))
+    if n <= _GATE_MAX and _rl_gate(order, *map(bytes, tabs), bot, top):
+        return ValidationReport("residuated-lattice", ())
 
-    if lat.bot not in eset or lat.top not in eset:
-        bad.append(Violation("constants-escape", f"bot={lat.bot}, top={lat.top}"))
-        return ValidationReport("residuated-lattice", tuple(bad))
-    if not all(tab_ok(n, t) for n, t in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]):
-        return ValidationReport("residuated-lattice", tuple(bad))
-
-    le, col, up = order.rows, order.cols, order.up
-    mul = [[pos[lat.mul[x, y]] for y in elems] for x in elems]
-    imp = [[pos[lat.imp[x, y]] for y in elems] for x in elems]
+    le, col, up, down = order.rows, order.cols, order.up, order.down
+    join, meet, mul, imp = (_split(t, n) for t in tabs)
 
     for i, x in enumerate(elems):
         if not le[i][i]:
@@ -381,28 +338,25 @@ def verify_rl(lat: ResiduatedLattice) -> ValidationReport:
         for j in _bits(up[i]):
             for k in _bits(up[j] & ~up[i]):
                 bad.append(Violation("order-not-transitive", f"({x},{elems[j]},{elems[k]})"))
-    for x in elems:
-        if not lat.le(lat.bot, x):
+    for i, x in enumerate(elems):
+        if not le[bot][i]:
             bad.append(Violation("bot-not-least", x))
-        if not lat.le(x, lat.top):
+        if not le[i][top]:
             bad.append(Violation("top-not-greatest", x))
 
-    sup, inf = _order_bounds(elems, lat.leq)
-    ups = [sup.row(x) for x in elems]
-    downs = [inf.row(x) for x in elems]
-    for x, ux, dx in zip(elems, ups, downs):
-        for y, uy, dy in zip(elems, ups, downs):
-            if lat.join[x, y] != sup.pick(ux & uy):
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if join[i][j] != order.extremum(up, up[i] & up[j]):
                 bad.append(Violation("join-not-lub", f"({x},{y})"))
-            if lat.meet[x, y] != inf.pick(dx & dy):
+            if meet[i][j] != order.extremum(down, down[i] & down[j]):
                 bad.append(Violation("meet-not-glb", f"({x},{y})"))
 
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             if mul[i][j] != mul[j][i]:
                 bad.append(Violation("mul-not-commutative", f"({x},{y})"))
-    for x in elems:
-        if lat.mul[lat.top, x] != x:
+    for x, v in zip(elems, mul[top]):
+        if v != pos[x]:
             bad.append(Violation("unit-fails", x))
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):

@@ -154,9 +154,7 @@ def _binary_table_walk(raw: dict, carrier: frozenset[str], path: str, symmetrize
         if (x, y) in out and out[x, y] != v:
             raise WorkspaceSyntaxError(f"{path}.{key}: conflicting duplicate entry")
         out[x, y] = v
-        if symmetrize:
-            if (y, x) in out and out[y, x] != v:
-                raise WorkspaceSyntaxError(f"{path}.{key}: symmetrization conflict at ({y},{x})")
+        if symmetrize:  # `out` stays symmetric, so the check above has already compared the mirror
             out[y, x] = v
     if len(out) != len(carrier) ** 2:  # every key lies in the carrier, so the count decides completeness
         x, y = min((x, y) for x in carrier for y in carrier if (x, y) not in out)

@@ -521,6 +521,7 @@ def test_a_bundle_morphism_from_the_workspace_is_checked(entry, line, lenient, t
         (["compose-rle", "f_a6_a4", "rle_m1"], 2, "error: f_a6_a4 is not an rle_inv morphism\n"),
         (["compose-rle", "rle_m1", "rle_m1"], 1, "error: morphisms are not composable\n"),
         (["export-dot", "zz"], 2, "error: unknown object 'zz'\n"),
+        (["sections", "zz"], 2, "error: sections: unknown bundle 'zz'\n"),
     ],
 )
 def test_a_name_the_command_cannot_use_exits_with_one_error_line(argv, rc, err, capsys):
@@ -810,3 +811,45 @@ def test_a_suite_ignores_workspace_and_lenient(suite, tmp_path, monkeypatch, cap
         outcomes.append((rc, *capsys.readouterr()))
     assert outcomes[0][0] == 0 and outcomes[0][1] and outcomes[0][2] == ""
     assert outcomes == [outcomes[0]] * len(prefixes)
+
+
+STALK_OPS = json.loads(CORPUS)["rl_bundles"]["etspecha4"]["stalk_ops"]
+F6_TO_F4 = json.loads(CORPUS)["morphisms"]["f_a6_a4"]["table"]
+ADMISSION_ERRORS = {
+    "leq-pair-too-short": (corpus_with(["lattices", "A2", "leq"], [["0"]]), "lattices.A2.leq: expected a list of [x,y] pairs"),
+    "mul-not-an-object": (corpus_with(["lattices", "A2", "mul"], []), "lattices.A2.mul: expected an object keyed 'x,y'"),
+    "leq-and-hasse": (corpus_with(["lattices", "A2", "hasse"], [["0", "1"]]),
+                      "lattices.A2: exactly one of 'leq'/'hasse' is required"),
+    "bot-outside": (corpus_with(["lattices", "A2", "bot"], "zz"), "lattices.A2: bot/top outside the carrier"),
+    "map-table-not-an-object": (corpus_with(["maps", "fold_disc2", "table"], []),
+                                "maps.fold_disc2.table: expected an object of point -> point"),
+    "stalk-ops-not-an-object": (corpus_with(["rl_bundles", "a2_over_point", "stalk_ops"], []),
+                                "rl_bundles.a2_over_point.stalk_ops: expected per-point operation tables"),
+    "stalk-ops-off-the-base": (corpus_with(["rl_bundles", "a2_over_point", "stalk_ops", "zz"], {}),
+                               "rl_bundles.a2_over_point.stalk_ops.zz: not a base point"),
+    "stalk-ops-missing-a-point": (corpus_with(["rl_bundles", "etspecha4", "stalk_ops"], {"F3": STALK_OPS["F3"]}),
+                                  "rl_bundles.etspecha4.stalk_ops: missing stalk tables for ['F2']"),
+    "morphism-not-an-object": (corpus_with(["morphisms", "f_a6_a4"], []), "morphisms.f_a6_a4: missing 'kind'"),
+    "unknown-morphism-kind": (corpus_with(["morphisms", "f_a6_a4", "kind"], "zz"), "morphisms.f_a6_a4: unknown kind 'zz'"),
+    "deviation-note-not-a-string": (corpus_with(["expectations", "deviations", "A8:min:patch", "note"], 1),
+                                    "expectations.deviations.A8:min:patch.note: expected a string"),
+}
+
+
+@pytest.mark.parametrize("edit", ADMISSION_ERRORS)
+def test_each_admission_error_exits_2_with_its_line(edit, tmp_path):
+    doc, line = ADMISSION_ERRORS[edit]
+    assert run_with_output(doc, ["validate"], tmp_path) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_morphism_table_that_is_not_total_is_refused(lenient, tmp_path):
+    table = {x: v for x, v in F6_TO_F4.items() if x != "b"}
+    line = ("morphisms.f_a6_a4: not a morphism of residuated lattices: "
+            "table is not a total map between the carriers")
+    rc, out, err = run_with_output(corpus_with(["morphisms", "f_a6_a4", "table"], table),
+                                   ["--lenient"] * lenient + ["validate"], tmp_path)
+    if lenient:
+        assert (rc, err) == (1, "") and f"diagnostic: {line}" in out.splitlines()
+    else:
+        assert (rc, out, err) == (1, "", f"error: {line}\n")

@@ -18,7 +18,8 @@ from conftest import (
     scan_lub,
     verify_rl_literal,
 )
-from rlsheaf import bundle, fixtures, rlcore
+from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore
+from rlsheaf.report import Violation
 
 A4 = fixtures.rl_a4()
 A6 = fixtures.rl_a6()
@@ -313,6 +314,15 @@ def test_bounds_agree_with_the_literal_scan(carrier, leq, xs):
     assert rlcore.glb(carrier, leq, xs) == scan_glb(carrier, leq, xs)
 
 
+def test_bounds_read_a_repeated_carrier_once_and_a_mutable_relation_afresh():
+    """A carrier element listed twice is one bound, and a `leq` given as a set is read on every call, so
+    changing it between calls changes the answer."""
+    carrier, leq = ["0", "a", "1", "a"], {("0", "0"), ("0", "a"), ("0", "1"), ("a", "a"), ("a", "1"), ("1", "1")}
+    assert (rlcore.lub(carrier, leq, ["0", "a"]), rlcore.glb(carrier, leq, ["a", "1"])) == ("a", "a")
+    leq -= {("a", "a")}
+    assert (rlcore.lub(carrier, leq, ["0", "a"]), rlcore.glb(carrier, leq, ["a", "1"])) == ("1", "0")
+
+
 @given(hasse=st.lists(PAIRS, max_size=12))
 @settings(max_examples=300, deadline=None)
 @example(hasse=[("a", "b"), ("b", "c"), ("c", "a")])
@@ -553,6 +563,19 @@ def test_built_lattices_are_the_same_below_the_byte_bound(name, monkeypatch):
     assert expected[1].ok
     monkeypatch.setattr(rlcore, "_GATE_MAX", 1)
     assert (built(rlcore.make_lattice, *args), rlcore.verify_rl(lat)) == expected
+
+
+@pytest.mark.parametrize("gate_max", [256, 1])
+def test_an_empty_carrier_is_reported_not_raised(gate_max, monkeypatch):
+    """With no elements the constants escape, as the literal loops say, and the builders give empty tables."""
+    monkeypatch.setattr(rlcore, "_GATE_MAX", gate_max)
+    lat = rlcore.ResiduatedLattice((), frozenset(), {}, {}, {}, {}, "0", "1")
+    assert rlcore.verify_rl(lat).violations == verify_rl_literal(lat) == (Violation("constants-escape", "bot=0, top=1"),)
+    trl = adjunction.TopologicalRL(lat, fintop.discrete([]))
+    assert [v.rule for v in adjunction.verify_topological_rl(trl).violations] == ["algebra[constants-escape]"]
+    assert built(rlcore.make_lattice, [], [], {}, "0", "1") == ((), frozenset(), [], [], [])
+    assert built(rlcore.lattice_from_order, [], frozenset(), {}, "0", "1") == ((), frozenset(), [], [], [])
+    assert rlcore.derive_residual([], frozenset(), {}) == {}
 
 
 @st.composite
