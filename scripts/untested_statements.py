@@ -7,9 +7,15 @@ The tier-1 suite (or the pytest arguments given) runs in this process under
 in src/rlsheaf.  Every statement that is never executed is printed as
 `file:line: source`, in file and line order.  Docstrings and `def`/`class`
 lines are left out, and so is any line the compiler emits no code for.
-Commands the tests run in a subprocess are not traced.  Only the standard
-library and pytest are used; the traced run takes two to three times as long
-as the plain one.
+Commands the tests run in a subprocess are not traced.
+
+The run is deterministic, so two runs on the same code print the same list:
+pytest gets `--hypothesis-seed=0`, which draws every Hypothesis example from
+that one seed and, with a seed forced, makes Hypothesis neither read nor write
+its example database in `.hypothesis/`.
+
+Only the standard library, pytest and the Hypothesis plugin the tests load are
+used; the traced run takes two to three times as long as the plain one.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *(argv or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
     if status not in (0, 1):

@@ -342,8 +342,9 @@ class Section:
     def __post_init__(self):
         if set(self.table) != set(self.domain):
             raise ValueError("section table does not match its domain")
+        proj = self.parent.proj.mapping
         for p, t in self.table.items():
-            if self.parent.proj(t) != p:
+            if proj.get(t) != p:
                 raise ValueError(f"not a right inverse at {p}")
         base, total = self.parent.base.min_nbhd_map, self.parent.total.min_nbhd_map
         if any(self.table[q] not in total[t] for p, t in self.table.items() for q in base[p] & self.domain):

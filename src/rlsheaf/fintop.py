@@ -474,33 +474,10 @@ def is_locally_injective(m: SpaceMap) -> bool:
     return all(len(m.image(u)) == len(u) for _, u in m.dom.min_nbhds)
 
 
-def _restriction_is_homeo_onto_open(m: SpaceMap, u: PointSet) -> bool:
-    """m|_u a homeomorphism onto an open image, subspace topologies on both sides."""
-    img = m.image(u)
-    if img not in m.cod.opens:
-        return False
-    if len(img) != len(u):
-        return False
-    sub_dom = {o & u for o in m.dom.opens}
-    sub_img = {o & img for o in m.cod.opens}
-    # continuity of the restriction
-    for v in sub_img:
-        if frozenset(p for p in u if m(p) in v) not in sub_dom:
-            return False
-    # openness of the restriction
-    for o in sub_dom:
-        if m.image(o) not in sub_img:
-            return False
-    return True
-
-
-def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
-    """Literal neighbourhood definition: each point has an open nbhd mapped homeomorphically onto an open set.
-
-    Evaluated on the open families as masks over the sorted points: each open u is tested once, for
-    an open image that m|_u reaches bijectively, with the restriction continuous and open for the
-    subspace families of u and its image; m is a local homeomorphism iff those u cover the domain.
-    """
+def _homeo_opens(m: SpaceMap) -> Iterator[int]:
+    """The literal per-open test, on the open families as masks over the sorted points: each open u
+    of the domain, as a mask over `dom.sorted_points`, whose image is open, reached bijectively by
+    m|_u, with the restriction continuous and open for the subspace families of u and its image."""
     cidx = {p: i for i, p in enumerate(m.cod.sorted_points)}
     to = [1 << cidx[v] for _, v in m.table]  # the image bit of each domain point, by `dom.sorted_points`
     dom_opens, cod_opens = m.dom.opens.masks, m.cod.opens.masks
@@ -512,7 +489,6 @@ def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
             out |= to[i]
         return out
 
-    covered = 0
     for u in dom_opens:
         img = image(u)
         if img not in cod_set or img.bit_count() != u.bit_count():
@@ -522,8 +498,16 @@ def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
         sub_img = {o & img for o in cod_opens}
         continuous = all(sum(back[j] for j in _bits(v)) in sub_dom for v in sub_img)
         if continuous and all(image(o) in sub_img for o in sub_dom):
-            covered |= u
-    return covered == (1 << len(m.dom.sorted_points)) - 1
+            yield u
+
+
+def is_local_homeomorphism_direct(m: SpaceMap) -> bool:
+    """Literal neighbourhood definition: each point has an open nbhd mapped homeomorphically onto an open set.
+
+    The oracle for `is_local_homeomorphism`: m is a local homeomorphism iff the opens `_homeo_opens`
+    yields cover the domain.
+    """
+    return functools.reduce(operator.or_, _homeo_opens(m), 0) == (1 << len(m.dom.sorted_points)) - 1
 
 
 def is_local_homeomorphism(m: SpaceMap) -> bool:
@@ -536,27 +520,25 @@ def is_local_homeomorphism(m: SpaceMap) -> bool:
 
 
 def is_homeomorphism(m: SpaceMap) -> bool:
-    return (
-        len(m.image(m.dom.points)) == len(m.dom.points)
-        and m.image(m.dom.points) == m.cod.points
-        and is_continuous(m)
-        and is_open_map(m)
-    )
+    """A bijective local homeomorphism: each U_x onto U_f(x) makes f an order isomorphism of the
+    specialization preorders, which is continuous, open and bijective."""
+    img = m.image(m.dom.points)
+    return len(img) == len(m.dom.points) and img == m.cod.points and is_local_homeomorphism(m)
 
 
 def local_homeo_basis(m: SpaceMap) -> list[PointSet]:
-    """Opens on which m restricts to a homeomorphism onto an open image.
+    """Opens on which m restricts to a homeomorphism onto an open image (`_homeo_opens`), by `set_key`.
 
-    Requires m to be a local homeomorphism; the result is a basis of dom.
+    Requires m to be a local homeomorphism; the result is a basis of dom, that is, it holds every U_x.
     """
     if not is_local_homeomorphism(m):
         raise ValueError("map is not a local homeomorphism")
-    fam = [u for u in m.dom.sorted_opens() if _restriction_is_homeo_onto_open(m, u)]
-    for u in m.dom.opens:
-        cover = frozenset(itertools.chain.from_iterable(v for v in fam if v <= u))
-        if cover != u:
-            raise AssertionError(f"family is not a basis at {fmt_set(u)}")
-    return fam
+    masks = set(_homeo_opens(m))
+    pts, down = m.dom.sorted_points, m.dom.order_masks[0]
+    for u in down:
+        if u not in masks:
+            raise AssertionError(f"family is not a basis at {fmt_set(_from_mask(u, pts))}")
+    return sorted((_from_mask(u, pts) for u in masks), key=set_key)
 
 
 def minimal_neighborhood(s: FiniteSpace, p: str) -> PointSet:

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from rlsheaf import adjunction, basechange, bundle, cli, fintop, rlcore, sheafify, workspace
-from rlsheaf.report import Violation, fmt_set
+from rlsheaf.report import Violation, fmt_set, set_key
 
 
 def brute_force_filters(lat: rlcore.ResiduatedLattice) -> set[frozenset[str]]:
@@ -567,6 +567,44 @@ def is_local_homeomorphism_direct_literal(m: fintop.SpaceMap) -> bool:
         return all(m.image(o) in sub_img for o in sub_dom)
 
     return all(any(p in u and homeo_onto_open(u) for u in dom_opens) for p in m.dom.points)
+
+
+def local_homeo_basis_literal(m: fintop.SpaceMap) -> list[frozenset[str]]:
+    """Oracle: `fintop.local_homeo_basis` as it was on frozensets, over the opens `opens_literal` lists:
+    the ValueError unless `is_local_homeomorphism_direct_literal` holds, then every open u whose image
+    is open and reached bijectively, with m|_u continuous and open for the subspace families, by
+    `set_key`, checked to cover every open with unions of members."""
+    if not is_local_homeomorphism_direct_literal(m):
+        raise ValueError("map is not a local homeomorphism")
+    dom_opens, cod_opens = opens_literal(m.dom), set(opens_literal(m.cod))
+
+    def restriction_is_homeo_onto_open(u: frozenset[str]) -> bool:
+        img = m.image(u)
+        if img not in cod_opens:
+            return False
+        if len(img) != len(u):
+            return False
+        sub_dom = {o & u for o in dom_opens}
+        sub_img = {o & img for o in cod_opens}
+        for v in sub_img:
+            if frozenset(p for p in u if m(p) in v) not in sub_dom:
+                return False
+        for o in sub_dom:
+            if m.image(o) not in sub_img:
+                return False
+        return True
+
+    fam = sorted((u for u in dom_opens if restriction_is_homeo_onto_open(u)), key=set_key)
+    for u in dom_opens:
+        if frozenset(itertools.chain.from_iterable(v for v in fam if v <= u)) != u:
+            raise AssertionError(f"family is not a basis at {fmt_set(u)}")
+    return fam
+
+
+def is_homeomorphism_literal(m: fintop.SpaceMap) -> bool:
+    """Oracle: `fintop.is_homeomorphism` as it was: bijective, continuous and open."""
+    img = m.image(m.dom.points)
+    return len(img) == len(m.dom.points) and img == m.cod.points and fintop.is_continuous(m) and fintop.is_open_map(m)
 
 
 def pullback_pairs_literal(f: fintop.SpaceMap, g: fintop.SpaceMap) -> dict[str, tuple[str, str]]:

@@ -481,3 +481,10 @@ def test_morphism_tables_are_the_unpruned_oracle_in_order():
         assert bundle.morphism_tables(src, dst) == slow
         assert [m.map.table for m in bundle.bundle_morphisms(src, dst)] == slow
     assert pairs > len(bundles)
+
+
+def test_a_section_value_outside_the_total_is_not_a_right_inverse():
+    """A value that is no point of the total space lies over no base point: the section is refused with
+    the right-inverse message, not a KeyError from the projection."""
+    with pytest.raises(ValueError, match=r"^not a right inverse at F2$"):
+        bundle.Section(ET4.bundle, frozenset({"F2"}), {"F2": "zz"})

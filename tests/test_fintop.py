@@ -13,8 +13,10 @@ from conftest import (
     assert_checked_twin,
     final_topology_literal,
     finite_space_literal,
+    is_homeomorphism_literal,
     is_local_homeomorphism_direct_literal,
     lattice_closure,
+    local_homeo_basis_literal,
     monotone_tables_literal,
     opens_literal,
     outputs_under_hash_seeds,
@@ -931,3 +933,43 @@ def test_constructor_rejects_neighbourhoods_that_are_not_a_preorder():
     ]:
         with pytest.raises(ValueError):
             fintop.FiniteSpace(xyz, mins)
+
+
+def basis_or_refusal(basis, m: fintop.SpaceMap):
+    """`basis(m)`, or the message of the ValueError it raises."""
+    try:
+        return basis(m)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def basis_and_homeomorphy_verdicts(maps) -> collections.Counter:
+    """Check on each map that `local_homeo_basis` lists the literal family in the same order or raises
+    where the literal one does, and that `is_homeomorphism` is bijective, continuous and open; count
+    the maps by (local homeomorphism, homeomorphism)."""
+    verdicts = collections.Counter()
+    for m in maps:
+        basis = basis_or_refusal(fintop.local_homeo_basis, m)
+        assert basis == basis_or_refusal(local_homeo_basis_literal, m), m.table
+        homeo = fintop.is_homeomorphism(m)
+        assert homeo == is_homeomorphism_literal(m), m.table
+        verdicts[isinstance(basis, list), homeo] += 1
+    return verdicts
+
+
+def test_basis_and_homeomorphy_give_the_literal_answers_on_every_small_map():
+    """Every map, continuous or not, between the first 12 labelled spaces on at most 3 points."""
+    spaces = list(itertools.islice(small_spaces(3), 12))
+    maps = (m for dom, cod in itertools.product(spaces, repeat=2) for m in all_maps(dom, cod))
+    assert basis_and_homeomorphy_verdicts(maps) == {(False, False): 1318, (True, False): 146, (True, True): 29}
+
+
+def test_basis_and_homeomorphy_give_the_literal_answers_on_the_law_suite_maps():
+    """The 120 random maps `law_suite(seed)` draws for each of the seeds 1-5, drawn again from the same rng."""
+    maps = []
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        for _ in range(120):
+            dom, cod = suites.random_space(rng, 5, "d"), suites.random_space(rng, 5, "c")
+            maps.append(suites.random_map(rng, dom, cod))
+    assert basis_and_homeomorphy_verdicts(maps) == {(False, False): 519, (True, False): 51, (True, True): 30}
