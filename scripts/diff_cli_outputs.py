@@ -14,8 +14,13 @@ of the same stalk, so the proper-map continuity and RL-morphism witnesses are
 compared on input that parses; and on each of `LATTICE_EDITS` copies with one
 `lattices` `mul` entry (and its mirror) replaced by another carrier element, or
 one `leq` pair dropped or added, so the walks that name why an order is no
-lattice, a residual is not adjoint or an axiom fails are compared.  So are the
-argv-level cases of `argv_cases`, once each as given: help,
+lattice, a residual is not adjoint or an axiom fails are compared; and on each
+of the `dependency_edits` copies, one for each entry that another entry names,
+with that entry made to fail its own validator (a lattice whose top squares to
+its bottom, a space without its empty open, an RL-bundle whose `zero` has an
+extra key, an RLE-space whose `base` names another space), so the lenient
+`depends on ...` diagnostics of every entry that names it are compared.  So
+are the argv-level cases of `argv_cases`, once each as given: help,
 usage errors and the bare commands, which the recorded argvs never reach.
 Each side runs all of its commands in one subprocess of its own,
 importing rlsheaf from that checkout's `src/`, under the same PYTHONHASHSEED
@@ -43,6 +48,17 @@ EDITS = 60
 WITNESS_EDITS = 40
 LATTICE_EDITS = 40
 ODD_VALUES = [None, 1, True, "zz", " a", "a,b", [], ["zz"], {}]
+# The keys under which an entry of each section, or a morphism of each kind, names another entry, each with
+# the sections that name may be declared in.
+REFERENCES = {
+    "maps": {"dom": ("spaces",), "cod": ("spaces",)},
+    "bundles": {"total": ("spaces",), "base": ("spaces",)},
+    "rl_bundles": {"total": ("spaces",), "base": ("spaces",)},
+    "rle_spaces": {"base": ("spaces",), "etale": ("rl_bundles",)},
+    "rl": {"dom": ("lattices",), "cod": ("lattices",)},
+    "bundle": {"src": ("bundles", "rl_bundles"), "dst": ("bundles", "rl_bundles")},
+    "rle_inv": {"src": ("rle_spaces",), "dst": ("rle_spaces",)},
+}
 
 # Reads [argv, env] pairs from stdin, runs each through cli.run in this process,
 # and writes one [exit code, stdout, stderr] triple per command to stdout.
@@ -224,6 +240,36 @@ def lattice_edits(n: int = LATTICE_EDITS, seed: int = 3) -> list[str]:
     return out
 
 
+def dependency_edits() -> list[str]:
+    """One copy of the bundled corpus as JSON text for each entry that another entry names, in section and
+    name order, with that entry still parsing but failing its own validator: a lattice gets top * top =
+    bot, a space loses its empty open, an RL-bundle's `zero` gets an extra key `zz`, and an RLE-space's
+    `base` names the first space, in name order, whose points differ from those of its own base.  The
+    corpus names no entry of `bundles`, and `maps` entries are named by no entry."""
+    text = CORPUS.read_text(encoding="utf-8")
+    base = json.loads(text)
+    named = set()
+    for section in ("maps", "bundles", "rl_bundles", "rle_spaces", "morphisms"):
+        for entry in base.get(section, {}).values():
+            for key, targets in REFERENCES[entry["kind"] if section == "morphisms" else section].items():
+                named.add(next((t, entry[key]) for t in targets if entry[key] in base.get(t, {})))
+    out = []
+    for section, name in sorted(named):
+        doc = json.loads(text)
+        entry = doc[section][name]
+        if section == "lattices":
+            entry["mul"][f"{entry['top']},{entry['top']}"] = entry["bot"]
+        elif section == "spaces":
+            entry["opens"].remove([])
+        elif section == "rl_bundles":
+            entry["zero"]["zz"] = next(iter(entry["zero"].values()))
+        else:
+            points = set(doc["spaces"][entry["base"]]["points"])
+            entry["base"] = next(s for s, space in sorted(doc["spaces"].items()) if set(space["points"]) != points)
+        out.append(json.dumps(doc))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (pathlib.Path(argv[0]) / "src" / "rlsheaf").is_dir():
         print("usage: python3 scripts/diff_cli_outputs.py OTHER_CHECKOUT (a directory holding src/rlsheaf)", file=sys.stderr)
@@ -239,7 +285,7 @@ def main(argv: list[str]) -> int:
         labels.append((argv, "as given"))
         runs.append((argv, {}))
     with tempfile.TemporaryDirectory() as tmp:
-        for i, text in enumerate(edited_corpora() + witness_edits() + lattice_edits()):
+        for i, text in enumerate(edited_corpora() + witness_edits() + lattice_edits() + dependency_edits()):
             path = pathlib.Path(tmp) / f"edit{i:02d}.json"
             path.write_text(text, encoding="utf-8")
             for lenient in ([], ["--lenient"]):

@@ -126,18 +126,10 @@ def counit_is_iso(b: Bundle, gs: GermSpace | None = None) -> bool:
 
 
 def coreflect_morphism(h: BundleMorphism) -> SpaceMap:
-    """Lift a bundle morphism to germ spaces: [s]_b goes to [h s]_b."""
-    gs_src = etale_of(h.src)
-    gs_dst = etale_of(h.dst)
-    table = {}
-    for k, g in gs_src.germs.items():
-        pushed = {p: h(t) for p, t in g.rep.table.items()}
-        table[k] = germ_id(g.base_point, pushed)
-        if table[k] not in gs_dst.germs:
-            raise AssertionError("pushed germ escaped the target germ space")
-    m = fintop.space_map(gs_src.space, gs_dst.space, table)
-    BundleMorphism(gs_src.as_bundle, gs_dst.as_bundle, m)
-    return m
+    """E(h): the one etale morphism from the germ space of h.src to that of h.dst with counit . E(h) =
+    h . counit, the couniversal factorization of h after the counit of h.src; [s]_b goes to [h s]_b."""
+    gs = etale_of(h.src)
+    return couniversal_factorization(BundleMorphism(gs.as_bundle, h.dst, fintop.compose(h.map, counit(h.src, gs))))
 
 
 def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) -> SpaceMap:

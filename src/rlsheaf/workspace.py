@@ -4,6 +4,12 @@ The input format is UTF-8 JSON built around explicit finite tables:
 orders come as Hasse diagrams or full order relations, commutative tables
 may be given upper-triangular and are symmetrized, residuals are derived
 when absent.  Unknown keys are rejected; diagnostics carry document paths.
+
+`parse_workspace` admits the document in one walk over its sections, each
+section's entries in name order, in the order the definitions build them:
+lattices, spaces, maps, bundles, rl_bundles, rle_spaces, morphisms.  An entry
+may name only entries of sections admitted before its own; in lenient mode an
+entry that names one left out is left out too, with a diagnostic.
 """
 
 from __future__ import annotations
@@ -253,6 +259,56 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def _build_bundle(path: str, raw: dict, total: fintop.FiniteSpace, base: fintop.FiniteSpace) -> bundle.Bundle | bundle.RLBundle:
+    bnd = bundle.Bundle(total, base, fintop.space_map(total, base, _parse_point_map(raw["proj"], f"{path}.proj")))
+    if "stalk_ops" not in raw:
+        return bnd
+    ops = _parse_stalk_ops(raw["stalk_ops"], bnd, f"{path}.stalk_ops")
+    ops.zero = _parse_point_map(raw["zero"], f"{path}.zero")
+    ops.one = _parse_point_map(raw["one"], f"{path}.one")
+    rb = bundle.RLBundle(bnd, ops)
+    rep = bundle.verify_rl_bundle_once(rb)
+    if not rep.ok:
+        raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
+    return rb
+
+
+def _build_rle_inv(path: str, raw: dict, src: basechange.RLESpace, dst: basechange.RLESpace) -> basechange.RLEInvMorphism:
+    f = fintop.space_map(src.base, dst.base, _parse_point_map(raw["base_map"], f"{path}.base_map"))
+    pulled, _ = dst.pullback(f)
+    alpha = fintop.space_map(pulled.total, src.etale.total, _parse_point_map(raw["alpha"], f"{path}.alpha"))
+    return basechange.RLEInvMorphism(src, dst, f, alpha)
+
+
+# An entry that names others names two: the keys it must hold, each reference key with the kind of object it
+# names, in the order they are read, and the builder that takes the two objects.  A bundle entry may also
+# hold the stalk keys, and must when it has stalk_ops.
+_BUNDLE_KEYS = frozenset({"total", "base", "proj", "stalk_ops", "zero", "one"})
+_BUNDLE = ({"total", "base", "proj"}, ("total", "space"), ("base", "space"), _build_bundle)
+_RL_BUNDLE = (_BUNDLE_KEYS, *_BUNDLE[1:])
+_MAP = ({"dom", "cod", "table"}, ("dom", "space"), ("cod", "space"),
+        lambda path, raw, dom, cod: fintop.space_map(dom, cod, _parse_point_map(raw["table"], f"{path}.table")))
+_RLE_SPACE = ({"base", "etale"}, ("base", "space"), ("etale", "rl_bundle"),
+              lambda path, raw, base, et: basechange.RLESpace(base, et))
+_MORPHISM_KINDS = {
+    "rl": ({"kind", "dom", "cod", "table"}, ("dom", "lattice"), ("cod", "lattice"),
+           lambda path, raw, dom, cod: rlcore.RLMorphism(dom, cod, _parse_point_map(raw["table"], f"{path}.table"))),
+    "bundle": ({"kind", "src", "dst", "table"}, ("src", "bundle"), ("dst", "bundle"),
+               lambda path, raw, src, dst: bundle.BundleMorphism(
+                   src, dst, fintop.space_map(src.total, dst.total, _parse_point_map(raw["table"], f"{path}.table")))),
+    "rle_inv": ({"kind", "src", "dst", "base_map", "alpha"}, ("src", "rle_space"), ("dst", "rle_space"), _build_rle_inv),
+}
+
+
+def _morphism_kind(path: str, raw: Any) -> tuple:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise WorkspaceSyntaxError(f"{path}: missing 'kind'")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _MORPHISM_KINDS:
+        raise WorkspaceSyntaxError(f"{path}: unknown kind {kind!r}")
+    return _MORPHISM_KINDS[kind]
+
+
 def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
     """Parse a JSON document into a workspace; see module docstring for the format."""
     if isinstance(text, str):
@@ -301,112 +357,41 @@ def parse_workspace(text: str | dict, strict: bool = True) -> Workspace:
             ws.diagnostics.append(f"{path}: depends on {dropped[0]}, which has a diagnostic")
         return not dropped
 
-    for name, raw in sorted(_section(doc, "lattices").items()):
-        lat = guard(f"lattices.{name}", lambda: _parse_lattice(name, raw))
-        if lat is not None:
-            ws.lattices[name] = lat
+    registries = {"lattice": ws.lattices, "space": ws.spaces, "rl_bundle": ws.rl_bundles, "rle_space": ws.rle_spaces}
 
-    for name, raw in sorted(_section(doc, "spaces").items()):
-        sp = guard(f"spaces.{name}", lambda: _parse_space(name, raw))
-        if sp is not None:
-            ws.spaces[name] = sp
-
-    for name, raw in sorted(_section(doc, "maps").items()):
-        path = f"maps.{name}"
-        _require_keys(raw, {"dom", "cod", "table"}, {"dom", "cod", "table"}, path)
-        dom, cod = _name(raw["dom"], f"{path}.dom"), _name(raw["cod"], f"{path}.cod")
-        if not admitted(path, ("space", dom), ("space", cod)):
-            continue
-        m = guard(path, lambda: fintop.space_map(ws.spaces[dom], ws.spaces[cod], _parse_point_map(raw["table"], f"{path}.table")))
-        if m is not None:
-            ws.maps[name] = m
-
-    def parse_bundle_entry(name: str, raw: Any, want_ops: bool, section: str):
-        path = f"{section}.{name}"
-        allowed = {"total", "base", "proj", "stalk_ops", "zero", "one"}
-        has_ops = want_ops or isinstance(raw, dict) and "stalk_ops" in raw
-        _require_keys(raw, allowed, {"total", "base", "proj"} | ({"stalk_ops", "zero", "one"} if has_ops else set()), path)
-        total, base = _name(raw["total"], f"{path}.total"), _name(raw["base"], f"{path}.base")
-        if not admitted(path, ("space", total), ("space", base)):
+    def referring(path: str, raw: Any, spec: tuple, allowed: set[str] | None = None):
+        """`build(path, raw, x, y)` under `guard`, x and y being the objects the entry names under its two
+        reference keys, read in order once its keys check out; None when `admitted` leaves the entry out."""
+        required, (key_x, kind_x), (key_y, kind_y), build = spec
+        _require_keys(raw, allowed or required, required, path)
+        x, y = _name(raw[key_x], f"{path}.{key_x}"), _name(raw[key_y], f"{path}.{key_y}")
+        if not admitted(path, (kind_x, x), (kind_y, y)):
             return None
+        x = ws.bundle_like(x, path) if kind_x == "bundle" else registries[kind_x][x]
+        y = ws.bundle_like(y, path) if kind_y == "bundle" else registries[kind_y][y]
+        return guard(path, lambda: build(path, raw, x, y))
 
-        def build():
-            proj = fintop.space_map(ws.spaces[total], ws.spaces[base], _parse_point_map(raw["proj"], f"{path}.proj"))
-            bnd = bundle.Bundle(ws.spaces[total], ws.spaces[base], proj)
-            if not has_ops:
-                return bnd
-            ops = _parse_stalk_ops(raw["stalk_ops"], bnd, f"{path}.stalk_ops")
-            ops.zero = _parse_point_map(raw["zero"], f"{path}.zero")
-            ops.one = _parse_point_map(raw["one"], f"{path}.one")
-            rb = bundle.RLBundle(bnd, ops)
-            rep = bundle.verify_rl_bundle_once(rb)
-            if not rep.ok:
-                raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
-            return rb
-        return guard(path, build)
-
-    for name, raw in sorted(_section(doc, "bundles").items()):
-        b = parse_bundle_entry(name, raw, want_ops=False, section="bundles")
-        if isinstance(b, bundle.RLBundle):
-            ws.rl_bundles[name] = b
-            ws.bundles[name] = b.bundle
-        elif b is not None:
-            ws.bundles[name] = b
-
-    for name, raw in sorted(_section(doc, "rl_bundles").items()):
-        b = parse_bundle_entry(name, raw, want_ops=True, section="rl_bundles")
-        if b is not None:
-            ws.rl_bundles[name] = b
-
-    for name, raw in sorted(_section(doc, "rle_spaces").items()):
-        path = f"rle_spaces.{name}"
-        _require_keys(raw, {"base", "etale"}, {"base", "etale"}, path)
-        base, et = _name(raw["base"], f"{path}.base"), _name(raw["etale"], f"{path}.etale")
-        if not admitted(path, ("space", base), ("rl_bundle", et)):
-            continue
-        x = guard(path, lambda: basechange.RLESpace(ws.spaces[base], ws.rl_bundles[et]))
-        if x is not None:
-            ws.rle_spaces[name] = x
-
-    for name, raw in sorted(_section(doc, "morphisms").items()):
-        path = f"morphisms.{name}"
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise WorkspaceSyntaxError(f"{path}: missing 'kind'")
-        kind = raw["kind"]
-        if kind == "rl":
-            _require_keys(raw, {"kind", "dom", "cod", "table"}, {"kind", "dom", "cod", "table"}, path)
-            dom, cod = _name(raw["dom"], f"{path}.dom"), _name(raw["cod"], f"{path}.cod")
-            if not admitted(path, ("lattice", dom), ("lattice", cod)):
+    readers = {
+        "lattices": lambda path, name, raw: guard(path, lambda: _parse_lattice(name, raw)),
+        "spaces": lambda path, name, raw: guard(path, lambda: _parse_space(name, raw)),
+        "maps": lambda path, name, raw: referring(path, raw, _MAP),
+        "bundles": lambda path, name, raw: referring(
+            path, raw, _RL_BUNDLE if isinstance(raw, dict) and "stalk_ops" in raw else _BUNDLE, _BUNDLE_KEYS),
+        "rl_bundles": lambda path, name, raw: referring(path, raw, _RL_BUNDLE),
+        "rle_spaces": lambda path, name, raw: referring(path, raw, _RLE_SPACE),
+        "morphisms": lambda path, name, raw: referring(path, raw, _morphism_kind(path, raw)),
+    }
+    for section, read in readers.items():
+        registry = getattr(ws, section)
+        for name, raw in sorted(_section(doc, section).items()):
+            obj = read(f"{section}.{name}", name, raw)
+            if obj is None:
                 continue
-            m = guard(path, lambda: rlcore.RLMorphism(
-                ws.lattices[dom], ws.lattices[cod],
-                _parse_point_map(raw["table"], f"{path}.table")))
-        elif kind == "bundle":
-            _require_keys(raw, {"kind", "src", "dst", "table"}, {"kind", "src", "dst", "table"}, path)
-            src, dst = _name(raw["src"], f"{path}.src"), _name(raw["dst"], f"{path}.dst")
-            if not admitted(path, ("bundle", src), ("bundle", dst)):
-                continue
-            src, dst = ws.bundle_like(src, path), ws.bundle_like(dst, path)
-            m = guard(path, lambda: bundle.BundleMorphism(
-                src, dst, fintop.space_map(src.total, dst.total, _parse_point_map(raw["table"], f"{path}.table"))))
-        elif kind == "rle_inv":
-            _require_keys(raw, {"kind", "src", "dst", "base_map", "alpha"}, {"kind", "src", "dst", "base_map", "alpha"}, path)
-            src, dst = _name(raw["src"], f"{path}.src"), _name(raw["dst"], f"{path}.dst")
-            if not admitted(path, ("rle_space", src), ("rle_space", dst)):
-                continue
-            src_x, dst_x = ws.rle_spaces[src], ws.rle_spaces[dst]
-
-            def build_rle():
-                f = fintop.space_map(src_x.base, dst_x.base, _parse_point_map(raw["base_map"], f"{path}.base_map"))
-                pulled, _ = dst_x.pullback(f)
-                alpha = fintop.space_map(pulled.total, src_x.etale.total, _parse_point_map(raw["alpha"], f"{path}.alpha"))
-                return basechange.RLEInvMorphism(src_x, dst_x, f, alpha)
-            m = guard(path, build_rle)
-        else:
-            raise WorkspaceSyntaxError(f"{path}: unknown kind {kind!r}")
-        if m is not None:
-            ws.morphisms[name] = m
-            ws.morphism_docs[name] = raw
+            if section == "bundles" and isinstance(obj, bundle.RLBundle):
+                ws.rl_bundles[name], obj = obj, obj.bundle
+            elif section == "morphisms":
+                ws.morphism_docs[name] = raw
+            registry[name] = obj
 
     if "expectations" in doc:
         ws.expectations = _check_expectations(doc["expectations"])

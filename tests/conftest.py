@@ -501,6 +501,21 @@ def couniversal_factorization_literal(h: bundle.BundleMorphism, gs: sheafify.Ger
     return m
 
 
+def coreflect_morphism_literal(h: bundle.BundleMorphism) -> fintop.SpaceMap:
+    """Oracle: `sheafify.coreflect_morphism` pushing each germ's representative through h."""
+    gs_src = sheafify.etale_of(h.src)
+    gs_dst = sheafify.etale_of(h.dst)
+    table = {}
+    for k, g in gs_src.germs.items():
+        pushed = {p: h(t) for p, t in g.rep.table.items()}
+        table[k] = sheafify.germ_id(g.base_point, pushed)
+        if table[k] not in gs_dst.germs:
+            raise AssertionError("pushed germ escaped the target germ space")
+    m = fintop.space_map(gs_src.space, gs_dst.space, table)
+    bundle.BundleMorphism(gs_src.as_bundle, gs_dst.as_bundle, m)
+    return m
+
+
 def is_continuous_literal(m: fintop.SpaceMap) -> bool:
     """Oracle: `fintop.is_continuous` building the image set f(U_x) of every minimal open."""
     cod = m.cod.min_nbhd_map

@@ -1,8 +1,11 @@
 """The law suite's random draws: one seed gives the same objects in every process; the adjunction
-suite's lifts fail the command through their own check."""
+suite's lifts fail the command through their own check; and every check of both suites can fail,
+alone and by name."""
+
+import pytest
 
 from conftest import outputs_under_hash_seeds
-from rlsheaf import adjunction, cli, fintop, suites
+from rlsheaf import adjunction, bundle, cli, fintop, sheafify, suites
 from rlsheaf.report import ValidationReport, Violation
 
 DRAW = """
@@ -54,3 +57,57 @@ def test_a_generator_that_cannot_draw_fails_the_sheafification_check(monkeypatch
     assert err == "" and out.splitlines()[0] == "law-suite: FAIL"
     assert "  [FAIL] sheafification: etale output, counit properties, unique factorization" \
         " (generator: generator failed to produce enough non-etale bundles)" in out.splitlines()
+
+
+def not_a_basis(e):
+    raise AssertionError("family is not a basis")
+
+
+def bad_report(rb):
+    return ValidationReport("rl-bundle", (Violation("operation-discontinuous", "mul"),))
+
+
+def no_tables_out_of_germ_spaces(search):
+    """`fintop.monotone_tables` finding no map out of a germ space, whose points are germ ids."""
+    return lambda dom, cod, choices=None: iter(()) if any("⊳" in p for p in dom.points) else search(dom, cod, choices)
+
+
+SHEAF = "sheafification: etale output, counit properties, unique factorization"
+TARGETS = ["indiscrete_a2_over_point", *(f"random{i}" for i in range(5))]
+
+
+@pytest.mark.parametrize("command, target, patch, label, details", [
+    ("law-suite", (bundle, "section_image_basis"), lambda f: not_a_basis,
+     "section images form a basis of each etale total", {""}),
+    ("law-suite", (bundle, "stalk"), lambda f: lambda b, p: fintop.indiscrete(["u", "v"]), "etale stalks are discrete", {""}),
+    ("law-suite", (sheafify, "counit_report"), lambda f: lambda b, gs=None: {**f(b, gs), "injective": False},
+     SHEAF, set(TARGETS)),
+    ("law-suite", (sheafify, "factorizations_by_search"), lambda f: lambda h, gs=None: [],
+     SHEAF, {f"{n}:factorization" for n in TARGETS}),
+    ("law-suite", (fintop, "monotone_tables"), no_tables_out_of_germ_spaces, SHEAF, {f"{n}:no-morphisms" for n in TARGETS}),
+    ("law-suite", (bundle, "verify_rl_bundle"), lambda f: bad_report,
+     "pullbacks of etale fixtures along fixture base maps stay etale and valid", {""}),
+    ("adjunction-suite", (adjunction, "check_exponential_adjunction"), lambda f: lambda b, x, t: {"bijective": False},
+     "exponential adjunction hom-set bijections and curry/uncurry inverses", {""}),
+    ("adjunction-suite", (adjunction, "check_section_adjunction"), lambda f: lambda b, x: {"bijective": False},
+     "section-functor adjunction hom-set bijections", {""}),
+    ("adjunction-suite", (adjunction, "check_projection_adjunction"), lambda f: lambda xb, y: {"bijective": False},
+     "projection/forgetful adjunction hom-set bijections", {""}),
+    ("adjunction-suite", (bundle, "verify_rl_bundle"), lambda f: bad_report, "pi_B lifts: B x A is a valid RL-bundle", {""}),
+    ("adjunction-suite", (adjunction, "check_triangle_identities"),
+     lambda f: lambda b, x: {"upper_triangle_iso": True, "lower_triangle_strict": False},
+     "triangle identities relating C(B,-), Gamma(B,-), pi_B, U_B", {""}),
+], ids=["basis", "stalks", "sheaf-counit", "sheaf-factorization", "sheaf-no-morphisms", "pullbacks",
+        "exponential", "section", "projection", "pi-lift", "triangles"])
+def test_each_suite_check_fails_by_name(command, target, patch, label, details, monkeypatch, capsys):
+    """The one function a check calls, made to give a wrong answer, fails that check alone; the command
+    prints the suite's lines and exits 1."""
+    module, name = target
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    monkeypatch.setenv("RLSHEAF_SEED", "1")
+    rep = suites.law_suite() if command == "law-suite" else suites.adjunction_suite()
+    failed = {lab: detail for lab, ok, detail in rep.checks if not ok}
+    assert list(failed) == [label] and set(failed[label].split(",")) == details
+    assert cli.run([command]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines() == rep.lines()

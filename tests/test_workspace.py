@@ -222,6 +222,25 @@ def test_corpus_classification_rows_name_the_selected_filters(lattice, kind):
     assert sorted(ws.expectations["classification"][lattice][kind]) == sorted(names[f] for f in selected)
 
 
+def test_lenient_parse_admits_the_sections_in_dependency_order():
+    """One entry fails its own check in each section (a bundle is added, as the corpus has none): the
+    sections' first diagnostics come in the order the parse admits them."""
+    doc = json.loads(bundled_text())
+    doc["lattices"]["A8"]["mul"]["1,1"] = "0"
+    doc["spaces"]["sierpinski"]["opens"].remove([])
+    doc["maps"]["pick_f2"]["table"] = {"pt": "zz"}
+    doc["bundles"] = {"fold": {"total": "disc2", "base": "point", "proj": {"m": "pt", "n": "zz"}}}
+    doc["rl_bundles"]["indiscrete_a2_over_point"]["zero"]["zz"] = "(pt|0)"
+    doc["rle_spaces"]["R_stalk_f2"]["base"] = "disc2"
+    doc["morphisms"]["f_a6_a4"]["table"]["1"] = "zz"
+    ws = workspace.parse_workspace(doc, strict=False)
+    broken = ["lattices.A8", "spaces.sierpinski", "maps.pick_f2", "bundles.fold", "rl_bundles.indiscrete_a2_over_point",
+              "rle_spaces.R_stalk_f2", "morphisms.f_a6_a4"]
+    assert all(any(d.startswith(f"{path}: ") and "depends on" not in d for d in ws.diagnostics) for path in broken)
+    firsts = list(dict.fromkeys(d.split(".", 1)[0] for d in ws.diagnostics))
+    assert firsts == ["lattices", "spaces", "maps", "bundles", "rl_bundles", "rle_spaces", "morphisms"]
+
+
 def test_a_key_given_twice_is_a_syntax_error():
     """json.dumps cannot write a repeated key, so the document is raw text: a 2-chain named A4 before the real A4."""
     a2 = json.loads(bundled_text())["lattices"]["A2"]
