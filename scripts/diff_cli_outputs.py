@@ -4,7 +4,9 @@ Run from the repository root:  python3 scripts/diff_cli_outputs.py OTHER_CHECKOU
 
 Every argv recorded in tests/data/cli_golden.json (with the environment it
 records) is run twice on each side: as text and with `--format
-machine-readable`.  So are `validate` and `--lenient validate` on each of
+machine-readable`.  So is `quotient L F` for each filter F that a recorded
+`filters L` output lists (`quotient_argvs`), so the congruence of every corpus
+filter is compared.  So are `validate` and `--lenient validate` on each of
 `EDITS` copies of the bundled corpus with one seeded edit each (an entry
 dropped, a value replaced, a key respelled or a value copied from a
 neighbour), written to a temporary directory, so malformed input is compared
@@ -110,6 +112,15 @@ def argv_cases(entries: list[dict]) -> list[list[str]]:
     for name, argv in first.items():
         cases += [[name, "-h"], [name], [*argv, "extra"]]
     return cases
+
+
+def quotient_argvs(entries: list[dict]) -> list[list[str]]:
+    """`quotient L F` for each filter F, its elements joined by ',', that a recorded `filters L` output lists."""
+    out = []
+    for e in entries:
+        if e["argv"][0] == "filters":
+            out += [["quotient", e["argv"][1], ",".join(f["elements"])] for f in json.loads(e["stdout"])["filters"]]
+    return out
 
 
 def edited_corpora(n: int = EDITS, seed: int = 0) -> list[str]:
@@ -277,10 +288,11 @@ def main(argv: list[str]) -> int:
     other = pathlib.Path(argv[0]).resolve()
     entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
     labels, runs = [], []
-    for e in entries:
+    recorded = [(e["argv"], e["env"]) for e in entries] + [(argv, {}) for argv in quotient_argvs(entries)]
+    for argv, env in recorded:
         for fmt, flags in FORMATS.items():
-            labels.append((e["argv"], fmt))
-            runs.append(([*flags, *e["argv"]], e["env"]))
+            labels.append((argv, fmt))
+            runs.append(([*flags, *argv], env))
     for argv in argv_cases(entries):
         labels.append((argv, "as given"))
         runs.append((argv, {}))

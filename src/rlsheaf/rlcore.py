@@ -395,8 +395,8 @@ def is_filter(lat: ResiduatedLattice, s: Iterable[str]) -> bool:
     return True
 
 
-def generated_filter(lat: ResiduatedLattice, xs: Iterable[str]) -> Subset:
-    """Least filter containing xs: `↑e` for the idempotent e that the squares of their product reach.
+def _idempotent(lat: ResiduatedLattice, xs: Iterable[str]) -> str:
+    """The idempotent e that the squares of the product of xs reach: the least filter holding xs is `↑e`.
 
     `lat` must pass `verify_rl`, whose unit check makes `top` the unit: the algebra is integral.
     """
@@ -405,11 +405,14 @@ def generated_filter(lat: ResiduatedLattice, xs: Iterable[str]) -> Subset:
         e = lat.mul[e, x]
     while lat.mul[e, e] != e:
         e = lat.mul[e, e]
+    return e
+
+
+def generated_filter(lat: ResiduatedLattice, xs: Iterable[str]) -> Subset:
+    """Least filter containing xs: `↑e` for their idempotent e (`_idempotent`).  Every filter F of a finite
+    integral algebra is the `↑e` of its own elements, so it is principal, generated by e alone."""
+    e = _idempotent(lat, xs)
     return frozenset(y for y in lat.carrier if lat.le(e, y))
-
-
-def principal_filter(lat: ResiduatedLattice, x: str) -> Subset:
-    return generated_filter(lat, [x])
 
 
 def filter_join(lat: ResiduatedLattice, filters: Iterable[Iterable[str]]) -> Subset:
@@ -437,10 +440,22 @@ class FilterLattice:
 
 
 def all_filters(lat: ResiduatedLattice) -> FilterLattice:
-    """Every filter, classified: each is `↑e` for an idempotent e (see `generated_filter`)."""
-    found = {generated_filter(lat, [e]) for e in lat.carrier if lat.mul[e, e] == e}
-    fam = tuple(sorted(found, key=set_key))
-    return FilterLattice(lat, fam, classify_filters(lat, fam))
+    """Every filter, classified: each is `↑e = generated_filter(lat, [e])` for an idempotent e, so each is
+    principal by construction."""
+    fam = tuple(sorted({generated_filter(lat, [e]) for e in lat.carrier if lat.mul[e, e] == e}, key=set_key))
+    whole = frozenset(lat.carrier)
+    primes = [f for f in fam if is_prime_filter(lat, f)]
+    flags = {}
+    for f in fam:
+        prime = f in primes
+        flags[f] = FilterFlags(
+            proper=f != whole,
+            principal=True,
+            maximal=f != whole and not any(f < g for g in fam if g != whole),
+            prime=prime,
+            minimal_prime=prime and not any(g < f for g in primes),
+        )
+    return FilterLattice(lat, fam, flags)
 
 
 def is_prime_filter(lat: ResiduatedLattice, f: Subset) -> bool:
@@ -451,26 +466,6 @@ def is_prime_filter(lat: ResiduatedLattice, f: Subset) -> bool:
         if lat.join[x, y] in f and x not in f and y not in f:
             return False
     return True
-
-
-def classify_filters(lat: ResiduatedLattice, fam: Iterable[Subset]) -> dict[Subset, FilterFlags]:
-    fam = list(fam)
-    principal_sets = {principal_filter(lat, x) for x in lat.carrier}
-    flags: dict[Subset, FilterFlags] = {}
-    whole = frozenset(lat.carrier)
-    propers = [f for f in fam if f != whole]
-
-    primes = [f for f in fam if is_prime_filter(lat, f)]
-    for f in fam:
-        is_prime = f in primes
-        flags[f] = FilterFlags(
-            proper=f != whole,
-            principal=f in principal_sets,
-            maximal=f != whole and not any(f < g for g in propers),
-            prime=is_prime,
-            minimal_prime=is_prime and not any(g < f for g in primes),
-        )
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +486,13 @@ class Congruence:
 
 
 def congruence_of_filter(lat: ResiduatedLattice, f: Iterable[str]) -> Congruence:
-    """Partition by x~y iff x->y and y->x both lie in the filter; verified compatible."""
-    fs = frozenset(f)
-    blocks: list[set[str]] = []
+    """x~y iff x->y and y->x both lie in the filter `↑e` that f generates (f itself when f is a filter);
+    verified compatible.  e <= x->y iff e*x <= y, so the classes are the fibres of x ↦ e*x, in carrier order."""
+    e = _idempotent(lat, f)
+    fibres: dict[str, set[str]] = {}
     for x in lat.carrier:
-        for b in blocks:
-            rep = next(iter(b))
-            if lat.imp[x, rep] in fs and lat.imp[rep, x] in fs:
-                b.add(x)
-                break
-        else:
-            blocks.append({x})
-    cong = Congruence(lat, tuple(frozenset(b) for b in blocks))
+        fibres.setdefault(lat.mul[e, x], set()).add(x)
+    cong = Congruence(lat, tuple(map(frozenset, fibres.values())))
     bad = _congruence_violations(lat, cong)
     if bad:
         raise AssertionError(f"filter congruence not compatible: {bad[0]}")
@@ -577,7 +567,8 @@ def coker(table: Mapping[str, str], cod_top: str) -> Subset:
 
 
 def quotient(lat: ResiduatedLattice, f: Iterable[str]) -> tuple[ResiduatedLattice, RLMorphism]:
-    """Blockwise quotient by the filter congruence, plus the natural projection."""
+    """Blockwise quotient by the congruence of the filter that f generates (f itself when f is a filter),
+    plus the natural projection."""
     cong = congruence_of_filter(lat, f)
     bo = cong.block_of
     ids = {b: block_id(b) for b in cong.blocks}

@@ -27,6 +27,43 @@ def brute_force_filters(lat: rlcore.ResiduatedLattice) -> set[frozenset[str]]:
     return out
 
 
+def classify_filters_literal(lat: rlcore.ResiduatedLattice, fam) -> dict[frozenset[str], rlcore.FilterFlags]:
+    """Oracle: the flags of each filter of `fam`, `principal` read off the filters each element generates."""
+    fam = list(fam)
+    principal_sets = {rlcore.generated_filter(lat, [x]) for x in lat.carrier}
+    flags = {}
+    whole = frozenset(lat.carrier)
+    propers = [f for f in fam if f != whole]
+    primes = [f for f in fam if rlcore.is_prime_filter(lat, f)]
+    for f in fam:
+        is_prime = f in primes
+        flags[f] = rlcore.FilterFlags(
+            proper=f != whole,
+            principal=f in principal_sets,
+            maximal=f != whole and not any(f < g for g in propers),
+            prime=is_prime,
+            minimal_prime=is_prime and not any(g < f for g in primes),
+        )
+    return flags
+
+
+def congruence_of_filter_literal(lat: rlcore.ResiduatedLattice, f) -> rlcore.Congruence:
+    """Oracle: the classes of x~y iff x->y and y->x lie in the filter `f`, each element put in the first class,
+    in carrier order, whose representative it is related to.  On a filter the relation is an equivalence, so the
+    representative drawn from each class does not matter."""
+    fs = frozenset(f)
+    blocks: list[set[str]] = []
+    for x in lat.carrier:
+        for b in blocks:
+            rep = next(iter(b))
+            if lat.imp[x, rep] in fs and lat.imp[rep, x] in fs:
+                b.add(x)
+                break
+        else:
+            blocks.append({x})
+    return rlcore.Congruence(lat, tuple(frozenset(b) for b in blocks))
+
+
 def scan_lub(carrier, leq, xs) -> str | None:
     """Oracle: the least upper bound by a literal scan of the carrier, None unless exactly one exists."""
     xs = list(xs)

@@ -198,6 +198,18 @@ def test_pointwise_rl_indiscrete_bundle_is_a2():
     assert rl_isomorphic(ga.algebra, fixtures.rl_a2())
 
 
+def test_a_section_left_out_of_the_listed_ones_is_named_as_escaped():
+    """A2 over a point has the sections 0 and 1: listed without 0, the constant zero escapes the list;
+    listed without 1, the residual 0->0, which is 1, does."""
+    rb = fixtures.a2_over_point()
+    x = rb.bundle.base.points
+    first, second = bundle.sections(rb.bundle, x)
+    with pytest.raises(bundle.SectionClosureError, match="^constant zero escaped the section set$"):
+        bundle.pointwise_rl_on_sections(rb, x, [second])
+    with pytest.raises(bundle.SectionClosureError, match="^imp escaped the enumerated section set$"):
+        bundle.pointwise_rl_on_sections(rb, x, [first])
+
+
 @pytest.mark.parametrize("name,rb", sorted(fixtures.rl_bundle_fixtures().items()))
 def test_gamma_is_rl_for_every_subset(name, rb):
     pts = sorted(rb.base.points)

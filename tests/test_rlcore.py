@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from conftest import (
     all_partitions,
     brute_force_filters,
+    classify_filters_literal,
+    congruence_of_filter_literal,
     derive_residual_literal,
     leq_from_hasse_literal,
+    outputs_under_hash_seeds,
     residual_by_formula,
     rl_isomorphic,
     rl_product,
@@ -231,6 +235,26 @@ def test_quotient_projection_coker_equals_filter(name):
         assert rlcore.coker(proj.table, q.top) == f
         cong = rlcore.congruence_of_filter(lat, f)
         assert rlcore.filter_of_congruence(lat, cong) == f
+
+
+NON_FILTER = r"""
+import json
+from rlsheaf import fixtures, rlcore
+A6 = fixtures.rl_a6()
+q, proj = rlcore.quotient(A6, {"c", "1"})
+print(json.dumps([[sorted(b) for b in rlcore.congruence_of_filter(A6, {"c", "1"}).blocks], q.carrier, proj.table]))
+"""
+
+
+def test_a_set_that_is_no_filter_gets_the_congruence_of_the_filter_it_generates_in_every_process():
+    """{c, 1} is no filter of A6: under every hash seed its congruence and quotient are those of {c, d, 1}."""
+    f = rlcore.generated_filter(A6, {"c", "1"})
+    assert f == frozenset({"c", "d", "1"})
+    q, proj = rlcore.quotient(A6, f)
+    blocks = [sorted(b) for b in rlcore.congruence_of_filter(A6, f).blocks]
+    assert blocks == [["0", "a", "b"], ["1", "c", "d"]]
+    expected = json.dumps([blocks, q.carrier, proj.table]) + "\n"
+    assert outputs_under_hash_seeds(NON_FILTER, [0, 2]) == [expected] * 2
 
 
 def test_example_morphism_a6_to_a4():
@@ -563,6 +587,28 @@ def test_built_lattices_are_the_same_below_the_byte_bound(name, monkeypatch):
     assert expected[1].ok
     monkeypatch.setattr(rlcore, "_GATE_MAX", 1)
     assert (built(rlcore.make_lattice, *args), rlcore.verify_rl(lat)) == expected
+
+
+def built_lattice(name):
+    carrier, leq, mul, bot, top = BUILT_LATTICES[name]()
+    return rlcore.make_lattice(carrier, hasse_of(carrier, leq), mul, bot, top)
+
+
+@pytest.mark.parametrize("name", sorted({*FIXTURE_LATTICES, *SMALL_PRODUCTS, *BUILT_LATTICES}))
+def test_every_filter_is_classified_and_quotiented_as_the_literal_bodies_do(name):
+    """On every filter, read off its idempotent e: the five flags, the classes of its congruence in order
+    (the fibres of x ↦ e*x) and the kernel class of top are those of the search over generated filters and
+    of the first-match loop over imp."""
+    if name in FIXTURE_LATTICES:
+        lat = FIXTURE_LATTICES[name]
+    else:
+        lat = small_product(name) if name in SMALL_PRODUCTS else built_lattice(name)
+    fl = rlcore.all_filters(lat)
+    assert fl.classification == classify_filters_literal(lat, fl.filters)
+    for f in fl.filters:
+        cong = rlcore.congruence_of_filter(lat, f)
+        assert cong.blocks == congruence_of_filter_literal(lat, f).blocks
+        assert rlcore.filter_of_congruence(lat, cong) == f
 
 
 @pytest.mark.parametrize("gate_max", [256, 1])
