@@ -6,7 +6,9 @@ Every argv recorded in tests/data/cli_golden.json (with the environment it
 records) is run twice on each side: as text and with `--format
 machine-readable`.  So is `quotient L F` for each filter F that a recorded
 `filters L` output lists (`quotient_argvs`), so the congruence of every corpus
-filter is compared.  So are `validate` and `--lenient validate` on each of
+filter is compared, and `sections B --open U` for each open U, the empty one
+included, that the bundled corpus declares on the base of each `rl_bundles`
+entry B (`sections_argvs`).  So are `validate` and `--lenient validate` on each of
 `EDITS` copies of the bundled corpus with one seeded edit each (an entry
 dropped, a value replaced, a key respelled or a value copied from a
 neighbour), written to a temporary directory, so malformed input is compared
@@ -121,6 +123,14 @@ def quotient_argvs(entries: list[dict]) -> list[list[str]]:
         if e["argv"][0] == "filters":
             out += [["quotient", e["argv"][1], ",".join(f["elements"])] for f in json.loads(e["stdout"])["filters"]]
     return out
+
+
+def sections_argvs() -> list[list[str]]:
+    """`sections B --open U` for each open U, its points joined by ',', that the bundled corpus declares on
+    the base of each `rl_bundles` entry B, in name order."""
+    doc = json.loads(CORPUS.read_text(encoding="utf-8"))
+    return [["sections", name, "--open", ",".join(u)]
+            for name, rb in sorted(doc["rl_bundles"].items()) for u in doc["spaces"][rb["base"]]["opens"]]
 
 
 def edited_corpora(n: int = EDITS, seed: int = 0) -> list[str]:
@@ -288,7 +298,7 @@ def main(argv: list[str]) -> int:
     other = pathlib.Path(argv[0]).resolve()
     entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
     labels, runs = [], []
-    recorded = [(e["argv"], e["env"]) for e in entries] + [(argv, {}) for argv in quotient_argvs(entries)]
+    recorded = [(e["argv"], e["env"]) for e in entries] + [(argv, {}) for argv in quotient_argvs(entries) + sections_argvs()]
     for argv, env in recorded:
         for fmt, flags in FORMATS.items():
             labels.append((argv, fmt))

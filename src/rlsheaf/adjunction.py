@@ -45,16 +45,22 @@ def _pointwise_topology(members: Mapping[str, tuple[str, ...]], cod: FiniteSpace
 
     Every subset of a finite domain is compact, and the least subbasic set
     S(C, U) around f is cut out by C = {p}, U = U_f(p); so
-    U_f = {g | g(p) in U_f(p) for every p}, the pointwise order.
+    U_f = {g | g(p) in U_f(p) for every p}, the pointwise order.  It is read on
+    masks over the sorted ids, with no pair of members compared: for each point p
+    and value v, the mask of the members whose value at p lies in U_v, and U_f is
+    the AND of those masks over f's values.
     """
     mins = cod.min_nbhd_map
-    return FiniteSpace(
-        frozenset(members),
-        {
-            fid: frozenset(gid for gid, w in members.items() if all(a in mins[b] for a, b in zip(w, v)))
-            for fid, v in members.items()
-        },
-    )
+    ids = sorted(members)
+    down = [(1 << len(ids)) - 1] * len(ids)
+    for column in zip(*(members[i] for i in ids)):  # the members' values at one point
+        took: dict[str, int] = {}  # each value to the mask of the members that take it
+        for j, w in enumerate(column):
+            took[w] = took.get(w, 0) | 1 << j
+        inside = {v: sum(m for w, m in took.items() if w in mins[v]) for v in took}
+        for j, v in enumerate(column):
+            down[j] &= inside[v]
+    return FiniteSpace(frozenset(ids), fintop._Rows(ids, down))
 
 
 def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:

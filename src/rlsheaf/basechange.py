@@ -97,9 +97,10 @@ class RLESpace:
     """A base space together with an RL-etale over it.
 
     The RL-bundle check is `verify_rl_bundle_once`, so an etale whose content
-    was checked already (as the workspace checks each `rl_bundles` entry) is
-    not checked again.  `pullback` builds each pullback of the etale once per
-    base map and keeps it on this object.
+    was checked already is not checked again.  A workspace builds its
+    `rle_spaces` entries by `_admitted_rle_space`, on `rl_bundles` entries that
+    passed the check when they were admitted.  `pullback` builds each pullback
+    of the etale once per base map and keeps it on this object.
     """
 
     base: FiniteSpace
@@ -107,19 +108,31 @@ class RLESpace:
     _pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check_over_base()
+        rep = bnd.verify_rl_bundle_once(self.etale)
+        if not rep.ok:
+            raise ValueError(f"not an RL-bundle: {rep.violations[0]}")
+
+    def _check_over_base(self):
         if self.etale.base != self.base:
             raise ValueError("etale does not live over the declared base")
         if not bnd.is_etale(self.etale.bundle):
             raise ValueError("projection is not a local homeomorphism")
-        rep = bnd.verify_rl_bundle_once(self.etale)
-        if not rep.ok:
-            raise ValueError(f"not an RL-bundle: {rep.violations[0]}")
 
     def pullback(self, f: SpaceMap) -> tuple[RLBundle, SpaceMap]:
         """`pullback_rl_etale(f, self.etale)`, the same objects for every call with an equal f."""
         if f not in self._pullbacks:
             self._pullbacks[f] = pullback_rl_etale(f, self.etale)
         return self._pullbacks[f]
+
+
+def _admitted_rle_space(base: FiniteSpace, etale: RLBundle) -> RLESpace:
+    """`RLESpace(base, etale)` for an etale that has passed `verify_rl_bundle` already: the base and
+    local-homeomorphism checks run, and the RL-bundle check does not."""
+    x = object.__new__(RLESpace)
+    x.base, x.etale, x._pullbacks = base, etale, {}
+    x._check_over_base()
+    return x
 
 
 @dataclass

@@ -67,6 +67,8 @@ def stalk(b: Bundle, p: str) -> FiniteSpace:
 
 @dataclass
 class KernelPair:
+    """The kernel pair T x_B T of a bundle, with its two projections onto the total space."""
+
     parent: Bundle
     space: FiniteSpace
     p1: SpaceMap
@@ -143,6 +145,9 @@ def pointwise_rl(
 
 @dataclass
 class RLBundle:
+    """A bundle with a residuated lattice on each stalk, as its stalk operation tables; `verify_rl_bundle`
+    checks it."""
+
     bundle: Bundle
     ops: StalkOps
 
@@ -353,7 +358,7 @@ class Section:
     def __call__(self, p: str) -> str:
         return self.table[p]
 
-    @property
+    @fintop.cached_attribute
     def id_str(self) -> str:
         return "{" + ",".join(f"{k}:{v}" for k, v in sorted(self.table.items())) + "}"
 
@@ -367,13 +372,24 @@ class Section:
         return Section(self.parent, s, {p: self.table[p] for p in s})
 
 
+def _settled_section(parent: Bundle, domain: Subset, table: dict[str, str]) -> Section:
+    """A Section built with no check, for a caller that has settled what `__post_init__` checks: `table`
+    is keyed by exactly `domain`, each value lies in the stalk over its point, and the table is monotone
+    on the subspace on `domain`."""
+    s = object.__new__(Section)
+    s.parent, s.domain, s.table = parent, domain, table
+    return s
+
+
 def sections(b: Bundle, x: Iterable[str]) -> list[Section]:
-    """All sections over the subset x, in id order (exactly one empty section for x=empty)."""
+    """All sections over the subset x, in id order (exactly one empty section for x=empty).  The monotone
+    search keys each table by x, takes each value from the stalk over its point and lists only the
+    continuous tables, so no section is checked again."""
     dom = frozenset(x)
     if not dom <= b.base.points:
         raise ValueError("section domain escapes the base")
     tables = fintop.monotone_tables(fintop.subspace(b.base, dom), b.total, {p: b.stalk_points(p) for p in dom})
-    return sorted((Section(b, dom, t) for t in tables), key=lambda s: s.id_str)
+    return sorted((_settled_section(b, dom, t) for t in tables), key=lambda s: s.id_str)
 
 
 def section_through_point(e: Bundle, t: str) -> tuple[Subset, Section]:
@@ -430,6 +446,8 @@ class SectionClosureError(ValueError):
 
 @dataclass
 class SectionAlgebra:
+    """The sections over one subset under pointwise operations, and the sections by id."""
+
     algebra: rlcore.ResiduatedLattice
     sections: dict[str, Section]
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Violation:
+    """One violated rule, with a witness that names where it fails."""
+
     rule: str
     witness: str
 
@@ -16,6 +18,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The violations a checker found on its subject, in the order found; `ok` when there are none."""
+
     subject: str
     violations: tuple[Violation, ...] = ()
 

@@ -421,6 +421,8 @@ def filter_join(lat: ResiduatedLattice, filters: Iterable[Iterable[str]]) -> Sub
 
 @dataclass(frozen=True)
 class FilterFlags:
+    """What `all_filters` settles about one filter."""
+
     proper: bool
     principal: bool
     maximal: bool
@@ -430,6 +432,8 @@ class FilterFlags:
 
 @dataclass
 class FilterLattice:
+    """Every filter of `parent`, by `set_key`, each with its flags; `select` picks a kind of them."""
+
     parent: ResiduatedLattice
     filters: tuple[Subset, ...]
     classification: dict[Subset, FilterFlags]
@@ -459,13 +463,15 @@ def all_filters(lat: ResiduatedLattice) -> FilterLattice:
 
 
 def is_prime_filter(lat: ResiduatedLattice, f: Subset) -> bool:
-    """A proper filter `f` is prime when `x v y` in f puts x or y in f."""
-    if f == frozenset(lat.carrier):
+    """A proper filter `f` is prime when `x v y` in f puts x or y in f.  Its complement is a down-set,
+    so it is closed under joins iff the join of the whole complement lies outside f."""
+    rest = [x for x in lat.carrier if x not in f]
+    if not rest:
         return False
-    for x, y in itertools.product(lat.carrier, repeat=2):
-        if lat.join[x, y] in f and x not in f and y not in f:
-            return False
-    return True
+    j = rest[0]
+    for x in rest:
+        j = lat.join[j, x]
+    return j not in f
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +480,8 @@ def is_prime_filter(lat: ResiduatedLattice, f: Subset) -> bool:
 
 @dataclass
 class Congruence:
+    """A congruence of `parent` as its classes."""
+
     parent: ResiduatedLattice
     blocks: tuple[Subset, ...]
 
@@ -529,6 +537,8 @@ def block_id(b: Iterable[str]) -> str:
 
 @dataclass
 class RLMorphism:
+    """A map of residuated lattices as its table; the constructor refuses one that is not a morphism."""
+
     dom: ResiduatedLattice
     cod: ResiduatedLattice
     table: dict[str, str]

@@ -15,6 +15,8 @@ FLAVORS = ("hull", "dual", "patch")
 
 @dataclass
 class SpectrumConfig:
+    """A family `pi` of prime filters of `parent`, kept sorted by `set_key`, and the topology to put on it."""
+
     parent: rlcore.ResiduatedLattice
     pi: tuple[Subset, ...]
     flavor: str

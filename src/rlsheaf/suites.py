@@ -26,6 +26,8 @@ def suite_seed() -> int:
 
 @dataclass
 class SuiteReport:
+    """The named checks of one suite run, each with its verdict and a detail."""
+
     name: str
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
 

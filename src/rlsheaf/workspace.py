@@ -40,6 +40,9 @@ TOP_KEYS = {"lattices", "spaces", "maps", "bundles", "rl_bundles", "morphisms", 
 
 @dataclass
 class Workspace:
+    """Every entry a workspace document admitted, by section and name, with the diagnostics of a lenient
+    parse."""
+
     lattices: dict[str, rlcore.ResiduatedLattice] = field(default_factory=dict)
     spaces: dict[str, fintop.FiniteSpace] = field(default_factory=dict)
     maps: dict[str, fintop.SpaceMap] = field(default_factory=dict)
@@ -267,7 +270,7 @@ def _build_bundle(path: str, raw: dict, total: fintop.FiniteSpace, base: fintop.
     ops.zero = _parse_point_map(raw["zero"], f"{path}.zero")
     ops.one = _parse_point_map(raw["one"], f"{path}.one")
     rb = bundle.RLBundle(bnd, ops)
-    rep = bundle.verify_rl_bundle_once(rb)
+    rep = bundle.verify_rl_bundle(rb)
     if not rep.ok:
         raise WorkspaceValidationError(f"{path}: {rep.violations[0]}")
     return rb
@@ -289,7 +292,7 @@ _RL_BUNDLE = (_BUNDLE_KEYS, *_BUNDLE[1:])
 _MAP = ({"dom", "cod", "table"}, ("dom", "space"), ("cod", "space"),
         lambda path, raw, dom, cod: fintop.space_map(dom, cod, _parse_point_map(raw["table"], f"{path}.table")))
 _RLE_SPACE = ({"base", "etale"}, ("base", "space"), ("etale", "rl_bundle"),
-              lambda path, raw, base, et: basechange.RLESpace(base, et))
+              lambda path, raw, base, et: basechange._admitted_rle_space(base, et))
 _MORPHISM_KINDS = {
     "rl": ({"kind", "dom", "cod", "table"}, ("dom", "lattice"), ("cod", "lattice"),
            lambda path, raw, dom, cod: rlcore.RLMorphism(dom, cod, _parse_point_map(raw["table"], f"{path}.table"))),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import itertools
 import os
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from rlsheaf import adjunction, basechange, bundle, cli, fintop, rlcore, sheafify, workspace
+from rlsheaf import adjunction, basechange, bundle, cli, fintop, fixtures, rlcore, sheafify, workspace
 from rlsheaf.report import Violation, fmt_set, set_key
 
 
@@ -45,6 +46,14 @@ def classify_filters_literal(lat: rlcore.ResiduatedLattice, fam) -> dict[frozens
             minimal_prime=is_prime and not any(g < f for g in primes),
         )
     return flags
+
+
+def is_prime_filter_literal(lat: rlcore.ResiduatedLattice, f) -> bool:
+    """Oracle: `rlcore.is_prime_filter` over every pair of elements: a proper `f` is prime unless some `x v y`
+    in f has neither x nor y in f."""
+    if f == frozenset(lat.carrier):
+        return False
+    return not any(lat.join[x, y] in f and x not in f and y not in f for x, y in itertools.product(lat.carrier, repeat=2))
 
 
 def congruence_of_filter_literal(lat: rlcore.ResiduatedLattice, f) -> rlcore.Congruence:
@@ -411,6 +420,48 @@ def corestrict_to_sections_literal(b: bundle.Bundle, h: fintop.SpaceMap, p1: fin
         table = {p1(k): h(k) for k in h.dom.points if p2(k) == xpt}
         out[xpt] = bundle.Section(b, frozenset(b.base.points), table)
     return out
+
+
+def sections_literal(b: bundle.Bundle, x) -> list[bundle.Section]:
+    """Oracle: `bundle.sections` building each table the search lists as a checked `Section`, sorted by id."""
+    dom = frozenset(x)
+    if not dom <= b.base.points:
+        raise ValueError("section domain escapes the base")
+    tables = fintop.monotone_tables(fintop.subspace(b.base, dom), b.total, {p: b.stalk_points(p) for p in dom})
+    return sorted((bundle.Section(b, dom, t) for t in tables), key=lambda s: s.id_str)
+
+
+def pointwise_topology_literal(members, cod: fintop.FiniteSpace) -> fintop.FiniteSpace:
+    """Oracle: `adjunction._pointwise_topology` testing every pair of members: U_f holds each g whose value at
+    every point lies in U of f's value there."""
+    mins = cod.min_nbhd_map
+    return fintop.FiniteSpace(
+        frozenset(members),
+        {
+            fid: frozenset(gid for gid, w in members.items() if all(a in mins[b] for a, b in zip(w, v)))
+            for fid, v in members.items()
+        },
+    )
+
+
+def source_mentions(name: str) -> list[tuple[str, bool]]:
+    """Each mention of `name` in the package source (a name, an attribute, an import or a string), sorted, as
+    (enclosing module.function path, whether it is the callee of a call)."""
+    out = []
+
+    def walk(node, scope, calls):
+        for child in ast.iter_child_nodes(node):
+            inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            found = (child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute)
+                     else child.name if isinstance(child, ast.alias) else child.value if isinstance(child, ast.Constant) else None)
+            if found == name:
+                out.append((".".join(inner), id(child) in calls))
+            walk(child, inner, calls)
+
+    for path in sorted(pathlib.Path(fintop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        walk(tree, (path.stem,), {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)})
+    return sorted(out)
 
 
 def check_exponential_adjunction_literal(b, x, t, explore_nondiscrete: bool = False) -> dict:
@@ -910,6 +961,16 @@ def quotient_etales(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice):
             lambda p, q, a, phi=phi: quotients[phi[q]][1](reps[phi[p]][a]), fintop.pair_id,
         )
         yield stalks, bundle.RLBundle(e, bundle.relabelled_ops({p: (alg, functools.partial(fintop.pair_id, p)) for p, alg in stalks.items()}))
+
+
+def section_test_bundles():
+    """The RL-bundle fixtures, the constant A2 bundles over the discrete spaces of at most 4 points and the
+    A3 quotient etales over every space of at most 2 points, as bundles."""
+    yield from (rb.bundle for rb in fixtures.rl_bundle_fixtures().values())
+    for n in range(5):
+        yield fixtures.constant_rl_bundle(fintop.discrete([f"b{i}" for i in range(n)]), fixtures.rl_a2()).bundle
+    for base in small_spaces(2):
+        yield from (rb.bundle for _, rb in quotient_etales(base, fixtures.rl_a3()))
 
 
 def outputs_under_hash_seeds(code: str, seeds) -> list[str]:

@@ -21,8 +21,11 @@ from conftest import (
     lift_compact_open_rl_literal,
     outputs_under_hash_seeds,
     pointwise_rl_on_sections_literal,
+    pointwise_topology_literal,
     rl_isomorphic,
     rl_product,
+    section_test_bundles,
+    sections_literal,
     small_spaces,
     uncurry_literal,
 )
@@ -601,3 +604,16 @@ def test_section_check_fails_when_a_slice_is_not_a_listed_global_section(monkeyp
     monkeypatch.setattr(adjunction, "gamma_space", short)
     with pytest.raises(AssertionError, match="^corestriction is not continuous$"):
         adjunction.check_section_adjunction(ET4.bundle, D2)
+
+
+def test_the_pointwise_order_on_masks_is_the_pairwise_one():
+    """`compact_open_space` on every ordered pair of spaces of at most 2 points, and `gamma_space` on the
+    section test bundles, give the space the literal body builds by testing every pair of members."""
+    spaces = list(small_spaces(2))
+    for x, y in itertools.product(spaces, repeat=2):
+        fs = adjunction.compact_open_space(x, y)
+        assert fs.space == pointwise_topology_literal({m.id_str: tuple(v for _, v in m.table) for m in fs.maps}, y)
+    for b in section_test_bundles():
+        pts = b.base.sorted_points
+        members = {s.id_str: tuple(s.table[p] for p in pts) for s in sections_literal(b, b.base.points)}
+        assert adjunction.gamma_space(b)[0] == pointwise_topology_literal(members, b.total)

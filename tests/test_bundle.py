@@ -11,7 +11,10 @@ from conftest import (
     quotient_etales,
     rl_isomorphic,
     rl_product,
+    section_test_bundles,
+    sections_literal,
     small_spaces,
+    source_mentions,
     three_chain,
     verify_rl_bundle_literal,
 )
@@ -500,3 +503,23 @@ def test_a_section_value_outside_the_total_is_not_a_right_inverse():
     the right-inverse message, not a KeyError from the projection."""
     with pytest.raises(ValueError, match=r"^not a right inverse at F2$"):
         bundle.Section(ET4.bundle, frozenset({"F2"}), {"F2": "zz"})
+
+
+def test_listed_sections_read_as_their_checked_twins():
+    """Over every subset of the base, each section `sections` lists without a check is a `Section` with the
+    id, table and domain of the checked twin the literal body builds, in the same order, and equal to it."""
+    bundles = list(section_test_bundles())
+    assert len(bundles) == 39
+    for b in bundles:
+        pts = sorted(b.base.points)
+        for sub in itertools.chain.from_iterable(itertools.combinations(pts, r) for r in range(len(pts) + 1)):
+            got, want = bundle.sections(b, sub), sections_literal(b, sub)
+            assert all(type(s) is bundle.Section for s in got)
+            assert [(s.id_str, s.table, s.domain) for s in got] == [(s.id_str, s.table, s.domain) for s in want]
+            assert got == want
+
+
+def test_only_sections_builds_unchecked_sections():
+    """`_settled_section` runs none of the Section checks, so only `sections`, whose search settles them
+    for every table it lists, may reach it: the package mentions it only as the callee there."""
+    assert source_mentions("_settled_section") == [("bundle.sections", True)]

@@ -13,6 +13,7 @@ from conftest import (
     classify_filters_literal,
     congruence_of_filter_literal,
     derive_residual_literal,
+    is_prime_filter_literal,
     leq_from_hasse_literal,
     outputs_under_hash_seeds,
     residual_by_formula,
@@ -609,6 +610,17 @@ def test_every_filter_is_classified_and_quotiented_as_the_literal_bodies_do(name
         cong = rlcore.congruence_of_filter(lat, f)
         assert cong.blocks == congruence_of_filter_literal(lat, f).blocks
         assert rlcore.filter_of_congruence(lat, cong) == f
+
+
+@pytest.mark.parametrize("name", sorted({*FIXTURE_LATTICES, *SMALL_PRODUCTS, *BUILT_LATTICES}))
+def test_primality_is_the_join_of_the_complement_as_the_pairwise_scan_finds(name):
+    """On every filter the 2^n scan finds, the complement-join test agrees with the scan over every pair."""
+    if name in FIXTURE_LATTICES:
+        lat = FIXTURE_LATTICES[name]
+    else:
+        lat = small_product(name) if name in SMALL_PRODUCTS else built_lattice(name)
+    filters = small_product_filters(name) if name in SMALL_PRODUCTS else brute_force_filters(lat)
+    assert [rlcore.is_prime_filter(lat, f) for f in filters] == [is_prime_filter_literal(lat, f) for f in filters]
 
 
 @pytest.mark.parametrize("gate_max", [256, 1])

@@ -70,6 +70,16 @@ def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monke
     assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
 
 
+def test_corpus_parse_keys_no_bundle_by_its_content(monkeypatch):
+    """Each rl_bundles entry is checked directly, and each rle_spaces entry is built on the etale the parse
+    admitted, so no `_Content` key is built; an `RLESpace` built directly still takes one."""
+    calls = counted_calls(monkeypatch, (bundle, "_Content"))
+    ws = workspace.parse_workspace(bundled_text())
+    assert len(ws.rle_spaces) == 4 and calls == {"_Content": 0}
+    x = next(iter(ws.rle_spaces.values()))
+    assert basechange.RLESpace(x.base, x.etale) == x and calls == {"_Content": 1}
+
+
 def test_corpus_parse_reads_each_lattice_order_once(monkeypatch):
     """`lattice_from_order` reads each of the 5 lattices' orders, and `verify_rl` gets that `_Order` back
     from the memo; with the 3 stalk axiom passes a parse builds 8 `_Order`s."""
