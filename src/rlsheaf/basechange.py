@@ -23,16 +23,14 @@ class PullbackEtale:
 
 
 def pullback_etale(f: SpaceMap, e: Bundle) -> PullbackEtale:
-    """Pullback of a bundle over cod(f) to a bundle over dom(f); etale when e is."""
+    """Pullback of a bundle over cod(f) to a bundle over dom(f); etale when e is, by a theorem the tests
+    settle on small bases, so not re-checked here: a caller that reports it runs `is_etale` itself."""
     if f.cod != e.base:
         raise ValueError("base map does not land in the bundle's base")
     if not fintop.is_continuous(f):
         raise ValueError("base map is not continuous")
     space, p1, p2 = fintop.pullback_space(f, e.proj)
-    result = Bundle(space, f.dom, p1)
-    if bnd.is_etale(e) and not bnd.is_etale(result):
-        raise AssertionError("pullback of an etale failed to be an etale")
-    return PullbackEtale(f, e, result, p2)
+    return PullbackEtale(f, e, Bundle(space, f.dom, p1), p2)
 
 
 def pullback_morphism(f: SpaceMap, h: BundleMorphism) -> BundleMorphism:

@@ -197,7 +197,7 @@ def cmd_check_etale(ws: workspace.Workspace, args) -> dict:
 
 
 def cmd_check_rl_bundle(ws: workspace.Workspace, args) -> dict:
-    _need(ws.rl_bundles, args.bundle, "rl_bundle")  # admitted only once verify_rl_bundle_once passed
+    _need(ws.rl_bundles, args.bundle, "rl_bundle")  # admitted only once verify_rl_bundle passed
     return {"ok": True, "lines": ["rl-bundle: valid"], "violations": []}
 
 

@@ -494,17 +494,14 @@ class Congruence:
 
 
 def congruence_of_filter(lat: ResiduatedLattice, f: Iterable[str]) -> Congruence:
-    """x~y iff x->y and y->x both lie in the filter `↑e` that f generates (f itself when f is a filter);
-    verified compatible.  e <= x->y iff e*x <= y, so the classes are the fibres of x ↦ e*x, in carrier order."""
+    """x~y iff x->y and y->x both lie in the filter `↑e` that f generates (f itself when f is a filter).
+    e <= x->y iff e*x <= y, so the classes are the fibres of x ↦ e*x, in carrier order.  They are compatible
+    by theorem, settled in the tests on every algebra of at most 5 elements, so not re-checked here."""
     e = _idempotent(lat, f)
     fibres: dict[str, set[str]] = {}
     for x in lat.carrier:
         fibres.setdefault(lat.mul[e, x], set()).add(x)
-    cong = Congruence(lat, tuple(map(frozenset, fibres.values())))
-    bad = _congruence_violations(lat, cong)
-    if bad:
-        raise AssertionError(f"filter congruence not compatible: {bad[0]}")
-    return cong
+    return Congruence(lat, tuple(map(frozenset, fibres.values())))
 
 
 def _congruence_violations(lat: ResiduatedLattice, cong: Congruence) -> list[str]:
@@ -578,7 +575,7 @@ def coker(table: Mapping[str, str], cod_top: str) -> Subset:
 
 def quotient(lat: ResiduatedLattice, f: Iterable[str]) -> tuple[ResiduatedLattice, RLMorphism]:
     """Blockwise quotient by the congruence of the filter that f generates (f itself when f is a filter),
-    plus the natural projection."""
+    plus the natural projection; `verify_rl` checks the quotient and `RLMorphism` the projection."""
     cong = congruence_of_filter(lat, f)
     bo = cong.block_of
     ids = {b: block_id(b) for b in cong.blocks}

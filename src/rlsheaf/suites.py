@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import adjunction, basechange, bundle as bnd, fintop, fixtures, sheafify
 
 DEFAULT_SEED = 271828
+RANDOM_MAPS = 120  # drawn by the law suite's local-homeomorphism check
 
 
 def suite_seed() -> int:
@@ -119,7 +120,7 @@ def minimal_sections_final_topology(b: bnd.Bundle) -> fintop.FiniteSpace:
 # the structural law suite (local homeomorphisms, sections, sheafification, base change)
 
 
-def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
+def law_suite(seed: int | None = None) -> SuiteReport:
     rng = random.Random(suite_seed() if seed is None else seed)
     rep = SuiteReport("law-suite")
 
@@ -132,7 +133,7 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
             agree += 1
     ok = agree == len(fixture_maps)
     seen_true = seen_false = 0
-    for _ in range(random_maps):
+    for _ in range(RANDOM_MAPS):
         dom = random_space(rng, 5, "d")
         cod = random_space(rng, 5, "c")
         m = random_map(rng, dom, cod)
@@ -144,7 +145,7 @@ def law_suite(seed: int | None = None, random_maps: int = 120) -> SuiteReport:
     rep.add(
         "local-homeo iff continuous+open+locally-injective",
         ok and seen_true > 0 and seen_false > 0,
-        f"{len(fixture_maps)} fixture maps, {random_maps} random maps",
+        f"{len(fixture_maps)} fixture maps, {RANDOM_MAPS} random maps",
     )
 
     etales = {n: rb for n, rb in fixtures.etale_fixtures().items()}

@@ -963,6 +963,79 @@ def quotient_etales(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice):
         yield stalks, bundle.RLBundle(e, bundle.relabelled_ops({p: (alg, functools.partial(fintop.pair_id, p)) for p, alg in stalks.items()}))
 
 
+@functools.lru_cache(maxsize=None)
+def small_residuated_lattices(n: int) -> tuple[rlcore.ResiduatedLattice, ...]:
+    """Every commutative integral residuated lattice on the labelled carrier 0, a, b, ..., 1 of n >= 2
+    elements, by a brute force that uses no rlsheaf code but `verify_rl` on each answer.
+
+    It takes every partial order on the n - 2 middle elements, with 0 below them and 1 above, and keeps
+    the lattices.  It assigns mul on the unordered pairs of middle elements, each x*y <= x^y and cut by
+    monotonicity against the pairs assigned before it; 1 is the unit and 0 absorbs.  A full table is kept
+    when it is associative, distributes over joins and has residuals: x->y the greatest z with x*z <= y."""
+    mids = [chr(ord("a") + i) for i in range(n - 2)]
+    elems = ["0", *mids, "1"]
+    off = [(x, y) for x in mids for y in mids if x != y]
+    pairs = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
+    triples = list(itertools.product(elems, repeat=3))
+    out = []
+
+    def extremum(cands, le, least):
+        best = [u for u in cands if all(((u, v) if least else (v, u)) in le for v in cands)]
+        return best[0] if len(best) == 1 else None
+
+    def products(mul, meet, le, k):
+        if k == len(pairs):
+            yield dict(mul)
+            return
+        x, y = pairs[k]
+        for v in elems:
+            if (v, meet[x, y]) not in le:
+                continue
+            clash = False
+            for x2, y2 in pairs[:k]:
+                w = mul[x2, y2]
+                below = (x2, x) in le and (y2, y) in le or (x2, y) in le and (y2, x) in le
+                above = (x, x2) in le and (y, y2) in le or (y, x2) in le and (x, y2) in le
+                if below and (w, v) not in le or above and (v, w) not in le:
+                    clash = True
+                    break
+            if not clash:
+                mul[x, y] = mul[y, x] = v
+                yield from products(mul, meet, le, k + 1)
+        mul.pop((x, y), None)
+        mul.pop((y, x), None)
+
+    for bits in range(1 << len(off)):
+        le = {(x, x) for x in elems} | {("0", x) for x in elems} | {(x, "1") for x in elems}
+        le |= {xy for i, xy in enumerate(off) if bits >> i & 1}
+        if any((y, x) in le for x, y in off if (x, y) in le):
+            continue
+        if any((x, z) not in le for x, y in le for y2, z in le if y == y2):
+            continue
+        join, meet = {}, {}
+        for x, y in itertools.product(elems, repeat=2):
+            join[x, y] = extremum([u for u in elems if (x, u) in le and (y, u) in le], le, True)
+            meet[x, y] = extremum([u for u in elems if (u, x) in le and (u, y) in le], le, False)
+        if None in join.values() or None in meet.values():
+            continue
+        fixed = {}
+        for x in elems:
+            fixed[x, "1"] = fixed["1", x] = x
+            fixed[x, "0"] = fixed["0", x] = "0"
+        for mul in products(fixed, meet, le, 0):
+            if any(mul[mul[x, y], z] != mul[x, mul[y, z]] for x, y, z in triples):
+                continue
+            if any(mul[x, join[y, z]] != join[mul[x, y], mul[x, z]] for x, y, z in triples):
+                continue
+            imp = {(x, y): extremum([z for z in elems if (mul[x, z], y) in le], le, False) for x, y in itertools.product(elems, repeat=2)}
+            if None in imp.values():
+                continue
+            lat = rlcore.ResiduatedLattice(tuple(elems), frozenset(le), join, meet, mul, imp, "0", "1")
+            assert rlcore.verify_rl(lat).ok, lat
+            out.append(lat)
+    return tuple(out)
+
+
 def section_test_bundles():
     """The RL-bundle fixtures, the constant A2 bundles over the discrete spaces of at most 4 points and the
     A3 quotient etales over every space of at most 2 points, as bundles."""

@@ -289,7 +289,7 @@ def test_criterion_09_base_change_suite():
 
 
 def test_criterion_10_structural_law_suite():
-    rep = suites.law_suite(random_maps=120)
+    rep = suites.law_suite()
     for label, ok, detail in rep.checks:
         assert ok, f"law suite check failed: {label} {detail}"
     report(10, "structural law suite (fixtures plus 120 seed-fixed random maps)", rep.ok)

@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import rl_isomorphic, section_functor_morphism_literal
+from conftest import quotient_etales, rl_isomorphic, section_functor_morphism_literal, small_spaces
 from rlsheaf import basechange, bundle, fintop, fixtures, rlcore, workspace
 
 ET4 = fixtures.et_spec_h_a4()
@@ -275,3 +275,61 @@ def test_section_functor_morphism_matches_the_section_building_body():
     assert (len(corpus), len(pairs), len(triples)) == (4, 4, 4)
     for m in corpus + pairs + triples + idents:
         assert basechange.section_functor_morphism(m) == section_functor_morphism_literal(m)
+
+
+def pullback_census(algebras):
+    """Each pullback of each etale `quotient_etales` gives over a space B of at most 3 points, with stalks
+    quotients of `algebras`, along each continuous map into B from a space of at most 2 points:
+    (pullbacks, failures), each failure the kind of one pullback.
+
+    The pulled bundle must be etale, by `is_etale` and by the direct local-homeomorphism test, and the
+    pulled RL-etale must pass `verify_rl_bundle`."""
+    count = 0
+    failures = []
+    for base in small_spaces(3):
+        etales = [rb for lat in algebras for _, rb in quotient_etales(base, lat)]
+        for x in small_spaces(2):
+            for f in fintop.continuous_maps(x, base):
+                for rb in etales:
+                    count += 1
+                    result = basechange.pullback_etale(f, rb.bundle).result
+                    etale = bundle.is_etale(result)
+                    if not etale:
+                        failures.append("not-etale")
+                    if fintop.is_local_homeomorphism_direct(result.proj) != etale:
+                        failures.append("direct-disagrees")
+                    if not bundle.verify_rl_bundle(basechange.pullback_rl_etale(f, rb)[0]).ok:
+                        failures.append("not-an-rl-bundle")
+    return count, failures
+
+
+def test_every_pullback_of_a_small_etale_is_an_etale():
+    """Pullback stability, settled here so that `pullback_etale` need not re-check it."""
+    assert pullback_census([fixtures.rl_a2(), fixtures.rl_a3()]) == (13128, [])
+
+
+def pullback_space_over_b_alone(f, g):
+    """A wrong `fintop.pullback_space`: U_(b|s) keeps b alone where it should range over U_b."""
+    pairs = fintop.pullback_pairs(f, g)
+    carrier = frozenset(pairs)
+    ms = g.dom.min_nbhd_map
+    space = fintop.FiniteSpace(carrier, {k: carrier & {fintop.pair_id(b, t) for t in ms[s]} for k, (b, s) in pairs.items()})
+    legs = [fintop.space_map(space, m.dom, {k: v[i] for k, v in pairs.items()}) for i, m in enumerate((f, g))]
+    return space, *legs
+
+
+def test_the_pullback_census_fails_when_the_pullback_topology_is_too_fine(monkeypatch):
+    monkeypatch.setattr(fintop, "pullback_space", pullback_space_over_b_alone)
+    count, failures = pullback_census([fixtures.rl_a2()])
+    assert (count, failures.count("not-etale")) == (3677, 1896)
+
+
+def test_lambda_iso_refuses_a_comparison_map_that_is_no_homeomorphism(monkeypatch):
+    """With (x|0) and (x|1) swapped in the comparison table, the stalk over the open point x is
+    relabelled but the one over y is not, so the map is not continuous."""
+    swap = {"(x|0)": "(x|1)", "(x|1)": "(x|0)"}
+    monkeypatch.setattr(basechange, "pair_id", lambda b, t: fintop.pair_id(b, swap.get(t, t)))
+    sk = fintop.sierpinski()
+    ident = fintop.identity_map(sk)
+    with pytest.raises(AssertionError, match="^lambda comparison map is not a homeomorphism$"):
+        basechange.lambda_iso(ident, ident, fixtures.constant_rl_bundle(sk, fixtures.rl_a2()).bundle)

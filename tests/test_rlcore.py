@@ -21,6 +21,7 @@ from conftest import (
     rl_product,
     scan_glb,
     scan_lub,
+    small_residuated_lattices,
     verify_rl_literal,
 )
 from rlsheaf import adjunction, bundle, fintop, fixtures, rlcore
@@ -670,3 +671,86 @@ def test_stalk_rows_pass_is_the_verdict_of_the_literal_check(rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rlcore, "_GATE_MAX", 1)
         assert bundle._stalk_rows_pass.__wrapped__(rows) == expected
+
+
+@pytest.mark.parametrize("name", sorted({*FIXTURE_LATTICES, *SMALL_PRODUCTS, *BUILT_LATTICES}))
+def test_the_congruence_of_every_filter_of_the_named_lattices_is_compatible(name):
+    if name in FIXTURE_LATTICES:
+        lat = FIXTURE_LATTICES[name]
+    else:
+        lat = small_product(name) if name in SMALL_PRODUCTS else built_lattice(name)
+    for f in rlcore.all_filters(lat).filters:
+        assert rlcore.is_congruence(lat, rlcore.congruence_of_filter(lat, f).blocks)
+
+
+def test_the_brute_force_finds_every_labelled_residuated_lattice_of_at_most_5_elements():
+    """Commutative and integral, on 0, a, b, ..., 1; 2,896 more on 6 elements are left out for time."""
+    assert [len(small_residuated_lattices(n)) for n in range(2, 6)] == [1, 2, 13, 147]
+
+
+def congruence_census():
+    """The congruence of each filter of each residuated lattice of 2 to 5 elements, and of each non-empty
+    subset, against the oracles: (algebras, filters, subsets, failures), each failure (kind, algebra, set).
+
+    A filter's classes must be those of the first-match loop over imp and compatible with every operation,
+    and the class of top must be the filter; a subset's classes must be those of the least filter holding it."""
+    algebras = [lat for n in range(2, 6) for lat in small_residuated_lattices(n)]
+    filters = subsets = 0
+    failures = []
+    for i, lat in enumerate(algebras):
+        fam = brute_force_filters(lat)
+        filters += len(fam)
+        for f in fam:
+            cong = rlcore.congruence_of_filter(lat, f)
+            if cong.blocks != congruence_of_filter_literal(lat, f).blocks:
+                failures.append(("blocks", i, f))
+            if not rlcore.is_congruence(lat, cong.blocks):
+                failures.append(("not-a-congruence", i, f))
+            if rlcore.filter_of_congruence(lat, cong) != f:
+                failures.append(("kernel", i, f))
+        for r in range(1, len(lat.carrier) + 1):
+            for xs in itertools.combinations(lat.carrier, r):
+                subsets += 1
+                least = frozenset.intersection(*(f for f in fam if f.issuperset(xs)))
+                if rlcore.congruence_of_filter(lat, xs).blocks != congruence_of_filter_literal(lat, least).blocks:
+                    failures.append(("generated", i, frozenset(xs)))
+    return len(algebras), filters, subsets, failures
+
+
+def test_every_filter_of_every_small_residuated_lattice_gives_a_congruence():
+    """The filter-congruence correspondence, settled here so that `congruence_of_filter` need not re-check it."""
+    assert congruence_census() == (163, 507, 4769, [])
+
+
+def keyed_congruence(op):
+    """A wrong `congruence_of_filter`: the fibres of x ↦ e op x, for the idempotent e of the filter."""
+
+    def mutant(lat, f):
+        e = rlcore._idempotent(lat, f)
+        fibres = {}
+        for x in lat.carrier:
+            fibres.setdefault(getattr(lat, op)[e, x], set()).add(x)
+        return rlcore.Congruence(lat, tuple(map(frozenset, fibres.values())))
+
+    return mutant
+
+
+@pytest.mark.parametrize("op, incompatible", [("meet", 50), ("join", 179)])
+def test_the_congruence_census_fails_when_the_classes_are_keyed_on_the_wrong_operation(op, incompatible, monkeypatch):
+    """Each mutant gives filters whose classes no operation-compatibility check would pass."""
+    monkeypatch.setattr(rlcore, "congruence_of_filter", keyed_congruence(op))
+    assert [kind for kind, _, _ in congruence_census()[3]].count("not-a-congruence") == incompatible
+
+
+def test_quotient_refuses_an_algebra_that_fails_verification(monkeypatch):
+    """Keyed on e ^ x, the classes of {d, 1} in A6 give tables that are no residuated lattice."""
+    monkeypatch.setattr(rlcore, "congruence_of_filter", keyed_congruence("meet"))
+    with pytest.raises(AssertionError, match="^quotient failed verification: "):
+        rlcore.quotient(A6, {"d", "1"})
+
+
+def test_quotient_refuses_a_projection_that_is_no_morphism(monkeypatch):
+    """Keyed on e v x, the classes of {a, 1} in A3 give a valid algebra that the projection does not respect."""
+    monkeypatch.setattr(rlcore, "congruence_of_filter", keyed_congruence("join"))
+    with pytest.raises(ValueError, match="^not a morphism of residuated lattices: "):
+        rlcore.quotient(fixtures.rl_a3(), {"a", "1"})
