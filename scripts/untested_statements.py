@@ -14,6 +14,10 @@ pytest gets `--hypothesis-seed=0`, which draws every Hypothesis example from
 that one seed and, with a seed forced, makes Hypothesis neither read nor write
 its example database in `.hypothesis/`.
 
+The exit status is 0 when every statement ran and every test passed, 1 when a
+statement is listed or a test failed, and 2 when pytest stopped for another
+reason (a usage or collection error, an interrupt).
+
 Only the standard library, pytest and the Hypothesis plugin the tests load are
 used; the traced run takes two to three times as long as the plain one.
 """
@@ -92,7 +96,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
             count += 1
     print(f"{count} statements no test executes", file=sys.stderr)
-    return 0
+    return 1 if count or status == 1 else 0
 
 
 if __name__ == "__main__":

@@ -180,12 +180,12 @@ def section_functor_object(x: RLESpace) -> SectionAlgebra:
 
 
 def section_functor_morphism(m: RLEInvMorphism) -> rlcore.RLMorphism:
-    """Gamma is contravariant: sections pull back along (f, alpha), each looked up by its values."""
+    """Gamma is contravariant: sections pull back along (f, alpha), each looked up by its values.
+    That a pulled section is one and that Gamma is a functor are settled by the tests on small bases,
+    not here; a value no section has is `None`, which `RLMorphism` refuses."""
     g_src = section_functor_object(m.dst)
     g_dst = section_functor_object(m.src)
     pts = m.src.base.sorted_points
     ids = {tuple(s.table[b] for b in pts): i for i, s in g_dst.sections.items()}
     table = {sid: ids.get(tuple(m.alpha(pair_id(b, sec(m.f(b)))) for b in pts)) for sid, sec in g_src.sections.items()}
-    if None in table.values():
-        raise AssertionError("pulled section escaped the section algebra")
     return rlcore.RLMorphism(g_src.algebra, g_dst.algebra, table)

@@ -529,16 +529,13 @@ def is_homeomorphism(m: SpaceMap) -> bool:
 def local_homeo_basis(m: SpaceMap) -> list[PointSet]:
     """Opens on which m restricts to a homeomorphism onto an open image (`_homeo_opens`), by `set_key`.
 
-    Requires m to be a local homeomorphism; the result is a basis of dom, that is, it holds every U_x.
+    Requires m to be a local homeomorphism; the result is a basis of dom, that is, it holds every U_x
+    (settled by the tests on small spaces, not re-checked here).
     """
     if not is_local_homeomorphism(m):
         raise ValueError("map is not a local homeomorphism")
-    masks = set(_homeo_opens(m))
-    pts, down = m.dom.sorted_points, m.dom.order_masks[0]
-    for u in down:
-        if u not in masks:
-            raise AssertionError(f"family is not a basis at {fmt_set(_from_mask(u, pts))}")
-    return sorted((_from_mask(u, pts) for u in masks), key=set_key)
+    pts = m.dom.sorted_points
+    return sorted((_from_mask(u, pts) for u in set(_homeo_opens(m))), key=set_key)
 
 
 def minimal_neighborhood(s: FiniteSpace, p: str) -> PointSet:

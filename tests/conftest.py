@@ -945,6 +945,13 @@ def small_spaces(max_points: int):
                 yield fintop.FiniteSpace(frozenset(pts), mins)
 
 
+def small_bundles(total_points: int, base_points: int) -> dict[fintop.FiniteSpace, list[bundle.Bundle]]:
+    """Every bundle by base: each continuous map from a labelled space of at most `total_points` points
+    into a labelled space of at most `base_points` points, surjective or not."""
+    totals = list(small_spaces(total_points))
+    return {b: [bundle.Bundle(t, b, m) for t in totals for m in fintop.continuous_maps(t, b)] for b in small_spaces(base_points)}
+
+
 def quotient_etales(base: fintop.FiniteSpace, lat: rlcore.ResiduatedLattice):
     """Every RL-etale over `base` with stalk lat/Phi(p) at p, one for each continuous Phi from the base
     into the filters of lat, where U_F = {G | G contains F}: a q in U_p has Phi(q) containing Phi(p),

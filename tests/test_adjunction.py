@@ -617,3 +617,20 @@ def test_the_pointwise_order_on_masks_is_the_pairwise_one():
         pts = b.base.sorted_points
         members = {s.id_str: tuple(s.table[p] for p in pts) for s in sections_literal(b, b.base.points)}
         assert adjunction.gamma_space(b)[0] == pointwise_topology_literal(members, b.total)
+
+
+def test_gamma_topological_rl_refuses_an_algebra_whose_operations_are_not_continuous():
+    """The check guards an input: `gamma_topological_rl` takes an RL-bundle that nothing has verified.
+    A2 over the point on a Sierpinski total: Gamma is that space, and x -> 0 is antitone there."""
+    total = fintop.sierpinski("(pt|0)", "(pt|1)")
+    rb = fixtures.constant_rl_bundle(PT, fixtures.rl_a2(), total=total)
+    with pytest.raises(AssertionError, match=r"^section algebra failed: operation-discontinuous: imp$"):
+        adjunction.gamma_topological_rl(rb)
+
+
+def test_the_triangle_check_refuses_graphs_named_the_wrong_way_round(monkeypatch):
+    """With `adjunction.pair_id` naming each graph point (value|point), no map's graph is found among
+    the sections of the product bundle."""
+    monkeypatch.setattr(adjunction, "pair_id", lambda p, v: fintop.pair_id(v, p))
+    with pytest.raises(AssertionError, match="^graph correspondence is not bijective$"):
+        adjunction.check_triangle_identities(PT, SK)

@@ -1,3 +1,5 @@
+import collections
+import itertools
 from importlib import resources
 
 import pytest
@@ -333,3 +335,73 @@ def test_lambda_iso_refuses_a_comparison_map_that_is_no_homeomorphism(monkeypatc
     ident = fintop.identity_map(sk)
     with pytest.raises(AssertionError, match="^lambda comparison map is not a homeomorphism$"):
         basechange.lambda_iso(ident, ident, fixtures.constant_rl_bundle(sk, fixtures.rl_a2()).bundle)
+
+
+def section_functor_census():
+    """Every `RLEInvMorphism` (f, alpha) among the A2 `quotient_etales` over each space of at most 2
+    points, alpha ranging over the bundle morphisms f*Y -> X that pass `rl_bundle_morphism_violations`:
+    Gamma of each equals `section_functor_morphism_literal`, and Gamma keeps the identity of each space
+    and each composite of two of them.  Returns (morphisms, composites, failures by kind)."""
+    spaces = [basechange.RLESpace(b, rb) for b in small_spaces(2) for _, rb in quotient_etales(b, fixtures.rl_a2())]
+    morphisms = []
+    for x, y in itertools.product(spaces, repeat=2):
+        for f in fintop.continuous_maps(x.base, y.base):
+            pulled, _ = y.pullback(f)
+            for alpha in bundle.bundle_morphisms(pulled.bundle, x.etale.bundle):
+                if not bundle.rl_bundle_morphism_violations(alpha.map, pulled, x.etale):
+                    morphisms.append(basechange.RLEInvMorphism(x, y, f, alpha.map))
+    failures = collections.Counter()
+
+    def gamma(m):
+        try:
+            return basechange.section_functor_morphism(m).table
+        except ValueError:
+            return None
+
+    lifts = {id(m): gamma(m) for m in morphisms}
+    failures["literal"] = sum(lifts[id(m)] != section_functor_morphism_literal(m).table for m in morphisms)
+    for x in spaces:
+        ident = gamma(basechange.identity_rle_morphism(x))
+        failures["identity"] += ident is None or any(k != v for k, v in ident.items())
+    composites = 0
+    for m1, m2 in itertools.product(morphisms, repeat=2):
+        if m1.dst is m2.src:
+            composites += 1
+            g1, g2 = lifts[id(m1)], lifts[id(m2)]
+            failures["composite"] += None in (g1, g2) or gamma(basechange.compose_rle_inv(m1, m2)) != {s: g1[t] for s, t in g2.items()}
+    return len(morphisms), composites, +failures
+
+
+def memoize_section_functor_object(monkeypatch):
+    """`basechange.section_functor_object` built once per `RLESpace` object."""
+    built, build = {}, basechange.section_functor_object
+
+    def memo(x):
+        if id(x) not in built:
+            built[id(x)] = x, build(x)
+        return built[id(x)][1]
+
+    monkeypatch.setattr(basechange, "section_functor_object", memo)
+
+
+def test_the_section_functor_is_a_contravariant_functor_on_every_small_rle_space(monkeypatch):
+    """Settled here so that `section_functor_morphism` need not check that each pulled section is one."""
+    memoize_section_functor_object(monkeypatch)
+    assert section_functor_census() == (364, 7964, {})
+
+
+def section_functor_morphism_without_alpha(m):
+    """A wrong `basechange.section_functor_morphism`: each section is pulled back along f alone, its
+    values in the target etale looked up among the source's sections unrenamed by alpha."""
+    g_src = basechange.section_functor_object(m.dst)
+    g_dst = basechange.section_functor_object(m.src)
+    pts = m.src.base.sorted_points
+    ids = {tuple(s.table[b] for b in pts): i for i, s in g_dst.sections.items()}
+    table = {sid: ids.get(tuple(sec(m.f(b)) for b in pts)) for sid, sec in g_src.sections.items()}
+    return rlcore.RLMorphism(g_src.algebra, g_dst.algebra, table)
+
+
+def test_the_section_functor_census_fails_when_alpha_is_dropped(monkeypatch):
+    memoize_section_functor_object(monkeypatch)
+    monkeypatch.setattr(basechange, "section_functor_morphism", section_functor_morphism_without_alpha)
+    assert section_functor_census()[2] == {"literal": 311, "composite": 7833}

@@ -523,3 +523,11 @@ def test_only_sections_builds_unchecked_sections():
     """`_settled_section` runs none of the Section checks, so only `sections`, whose search settles them
     for every table it lists, may reach it: the package mentions it only as the callee there."""
     assert source_mentions("_settled_section") == [("bundle.sections", True)]
+
+
+def test_section_image_basis_refuses_a_section_image_that_is_not_open(monkeypatch):
+    """With `is_etale` admitting every bundle, the indiscrete A2 over a point gets through, and each of
+    its two sections has a one-point image, which is not open in the indiscrete total."""
+    monkeypatch.setattr(bundle, "is_etale", lambda e: True)
+    with pytest.raises(AssertionError, match=r"^section image \{\(pt\|[01]\)\} is not open$"):
+        bundle.section_image_basis(INDIS.bundle)

@@ -6,9 +6,11 @@ import json
 import os
 import pathlib
 import random
+import runpy
 import shlex
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import pytest
@@ -853,3 +855,19 @@ def test_a_morphism_table_that_is_not_total_is_refused(lenient, tmp_path):
         assert (rc, err) == (1, "") and f"diagnostic: {line}" in out.splitlines()
     else:
         assert (rc, out, err) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("module", ["rlsheaf", "rlsheaf.cli"])
+@pytest.mark.parametrize("argv, status, stream, head", [
+    (["validate"], 0, "out", "lattice A2: valid\n"),
+    (["no-such-command"], 2, "err", "usage: "),
+])
+def test_the_entry_points_exit_with_the_status_of_the_run(monkeypatch, capsys, module, argv, status, stream, head):
+    """`python -m rlsheaf` and `python -m rlsheaf.cli`, run by `runpy` in this process: `validate` on
+    the bundled corpus exits 0, and an unknown command exits 2 with the usage line."""
+    monkeypatch.setattr(sys, "argv", [module, *argv])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as stop:
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy warns that rlsheaf.cli is imported already
+        runpy.run_module(module, run_name="__main__")
+    assert stop.value.code == status
+    assert getattr(capsys.readouterr(), stream).startswith(head)

@@ -973,3 +973,60 @@ def test_basis_and_homeomorphy_give_the_literal_answers_on_the_law_suite_maps():
             dom, cod = suites.random_space(rng, 5, "d"), suites.random_space(rng, 5, "c")
             maps.append(suites.random_map(rng, dom, cod))
     assert basis_and_homeomorphy_verdicts(maps) == {(False, False): 519, (True, False): 51, (True, True): 30}
+
+
+def local_homeo_basis_census():
+    """Every continuous map between labelled spaces on at most 3 points: `local_homeo_basis` lists the
+    literal family or refuses where the literal one does, and on a local homeomorphism the family holds
+    every U_x.  Returns (bases, refusals, failures by kind)."""
+    spaces = list(small_spaces(3))
+    counts, failures = collections.Counter(), collections.Counter()
+    for dom, cod in itertools.product(spaces, repeat=2):
+        for m in fintop.continuous_maps(dom, cod):
+            basis = basis_or_refusal(fintop.local_homeo_basis, m)
+            failures["literal"] += basis != basis_or_refusal(local_homeo_basis_literal, m)
+            if isinstance(basis, list):
+                counts["bases"] += 1
+                failures["basis"] += any(u not in basis for _, u in dom.min_nbhds)
+            else:
+                counts["refusals"] += 1
+    return counts["bases"], counts["refusals"], +failures
+
+
+def test_the_local_homeomorphism_basis_holds_every_minimal_open_on_every_small_map():
+    """Settled here so that `local_homeo_basis` need not re-check that its family is a basis."""
+    assert local_homeo_basis_census() == (670, 10675, {})
+
+
+def test_the_basis_census_fails_when_the_first_open_is_skipped(monkeypatch):
+    """A loop-boundary mutant: `_homeo_opens` drops the first open it yields."""
+    homeo_opens = fintop._homeo_opens
+    monkeypatch.setattr(fintop, "_homeo_opens", lambda m: itertools.islice(homeo_opens(m), 1, None))
+    assert local_homeo_basis_census()[2] == {"literal": 670, "basis": 453}
+
+
+def test_the_pullback_check_refuses_a_mediating_map_that_is_not_continuous(monkeypatch):
+    """A `pullback_space` that gives the fibre product the discrete topology: the mediating map from
+    the Sierpinski space sends U_y = {x, y} to {(x|x), (y|y)}, outside U_(y|y)."""
+    pullback_space = fintop.pullback_space
+
+    def discrete_pullback_space(f, g):
+        space, *legs = pullback_space(f, g)
+        flat = fintop.discrete(space.points)
+        return flat, *(fintop.space_map(flat, leg.cod, leg.mapping) for leg in legs)
+
+    monkeypatch.setattr(fintop, "pullback_space", discrete_pullback_space)
+    ident = fintop.identity_map(fintop.sierpinski())
+    with pytest.raises(AssertionError, match="^mediating map is not continuous$"):
+        fintop.pullback_universal_check(ident, ident, ident, ident)
+
+
+def test_the_pullback_check_refuses_a_mediating_map_that_does_not_commute(monkeypatch):
+    """A `pullback_space` that returns its two legs swapped: the first leg after the mediating map lands
+    in the second factor."""
+    pullback_space = fintop.pullback_space
+    monkeypatch.setattr(fintop, "pullback_space", lambda f, g: (lambda space, p1, p2: (space, p2, p1))(*pullback_space(f, g)))
+    s, t, pt = fintop.sierpinski("x", "y"), fintop.sierpinski("u", "v"), fixtures.space_point()
+    f, g = (fintop.space_map(x, pt, dict.fromkeys(x.points, "pt")) for x in (s, t))
+    with pytest.raises(AssertionError, match="^mediating map does not commute$"):
+        fintop.pullback_universal_check(f, g, fintop.identity_map(s), fintop.space_map(s, t, {"x": "u", "y": "v"}))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from unittest import mock
@@ -15,6 +16,7 @@ from conftest import (
     rl_isomorphic,
     section_image_basis_literal,
     sections_final_topology_literal,
+    small_bundles,
 )
 from rlsheaf import basechange, bundle, cli, fintop, fixtures, rlcore, sheafify, suites
 
@@ -408,3 +410,120 @@ def test_couniversal_factorization_matches_the_section_through_point_body(monkey
     for factor in (sheafify.couniversal_factorization, couniversal_factorization_literal):
         with pytest.raises(ValueError, match="^source bundle is not an etale$"):
             factor(h)
+
+
+# ---------------------------------------------------------------------------
+# the coreflection, settled on every small bundle so that its constructions need not re-check it
+
+
+def coreflection_census(total_points: int):
+    """Over each bundle X of `small_bundles(total_points, 2)`: the counit of X builds as a bundle
+    morphism, and each bundle morphism h into X from the germ etale of any bundle over X's base (each
+    distinct germ etale once) is factored by `couniversal_factorization` as the one map that
+    `factorizations_by_search` finds.  Returns (bundles, morphisms, failures by kind)."""
+    bundles = morphisms = 0
+    failures = collections.Counter()
+    for xs in small_bundles(total_points, 2).values():
+        germs = [sheafify.etale_of(x) for x in xs]
+        sources = []
+        for gs in germs:
+            if gs.as_bundle not in sources:
+                sources.append(gs.as_bundle)
+        for x, gx in zip(xs, germs):
+            bundles += 1
+            try:
+                bundle.BundleMorphism(gx.as_bundle, x, sheafify.counit(x, gx))
+            except ValueError:
+                failures["counit"] += 1
+            for t in sources:
+                for h in bundle.bundle_morphisms(t, x):
+                    morphisms += 1
+                    try:
+                        hbar = [sheafify.couniversal_factorization(h, gx).table]
+                    except ValueError:
+                        hbar = "refused"
+                    if hbar != [m.table for m in sheafify.factorizations_by_search(h, gx)]:
+                        failures["factorization"] += 1
+    return bundles, morphisms, failures
+
+
+def test_the_coreflection_holds_on_every_small_bundle():
+    """672 bundles with at most 3 total points over at most 2 base points, 53 of them etales."""
+    assert coreflection_census(3) == (672, 15714, {})
+    assert sum(bundle.is_etale(x) for xs in small_bundles(3, 2).values() for x in xs) == 53
+
+
+def counit_at_the_least_point(b, gs=None):
+    """A wrong `sheafify.counit`: a germ at p goes to its representative's value at the least point of
+    U_p by name, not at p."""
+    gs = gs or sheafify.etale_of(b)
+    return fintop.space_map(gs.space, b.total, {k: g.rep(min(g.rep.domain)) for k, g in gs.germs.items()})
+
+
+def factor_through_constant_germs(total, proj, value, gs):
+    """A wrong `sheafify._factor_through_germs`: y goes to the germ that repeats value(y) over U_y."""
+    mins = total.min_nbhd_map
+    return fintop.space_map(total, gs.space, {y: sheafify.germ_id(proj[y], {proj[s]: value(y) for s in mins[y]}) for y in total.sorted_points})
+
+
+@pytest.mark.parametrize("name, mutant, failures", [
+    ("counit", counit_at_the_least_point, {"counit": 4}),
+    ("_factor_through_germs", factor_through_constant_germs, {"factorization": 12}),
+])
+def test_the_coreflection_census_fails_under_each_mutant(monkeypatch, name, mutant, failures):
+    """On the 69 bundles with at most 2 total points and the 265 morphisms into them, a part of the
+    census that the unmutated code passes."""
+    monkeypatch.setattr(sheafify, name, mutant)
+    assert coreflection_census(2)[2] == failures
+
+
+def coreflector_census():
+    """On `small_bundles(2, 2)`: `coreflect_morphism` sends the identity of each bundle to the identity
+    of its germ etale, and each composite of two bundle morphisms to the composite of their lifts.
+    Returns (identities, composites, failures by kind)."""
+    identities = composites = 0
+    failures = collections.Counter()
+
+    def lift(h):
+        try:
+            return sheafify.coreflect_morphism(h).mapping
+        except ValueError:
+            return None
+
+    for xs in small_bundles(2, 2).values():
+        homs = {(i, j): bundle.bundle_morphisms(a, b) for (i, a), (j, b) in itertools.product(enumerate(xs), repeat=2)}
+        lifts = {ij: [lift(h) for h in hs] for ij, hs in homs.items()}
+        for x in xs:
+            identities += 1
+            if lift(bundle.BundleMorphism(x, x, fintop.identity_map(x.total))) != fintop.identity_map(sheafify.etale_of(x).space).mapping:
+                failures["identity"] += 1
+        for (i, j), k in itertools.product(homs, range(len(xs))):
+            for (h1, l1), (h2, l2) in itertools.product(zip(homs[i, j], lifts[i, j]), zip(homs[j, k], lifts[j, k])):
+                composites += 1
+                lifted = lift(bundle.BundleMorphism(xs[i], xs[k], fintop.compose(h2.map, h1.map)))
+                if None in (l1, l2) or lifted != {y: l2[v] for y, v in l1.items()}:
+                    failures["composite"] += 1
+    return identities, composites, failures
+
+
+def memoize_etale_of(monkeypatch):
+    """`sheafify.etale_of` built once per bundle object."""
+    built, etale_of = {}, sheafify.etale_of
+
+    def memo(b):
+        if id(b) not in built:
+            built[id(b)] = b, etale_of(b)
+        return built[id(b)][1]
+
+    monkeypatch.setattr(sheafify, "etale_of", memo)
+
+
+def test_the_coreflector_keeps_identities_and_composites_on_every_small_bundle(monkeypatch):
+    memoize_etale_of(monkeypatch)
+    assert coreflector_census() == (69, 11287, {})
+
+
+def test_the_coreflector_census_fails_when_the_lift_repeats_each_value(monkeypatch):
+    memoize_etale_of(monkeypatch)
+    monkeypatch.setattr(sheafify, "_factor_through_germs", factor_through_constant_germs)
+    assert coreflector_census()[2] == {"identity": 6, "composite": 196}
