@@ -9,7 +9,7 @@ package name of its own (`rlsheaf_parent`, `rlsheaf_change`) and imported
 there, so both live side by side.  The one absolute reference to the package,
 its bundled corpus `rlsheaf.data`, is renamed in the copy as well.
 
-Each round times five measures on each side, the side that goes first
+Each round times six measures on each side, the side that goes first
 alternating from round to round:
 
 - parse: the minimum of 60 cold-cache parses of the bundled corpus;
@@ -18,7 +18,11 @@ alternating from round to round:
   whatever the command does around the suite is timed too;
 - corpus: the 21 corpus argvs of `perfbench/known_answers.json`, run through
   `cli.run` as the benchmark runs them;
-- adjunction-suite: `cli.run` of `adjunction-suite`.
+- adjunction-suite: `cli.run` of `adjunction-suite`;
+- adjunction split: one `suites.adjunction_suite()` with the calls behind each
+  of its seven checks timed apart (`adj exponential` ... `adj triangle`), and
+  `adj rest` for the fixtures and spaces the suite builds between them.  A call
+  made inside another timed call is charged to the outer one.
 
 Before each timed call every module-level `functools` cache of that side is
 emptied, as the benchmark does.  The script prints each side's median per
@@ -49,6 +53,16 @@ SIDES = ("parent", "change")
 PARSES = 60
 LAW_SEEDS = 10
 CLI_LAW_SEED = "1"
+# Each check of the adjunction suite, by the (module, function) calls the suite makes for it.
+ADJUNCTION_CHECKS = {
+    "exponential": [("adjunction", "check_exponential_adjunction")],
+    "section": [("adjunction", "check_section_adjunction")],
+    "projection": [("adjunction", "check_projection_adjunction")],
+    "C(B,A) lift": [("adjunction", "lift_compact_open_rl")],
+    "Gamma lift": [("adjunction", "gamma_topological_rl")],
+    "pi_B lift": [("adjunction", "product_rl_bundle"), ("bundle", "verify_rl_bundle")],
+    "triangle": [("adjunction", "check_triangle_identities")],
+}
 
 
 def load_side(tmp: pathlib.Path, checkout: pathlib.Path, side: str) -> dict:
@@ -80,6 +94,37 @@ def corpus_argvs() -> list[list[str]]:
             for s in specs]
 
 
+def adjunction_split(modules: dict) -> dict[str, float]:
+    """Seconds of one cold-cache `adjunction_suite()`, charged to its checks by the calls each makes."""
+    spent = dict.fromkeys(ADJUNCTION_CHECKS, 0.0)
+    depth = [0]
+
+    def timed(check: str, f):
+        def call(*args, **kwargs):
+            if depth[0]:
+                return f(*args, **kwargs)
+            depth[0] += 1
+            start = perf_counter()
+            try:
+                return f(*args, **kwargs)
+            finally:
+                spent[check] += perf_counter() - start
+                depth[0] -= 1
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for check, calls in ADJUNCTION_CHECKS.items():
+            for mod, name in calls:
+                stack.enter_context(mock.patch.object(modules[mod], name, timed(check, getattr(modules[mod], name))))
+        clear_caches(modules)
+        start = perf_counter()
+        modules["suites"].adjunction_suite()
+        total = perf_counter() - start
+    out = {f"adj {check}": t for check, t in spent.items()}
+    out["adj rest"] = total - sum(spent.values())
+    return out
+
+
 def measures(modules: dict, text: str, argvs: list[list[str]], seeds: list[int]) -> dict[str, float]:
     """One round's seconds on one side, each measure with cold caches."""
     ws, suites, cli = modules["workspace"], modules["suites"], modules["cli"]
@@ -96,6 +141,7 @@ def measures(modules: dict, text: str, argvs: list[list[str]], seeds: list[int])
         out["law-suite cli"] = timed(lambda: quiet_run(cli, ["--format", "machine-readable", "law-suite"]))
     out["corpus"] = sum(timed(lambda a=a: quiet_run(cli, a)) for a in argvs)
     out["adjunction-suite"] = timed(lambda: quiet_run(cli, ["--format", "machine-readable", "adjunction-suite"]))
+    out.update(adjunction_split(modules))
     return out
 
 

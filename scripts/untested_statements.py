@@ -7,7 +7,10 @@ The tier-1 suite (or the pytest arguments given) runs in this process under
 in src/rlsheaf.  Every statement that is never executed is printed as
 `file:line: source`, in file and line order.  Docstrings and `def`/`class`
 lines are left out, and so is any line the compiler emits no code for.
-Commands the tests run in a subprocess are not traced.
+Commands the tests run in a subprocess are not traced.  Each file's statement
+lines and their source are read when the run starts, before any test imports
+the package, and the list is reported against that snapshot, so a file edited
+while the tests run does not shift its line numbers.
 
 The run is deterministic, so two runs on the same code print the same list:
 pytest gets `--hypothesis-seed=0`, which draws every Hypothesis example from
@@ -58,6 +61,14 @@ def statement_lines(tree: ast.Module) -> set[int]:
     }
 
 
+def statements(path: pathlib.Path) -> dict[int, str]:
+    """Each statement line of one source file with its stripped source, in line order."""
+    text = path.read_text("utf-8")
+    lines = text.splitlines()
+    wanted = statement_lines(ast.parse(text)) & code_lines(compile(text, str(path), "exec"))
+    return {line: lines[line - 1].strip() for line in sorted(wanted)}
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
@@ -65,6 +76,7 @@ def main(argv: list[str]) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     prefix = str(PACKAGE) + os.sep
     executed: dict[str, set[int]] = {}
+    snapshot = {path: statements(path) for path in sorted(PACKAGE.glob("*.py"))}
 
     def local(frame, event, arg):
         if event == "line":
@@ -88,13 +100,12 @@ def main(argv: list[str]) -> int:
         return 2
 
     count = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text("utf-8")
-        lines = text.splitlines()
-        wanted = statement_lines(ast.parse(text)) & code_lines(compile(text, str(path), "exec"))
-        for line in sorted(wanted - executed.get(str(path), set())):
-            print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
-            count += 1
+    for path, stmts in snapshot.items():
+        ran = executed.get(str(path), set())
+        for line, source in stmts.items():
+            if line not in ran:
+                print(f"{path.relative_to(ROOT)}:{line}: {source}")
+                count += 1
     print(f"{count} statements no test executes", file=sys.stderr)
     return 1 if count or status == 1 else 0
 

@@ -12,8 +12,10 @@ interface, not a mathematical need.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import bundle as bnd
 from . import fintop, fixtures, rlcore
@@ -35,9 +37,10 @@ class FunctionSpace:
         return {m.id_str: m for m in self.maps}
 
     @cached_attribute
-    def index(self) -> tuple[dict[tuple[tuple[str, str], ...], str], dict[str, dict[str, str]]]:
-        """Each map's sorted table to its id, and each id to its values by domain point."""
-        return {m.table: m.id_str for m in self.maps}, {m.id_str: m.mapping for m in self.maps}
+    def index(self) -> tuple[dict[tuple[str, ...], str], dict[str, tuple[str, ...]]]:
+        """Each map's values at the sorted points of dom to its id, and each id to those values."""
+        values = {m.id_str: tuple(map(fintop._value, m.table)) for m in self.maps}
+        return {v: i for i, v in values.items()}, values
 
 
 def _pointwise_topology(members: Mapping[str, tuple[str, ...]], cod: FiniteSpace) -> FiniteSpace:
@@ -71,45 +74,64 @@ def compact_open_space(x: FiniteSpace, y: FiniteSpace) -> FunctionSpace:
     return FunctionSpace(x, y, maps, space)
 
 
-def _slices(table: tuple[tuple[str, str], ...], p1: SpaceMap, p2: SpaceMap) -> dict[str, list[tuple[str, str]]]:
-    """The table of h: BxX -> T read once into its slices (b, h(b, x)) by x, over the sorted points of X."""
-    m1, m2 = p1.mapping, p2.mapping
-    out: dict[str, list[tuple[str, str]]] = {x: [] for x in p2.cod.sorted_points}
-    for k, v in table:
-        out[m2[k]].append((m1[k], v))
-    return out
+_regrouped: tuple = (None, None, ())
+
+
+def _picker(positions: list[int]) -> Callable[[Sequence], tuple]:
+    """The items at these positions of a sequence, as a tuple for any number of positions."""
+    return operator.itemgetter(*positions) if len(positions) > 1 else lambda seq: tuple(seq[i] for i in positions)
+
+
+def _regrouping(p1: SpaceMap, p2: SpaceMap) -> tuple[Callable[[Sequence], tuple], Callable[[Sequence], tuple]]:
+    """For the projections of BxX: a picker that reads a sequence over its sorted points x-major, by the
+    sorted points of B within each x, and the picker that reads it back.  The last pair asked for keeps
+    its pickers, compared by identity (a key of equal maps would hash both spaces on every call), so one
+    pass over a hom-set builds them once."""
+    global _regrouped
+    q1, q2, pickers = _regrouped
+    if q1 is not p1 or q2 is not p2:
+        keys = list(zip(map(fintop._value, p2.table), map(fintop._value, p1.table)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pickers = _picker(order), _picker(sorted(range(len(order)), key=order.__getitem__))
+        _regrouped = p1, p2, pickers
+    return pickers
+
+
+def _slices(table: tuple[tuple[str, str], ...], p1: SpaceMap, p2: SpaceMap) -> Iterable[tuple[str, ...]]:
+    """The table of h: BxX -> T read into its slices, over the sorted points of X: the values h(b, x)
+    at the sorted points b of B, cut from the regrouped table n = |B| at a time."""
+    n = len(p1.cod.sorted_points)
+    if not n:
+        return [()] * len(p2.cod.sorted_points)
+    return zip(*[map(fintop._value, _regrouping(p1, p2)[0](table))] * n)
 
 
 def curry(h: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
-    """h: BxX -> T becomes X -> C(B,T): each slice (b, h(b,x)), sorted by b, is looked up among the
-    tables of C(B,T), and the first x in sorted order whose slice is not one of them is named.  The result
-    is keyed by the sorted points of X, with ids from the index, so it is not checked again."""
-    ids = fs.index[0]
-    table = []
-    for xpt, sl in _slices(h.table, p1, p2).items():
-        sl.sort()
-        mid = ids.get(tuple(sl))
-        if mid is None:
-            raise ValueError(f"curried slice at {xpt} is not continuous")
-        table.append((xpt, mid))
-    return fintop._settled_map(p2.cod, fs.space, tuple(table))
+    """h: BxX -> T becomes X -> C(B,T): each slice is looked up among the value tuples of C(B,T), and the
+    first x in sorted order whose slice is not one of them is named.  The result is keyed by the sorted
+    points of X, with ids from the index, so it is not checked again."""
+    xs = p2.cod.sorted_points
+    mids = list(map(fs.index[0].get, _slices(h.table, p1, p2)))
+    if None in mids:
+        raise ValueError(f"curried slice at {xs[mids.index(None)]} is not continuous")
+    return fintop._settled_map(p2.cod, fs.space, tuple(zip(xs, mids)))
 
 
 def uncurry(k: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> SpaceMap:
     """k: X -> C(B,T) becomes BxX -> T on the canonical product, keyed by its sorted points, with values
     read from maps into T, so it is not checked again."""
-    values, m1, m2, km = fs.index[1], p1.mapping, p2.mapping, k.mapping
-    prod = p1.dom
-    return fintop._settled_map(prod, fs.cod, tuple((pt, values[km[m2[pt]]][m1[pt]]) for pt in prod.sorted_points))
+    values, prod = fs.index[1], p1.dom
+    flat = [v for _, mid in k.table for v in values[mid]]
+    return fintop._settled_map(prod, fs.cod, tuple(zip(prod.sorted_points, _regrouping(p1, p2)[1](flat))))
 
 
 def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, Section]:
     """For h: BxX -> total over the base, the family x -> (curried section)."""
-    slices = _slices(h.table, p1, p2)
-    proj = b.proj.mapping
-    if any(proj[v] != bpt for sl in slices.values() for bpt, v in sl):
+    pts, proj = p1.cod.sorted_points, b.proj.mapping
+    slices = dict(zip(p2.cod.sorted_points, _slices(h.table, p1, p2)))
+    if any(proj[v] != bpt for sl in slices.values() for bpt, v in zip(pts, sl)):
         raise ValueError("h does not commute with the projections")
-    return {xpt: Section(b, frozenset(b.base.points), dict(sl)) for xpt, sl in slices.items()}
+    return {xpt: Section(b, frozenset(b.base.points), dict(zip(pts, sl))) for xpt, sl in slices.items()}
 
 
 def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
@@ -142,14 +164,23 @@ class TopologicalRL:
 def binary_op_continuous(s1: FiniteSpace, s2: FiniteSpace, cod: FiniteSpace, tab) -> bool:
     """Continuity on the product, one argument at a time: continuity is monotonicity and U_(x,y) is
     U_x x U_y, so it suffices that tab(a,y) and tab(x,b) lie in U_tab(x,y) for a in U_x, b in U_y;
-    then tab(a,b) lies in U_tab(x,b), which is inside U_tab(x,y)."""
+    then tab(a,b) lies in U_tab(x,b), which is inside U_tab(x,y).  Each argument is walked only at the
+    points whose U is more than the point itself (elsewhere the only a is x), and the image of such a U
+    under tab(-, y) is read once for all the points that share it."""
     mc = cod.min_nbhd_map
-    for x, ux in s1.min_nbhds:
-        for y, uy in s2.min_nbhds:
-            target = mc[tab[x, y]]
-            if not (target.issuperset([tab[a, y] for a in ux]) and target.issuperset([tab[x, b] for b in uy])):
+
+    def monotone(space: FiniteSpace, others: Sequence[str], first: bool) -> bool:
+        images: dict = {}
+        for (x, ux), o in itertools.product([xu for xu in space.min_nbhds if len(xu[1]) > 1], others):
+            img = images.get((ux, o))
+            if img is None:
+                keys = zip(ux, itertools.repeat(o)) if first else zip(itertools.repeat(o), ux)
+                img = images[ux, o] = frozenset(map(tab.__getitem__, keys))
+            if not img <= mc[tab[(x, o) if first else (o, x)]]:
                 return False
-    return True
+        return True
+
+    return monotone(s1, s2.sorted_points, True) and monotone(s2, s1.sorted_points, False)
 
 
 def verify_topological_rl(trl: TopologicalRL) -> ValidationReport:
@@ -161,7 +192,7 @@ def verify_topological_rl(trl: TopologicalRL) -> ValidationReport:
     pts = trl.topology.points
     for name in bnd.StalkOps.OPS:
         tab = getattr(trl.algebra, name)
-        total = all(tab.get((x, y)) in pts for x in pts for y in pts)  # verify_rl reported it if not
+        total = pts.issuperset(map(tab.get, itertools.product(pts, repeat=2)))  # verify_rl reported it if not
         if total and not binary_op_continuous(trl.topology, trl.topology, trl.topology, tab):
             bad.append(Violation("operation-discontinuous", name))
     return ValidationReport("topological-rl", tuple(bad))
@@ -182,9 +213,8 @@ def lift_compact_open_rl(b: FiniteSpace, a: TopologicalRL) -> tuple[TopologicalR
         fintop.space_map(b, a.topology, table)
         return AssertionError("pointwise combination left the function space")
 
-    values = {m.id_str: tuple(v for _, v in m.table) for m in fs.maps}
     tables = {name: [getattr(a.algebra, name)] * n for name in bnd.StalkOps.OPS}
-    alg = bnd.pointwise_rl(values, tables, (a.algebra.bot,) * n, (a.algebra.top,) * n, escaped)
+    alg = bnd.pointwise_rl(fs.index[1], tables, (a.algebra.bot,) * n, (a.algebra.top,) * n, escaped)
     trl = TopologicalRL(alg, fs.space)
     rep = verify_topological_rl(trl)
     if not rep.ok:
@@ -248,17 +278,17 @@ def check_exponential_adjunction(b: FiniteSpace, x: FiniteSpace, t: FiniteSpace,
 
 
 def check_section_adjunction(b: Bundle, x: FiniteSpace, explore_nondiscrete: bool = False) -> dict:
-    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b)): each slice of h, sorted by base
-    point, is looked up among the tables of the global sections."""
+    """Hom-set bijection Bundle(B)(pi_B(X), b) = Top(X, Gamma(B,b)): each slice of h is looked up
+    among the global sections by their values at the sorted base points."""
     if not b.base.is_discrete() and not explore_nondiscrete:
         raise ValueError("continuity half asserted only for finite discrete bases")
     prod, p1, p2 = fintop.product(b.base, x)
     lhs = bnd.morphism_tables(Bundle(prod, b.base, p1), b)
     g_space, by_id = gamma_space(b)
-    ids = {tuple(sorted(s.table.items())): i for i, s in by_id.items()}
+    ids = {tuple(s.table[p] for p in b.base.sorted_points): i for i, s in by_id.items()}
     return _hom_bijection(
         lhs, set(fintop._monotone_search(x, g_space, None)),
-        lambda h: tuple((xp, ids.get(tuple(sorted(sl)))) for xp, sl in _slices(h, p1, p2).items()),
+        lambda h: tuple(zip(x.sorted_points, map(ids.get, _slices(h, p1, p2)))),
         "corestriction is not continuous",
     )
 

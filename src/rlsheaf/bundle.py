@@ -127,20 +127,19 @@ def pointwise_rl(
     """
     ids = {v: k for k, v in members.items()}
     carrier = tuple(sorted(members))
-
-    def close(name: str, operands: tuple[str, ...], values: tuple) -> str:
-        if values not in ids:
-            raise escaped(name, operands)
-        return ids[values]
-
+    pairs = list(itertools.product(carrier, repeat=2))
+    columns = list(zip(*map(members.__getitem__, carrier)))  # the members' values at each point
     ops = {}
-    for name in StalkOps.OPS:
-        tabs = tables[name]
-        ops[name] = {
-            (a, b): close(name, (a, b), tuple(t.get(xy) for t, xy in zip(tabs, zip(members[a], members[b]))))
-            for a in carrier for b in carrier
-        }
-    return rlcore.from_tables(carrier, **ops, bot=close("zero", (), zero), top=close("one", (), one))
+    for name in StalkOps.OPS:  # each point's table read over all pairs of its column at once, then zipped
+        cols = [map(t.get, itertools.product(col, repeat=2)) for t, col in zip(tables[name], columns)]
+        out = list(map(ids.get, zip(*cols) if cols else [()] * len(pairs)))
+        if None in out:
+            raise escaped(name, pairs[out.index(None)])
+        ops[name] = dict(zip(pairs, out))
+    for name, values in (("zero", zero), ("one", one)):
+        if values not in ids:
+            raise escaped(name, ())
+    return rlcore.from_tables(carrier, **ops, bot=ids[zero], top=ids[one])
 
 
 @dataclass

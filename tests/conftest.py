@@ -351,6 +351,26 @@ def pointwise_rl_on_sections_literal(rb: bundle.RLBundle, x) -> bundle.SectionAl
     return bundle.SectionAlgebra(alg, by_id)
 
 
+def pointwise_rl_literal(members, tables, zero, one, escaped) -> rlcore.ResiduatedLattice:
+    """Oracle: `bundle.pointwise_rl` building each pair's value tuple point by point, pair by pair."""
+    ids = {v: k for k, v in members.items()}
+    carrier = tuple(sorted(members))
+
+    def close(name: str, operands: tuple[str, ...], values: tuple) -> str:
+        if values not in ids:
+            raise escaped(name, operands)
+        return ids[values]
+
+    ops = {}
+    for name in bundle.StalkOps.OPS:
+        tabs = tables[name]
+        ops[name] = {
+            (a, b): close(name, (a, b), tuple(t.get(xy) for t, xy in zip(tabs, zip(members[a], members[b]))))
+            for a in carrier for b in carrier
+        }
+    return rlcore.from_tables(carrier, **ops, bot=close("zero", (), zero), top=close("one", (), one))
+
+
 def lift_compact_open_rl_literal(b: fintop.FiniteSpace, a: adjunction.TopologicalRL):
     """Oracle: `adjunction.lift_compact_open_rl` with a `SpaceMap` built for every pair, operation and constant."""
     fs = adjunction.compact_open_space(b, a.topology)

@@ -389,6 +389,40 @@ def test_curry_uncurry_and_corestriction_match_the_literal_bodies(b, x, t, rng):
         assert table_or_error(adjunction.corestrict_to_sections, *args) == table_or_error(corestrict_to_sections_literal, *args)
 
 
+EMPTY = fintop.discrete([])
+
+
+@pytest.mark.parametrize("b, x, t", [
+    (fintop.discrete(["m", "mm"]), SK, T2),
+    (fintop.sierpinski("mm", "m"), fintop.discrete(["x", "xx"]), SK),
+    (fintop.indiscrete(["m", "mm"]), D2, T2),
+    (EMPTY, D2, T2), (D2, EMPTY, T2), (EMPTY, EMPTY, SK), (SK, D2, EMPTY),
+])
+def test_curry_and_uncurry_regroup_a_product_whose_pair_ids_cross_the_base_order(b, x, t):
+    """On the base points m < mm the pair ids sort the other way, (mm|x) < (m|x), so within a fibre
+    the product's sorted points do not follow B; with B or X empty each slice, or the whole table, is
+    empty.  Every continuous map, and seed-drawn tables, curry and uncurry as in the literal bodies, and
+    the exponential and section checks, which read the same regrouping, give the literal dicts."""
+    prod, p1, p2 = fintop.product(b, x)
+    if "mm" in b.points:
+        fibre = [k for k in prod.sorted_points if p2(k) == x.sorted_points[0]]
+        assert [p1(k) for k in fibre] == ["mm", "m"]
+    fs = adjunction.compact_open_space(b, t)
+    hs, ks = fintop.continuous_maps(prod, t), fintop.continuous_maps(x, fs.space)
+    assert hs and ks or not t.points
+    for h in hs:
+        assert_checked_twin(adjunction.curry(h, p1, p2, fs), curry_literal(h, p1, p2, fs))
+    for k in ks:
+        assert_checked_twin(adjunction.uncurry(k, p1, p2, fs), uncurry_literal(k, p1, p2, fs))
+    rng = random.Random(len(prod.points))
+    for h in random_maps(rng, prod, t, 20):
+        assert table_or_error(adjunction.curry, h, p1, p2, fs) == table_or_error(curry_literal, h, p1, p2, fs)
+    total, q1, _ = fintop.product(b, t)
+    target = bundle.Bundle(total, b, q1)
+    for check, args in [("check_section_adjunction", (target, x, True)), ("check_exponential_adjunction", (b, x, t, True))]:
+        assert outcome(getattr(adjunction, check), *args) == outcome(LITERAL_CHECKS[check], *args)
+
+
 def test_exponential_adjunction_holds_on_nondiscrete_bases_when_exploring():
     for b in [SK, fintop.indiscrete(["m", "n"])]:
         for x in [SK, D2]:

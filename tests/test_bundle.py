@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     mixed_chain_bundle,
+    pointwise_rl_literal,
     quotient_etales,
     rl_isomorphic,
     rl_product,
@@ -531,3 +533,61 @@ def test_section_image_basis_refuses_a_section_image_that_is_not_open(monkeypatc
     monkeypatch.setattr(bundle, "is_etale", lambda e: True)
     with pytest.raises(AssertionError, match=r"^section image \{\(pt\|[01]\)\} is not open$"):
         bundle.section_image_basis(INDIS.bundle)
+
+
+class Escaped(Exception):
+    """The exception `pointwise_outcome` hands `pointwise_rl` to raise, carrying its (name, operands)."""
+
+
+def pointwise_outcome(fn, members, tables, zero, one):
+    """The algebra `fn` builds, or the (name, operands) of the one `escaped` call it raised."""
+    calls = []
+    try:
+        return fn(members, tables, zero, one, lambda *args: calls.append(args) or Escaped(*args))
+    except Escaped as e:
+        assert calls == [e.args]
+        return e.args
+
+
+def test_pointwise_rl_matches_its_literal_body_on_every_suite_algebra(monkeypatch):
+    """Each of the adjunction suite's four C(B,A) lifts and four Gamma lifts builds the algebra the
+    body that combined each pair point by point builds."""
+    calls, real = [], bundle.pointwise_rl
+    monkeypatch.setattr(bundle, "pointwise_rl", lambda *args: calls.append(args[:4]) or real(*args))
+    assert suites.adjunction_suite().ok
+    monkeypatch.undo()
+    assert len(calls) == 8
+    for args in calls:
+        fast = pointwise_outcome(bundle.pointwise_rl, *args)
+        assert isinstance(fast, rlcore.ResiduatedLattice) and fast == pointwise_outcome(pointwise_rl_literal, *args)
+
+
+def test_pointwise_rl_matches_its_literal_body_on_seed_drawn_tables():
+    """Seed-drawn members over 0 to 3 points and tables that may miss an entry or hold a value no
+    member takes: the same algebra or the same first escaped (name, operands), both seen."""
+    rng = random.Random(33)
+    kinds = collections.Counter()
+    for _ in range(600):
+        n, alphabet = rng.randint(0, 3), "ab"[:rng.randint(1, 2)]
+        tuples = list(itertools.product(alphabet, repeat=n))
+        if rng.random() < 0.3:  # drop some value tuples, so a result can fall outside the members
+            tuples = rng.sample(tuples, rng.randint(0, len(tuples)))
+        members = {f"m{i}": v for i, v in enumerate(rng.sample(tuples, len(tuples)))}
+        noise = rng.choice([0.0, 0.0, 0.02, 0.1])
+
+        def table():
+            out = {xy: rng.choice(alphabet) for xy in itertools.product(alphabet, repeat=2)}
+            for xy in list(out):
+                if rng.random() < noise:
+                    if rng.random() < 0.5:
+                        del out[xy]  # a missing entry
+                    else:
+                        out[xy] = "zz"  # a value outside the members
+            return out
+
+        tables = {name: [table() for _ in range(n)] for name in bundle.StalkOps.OPS}
+        zero, one = (tuple(rng.choice(alphabet + "z") for _ in range(n)) for _ in "01")
+        fast = pointwise_outcome(bundle.pointwise_rl, members, tables, zero, one)
+        assert fast == pointwise_outcome(pointwise_rl_literal, members, tables, zero, one)
+        kinds[fast[0] if isinstance(fast, tuple) else "algebra"] += 1
+    assert set(kinds) == {"algebra", *bundle.StalkOps.OPS, "zero", "one"}
