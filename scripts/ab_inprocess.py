@@ -21,7 +21,7 @@ alternating from round to round:
 - adjunction-suite: `cli.run` of `adjunction-suite`;
 - adjunction split: one `suites.adjunction_suite()` with the calls behind each
   of its seven checks timed apart (`adj exponential` ... `adj triangle`), and
-  `adj rest` for the fixtures and spaces the suite builds between them.  A call
+  `adj rest` for the fixtures and spaces the suite builds for its cases.  A call
   made inside another timed call is charged to the outer one.
 
 Before each timed call every module-level `functools` cache of that side is

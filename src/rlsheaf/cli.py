@@ -272,13 +272,12 @@ def cmd_gamma(ws: workspace.Workspace, args) -> dict:
     return {"ok": True, "lines": lines, "sections": list(ga.algebra.carrier)}
 
 
-def cmd_adjunction_suite(args) -> dict:
-    rep = suites.adjunction_suite()
-    return {"ok": rep.ok, "lines": rep.lines(), **rep.as_dict()}
+# The commands that build their own objects: each runs its suite, and no workspace is loaded.
+SUITES = {"adjunction-suite": suites.adjunction_suite, "law-suite": suites.law_suite}
 
 
-def cmd_law_suite(args) -> dict:
-    rep = suites.law_suite()
+def cmd_suite(args) -> dict:
+    rep = SUITES[args.command]()
     return {"ok": rep.ok, "lines": rep.lines(), **rep.as_dict()}
 
 
@@ -320,13 +319,10 @@ HANDLERS = {
     "pullback": cmd_pullback,
     "compose-rle": cmd_compose_rle,
     "gamma": cmd_gamma,
-    "adjunction-suite": cmd_adjunction_suite,
-    "law-suite": cmd_law_suite,
+    "adjunction-suite": cmd_suite,
+    "law-suite": cmd_suite,
     "export-dot": cmd_export_dot,
 }
-
-# The commands that build their own objects: their handlers take `args` alone and no workspace is loaded.
-SELF_CONTAINED = frozenset({"adjunction-suite", "law-suite"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +358,7 @@ def run(argv: list[str]) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         handler = HANDLERS[args.command]
-        if args.command in SELF_CONTAINED:
+        if args.command in SUITES:
             result = handler(args)
         else:
             result = handler(load_workspace(args.workspace, strict=not args.lenient), args)

@@ -524,6 +524,26 @@ def test_adjunction_checks_match_their_literal_bodies_on_small_spaces(b, x, t):
         assert outcome(getattr(adjunction, name), *args) == outcome(LITERAL_CHECKS[name], *args)
 
 
+def test_the_hom_set_bijections_hold_on_every_small_triple():
+    """The census over all 1,260 labelled triples: B with at most 3 points and X, T with at most 2,
+    discrete or not.  The exponential check on (B, X, T), the section check on pi_B(T) and X, and the
+    projection check on pi_B(X) and T each report a bijection; the triangle identities hold on the 24
+    pairs (B, X) whose B is discrete."""
+    triples = list(itertools.product(SMALL3, SMALL2, SMALL2))
+    assert len(triples) == 1260
+    for b, x, t in triples:
+        prod_t, q1, _ = fintop.product(b, t)
+        prod_x, p1, _ = fintop.product(b, x)
+        assert adjunction.check_exponential_adjunction(b, x, t, explore_nondiscrete=True)["bijective"]
+        assert adjunction.check_section_adjunction(bundle.Bundle(prod_t, b, q1), x, explore_nondiscrete=True)["bijective"]
+        assert adjunction.check_projection_adjunction(bundle.Bundle(prod_x, b, p1), t)["bijective"]
+    pairs = [(b, x) for b, x in itertools.product(SMALL3, SMALL2) if b.is_discrete()]
+    assert len(pairs) == 24
+    for b, x in pairs:
+        r = adjunction.check_triangle_identities(b, x)
+        assert r["upper_triangle_iso"] and r["lower_triangle_strict"]
+
+
 @pytest.mark.parametrize("continuous, message", [
     (True, "uncurry . curry is not the identity"), (False, "curry of a continuous map is not continuous"),
 ])
@@ -651,6 +671,25 @@ def test_the_pointwise_order_on_masks_is_the_pairwise_one():
         pts = b.base.sorted_points
         members = {s.id_str: tuple(s.table[p] for p in pts) for s in sections_literal(b, b.base.points)}
         assert adjunction.gamma_space(b)[0] == pointwise_topology_literal(members, b.total)
+
+
+def test_each_gamma_lift_verifies_its_section_algebra_once(monkeypatch):
+    """`pointwise_rl_on_sections` verifies the section algebra, and the Gamma lift then checks only the
+    continuity of its operations: one `verify_rl` per lift on the suite's four RL-bundles, and 8 in one
+    adjunction suite, one for each of its four C(B,A) and four Gamma lifts."""
+    calls = [0]
+
+    def counted(alg, verify=rlcore.verify_rl):
+        calls[0] += 1
+        return verify(alg)
+    monkeypatch.setattr(rlcore, "verify_rl", counted)
+    for rb in [ET4, fixtures.a2_over_point(), fixtures.et_max_d_a6(), fixtures.indiscrete_a2_over_point()]:
+        calls[0] = 0
+        adjunction.gamma_topological_rl(rb)
+        assert calls[0] == 1
+    calls[0] = 0
+    assert suites.adjunction_suite().ok
+    assert calls[0] == 8
 
 
 def test_gamma_topological_rl_refuses_an_algebra_whose_operations_are_not_continuous():

@@ -5,7 +5,7 @@ alone and by name."""
 import pytest
 
 from conftest import outputs_under_hash_seeds
-from rlsheaf import adjunction, bundle, cli, fintop, sheafify, suites
+from rlsheaf import adjunction, bundle, cli, fintop, fixtures, sheafify, suites
 from rlsheaf.report import ValidationReport, Violation
 
 DRAW = """
@@ -41,6 +41,26 @@ def test_a_lift_that_fails_its_check_fails_the_adjunction_suite_command(monkeypa
     assert cli.run(["adjunction-suite"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: failed assertion: lifted algebra failed: operation-discontinuous: mul\n"
+
+
+def test_every_case_of_a_failing_row_still_runs(monkeypatch, capsys):
+    """With the section check failing on its first case only, the suite still makes all five of its
+    calls, in order, and fails that row alone; the command prints the suite's lines and exits 1."""
+    calls = []
+
+    def first_fails(b, x, check=adjunction.check_section_adjunction):
+        calls.append((b, x))
+        return {**check(b, x), "bijective": len(calls) > 1}
+    monkeypatch.setattr(adjunction, "check_section_adjunction", first_fails)
+    rep = suites.adjunction_suite()
+    et4, d2 = fixtures.et_spec_h_a4().bundle, fintop.discrete(["m", "n"])
+    assert calls == [(et4, fixtures.space_point()), (et4, d2), (et4, fixtures.space_sierpinski()),
+                     (fixtures.a2_over_point().bundle, d2), (fixtures.et_min_p_a8().bundle, d2)]
+    assert [label for label, ok, _ in rep.checks if not ok] == ["section-functor adjunction hom-set bijections"]
+    calls.clear()
+    assert cli.run(["adjunction-suite"]) == 1
+    out, err = capsys.readouterr()
+    assert len(calls) == 5 and err == "" and out.splitlines() == rep.lines()
 
 
 def test_a_generator_that_cannot_draw_fails_the_sheafification_check(monkeypatch, capsys):
