@@ -94,11 +94,10 @@ def lambda_uniqueness_witnesses(f: SpaceMap, g: SpaceMap, e: Bundle) -> list[Spa
 class RLESpace:
     """A base space together with an RL-etale over it.
 
-    The RL-bundle check is `verify_rl_bundle_once`, so an etale whose content
-    was checked already is not checked again.  A workspace builds its
-    `rle_spaces` entries by `_admitted_rle_space`, on `rl_bundles` entries that
-    passed the check when they were admitted.  `pullback` builds each pullback
-    of the etale once per base map and keeps it on this object.
+    Building one runs `verify_rl_bundle` on the etale.  A workspace builds its
+    `rle_spaces` entries by `_admitted_rle_space` instead, on `rl_bundles`
+    entries that passed that check when they were admitted.  `pullback` builds
+    each pullback of the etale once per base map and keeps it on this object.
     """
 
     base: FiniteSpace
@@ -107,7 +106,7 @@ class RLESpace:
 
     def __post_init__(self):
         self._check_over_base()
-        rep = bnd.verify_rl_bundle_once(self.etale)
+        rep = bnd.verify_rl_bundle(self.etale)
         if not rep.ok:
             raise ValueError(f"not an RL-bundle: {rep.violations[0]}")
 

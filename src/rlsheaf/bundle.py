@@ -298,35 +298,6 @@ def _stalk_rows_pass(rows: tuple) -> bool:
     return rlcore.verify_rl(rlcore.from_tables(names, join, meet, mul, imp, names[bot], names[top])).ok
 
 
-class _Content:
-    """An RL-bundle hashed and compared by all that `verify_rl_bundle` reads of it, taken when wrapped."""
-
-    __slots__ = ("rb", "key")
-
-    def __init__(self, rb: RLBundle):
-        ops = rb.ops
-        self.rb = rb
-        self.key = (rb.proj, frozenset(ops.zero.items()), frozenset(ops.one.items()), *(
-            frozenset((p, frozenset(t.items())) for p, t in ops.op(name).items()) for name in StalkOps.OPS))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
-@functools.lru_cache(maxsize=64)
-def _verified(content: _Content) -> ValidationReport:
-    return verify_rl_bundle(content.rb)
-
-
-def verify_rl_bundle_once(rb: RLBundle) -> ValidationReport:
-    """`verify_rl_bundle(rb)`, run once per content: a bundle with the projection, tables and
-    constants of one already checked gets that report back while the module cache holds it."""
-    return _verified(_Content(rb))
-
-
 def is_etale(b: Bundle) -> bool:
     return fintop.is_local_homeomorphism(b.proj)
 
@@ -513,10 +484,6 @@ def base_compatible_tables(src: Bundle, dst: Bundle) -> Iterable[dict[str, str]]
     choices = [sorted(dst.stalk_points(src.proj(t))) for t in pts]
     for combo in itertools.product(*choices):
         yield dict(zip(pts, combo))
-
-
-# The old name of the constrained search, kept for callers outside the package.
-constrained_continuous_tables = fintop.monotone_tables
 
 
 def morphism_tables(src: Bundle, dst: Bundle) -> list[tuple[tuple[str, str], ...]]:

@@ -152,7 +152,7 @@ def test_criterion_07_sheafification_suite():
         ok &= crep["injective"] and crep["continuous"] and crep["open_relative"]
         t = gs.as_bundle
         choices = {p: b.stalk_points(t.proj(p)) for p in t.total.points}
-        tables = bundle.constrained_continuous_tables(t.total, b.total, choices)
+        tables = fintop.monotone_tables(t.total, b.total, choices)
         checked = 0
         for table in itertools.islice(tables, 12):
             h = bundle.BundleMorphism(t, b, fintop.space_map(t.total, b.total, table))

@@ -41,7 +41,6 @@ def test_corpus_parse_builds_no_kernel_pair_and_reads_each_open_family_once(monk
 def counted_calls(monkeypatch, *targets):
     """Count the calls of each (module, name) while the test runs; the program's caches start empty."""
     bundle._stalk_rows_pass.cache_clear()
-    bundle._verified.cache_clear()
     calls = {name: 0 for _, name in targets}
 
     def counting(name, f):
@@ -70,14 +69,14 @@ def test_corpus_parse_checks_each_stalk_structure_bundle_and_pullback_once(monke
     assert sum(isinstance(m, basechange.RLEInvMorphism) for m in ws.morphisms.values()) == 4
 
 
-def test_corpus_parse_keys_no_bundle_by_its_content(monkeypatch):
-    """Each rl_bundles entry is checked directly, and each rle_spaces entry is built on the etale the parse
-    admitted, so no `_Content` key is built; an `RLESpace` built directly still takes one."""
-    calls = counted_calls(monkeypatch, (bundle, "_Content"))
+def test_an_rl_bundle_is_checked_where_it_is_admitted(monkeypatch):
+    """A parse checks each of its 7 rl_bundles entries once and builds its 4 rle_spaces entries on the
+    etales it admitted, with no check of their own; an `RLESpace` built directly runs the check once."""
+    calls = counted_calls(monkeypatch, (bundle, "verify_rl_bundle"))
     ws = workspace.parse_workspace(bundled_text())
-    assert len(ws.rle_spaces) == 4 and calls == {"_Content": 0}
+    assert (len(ws.rl_bundles), len(ws.rle_spaces)) == (7, 4) and calls == {"verify_rl_bundle": 7}
     x = next(iter(ws.rle_spaces.values()))
-    assert basechange.RLESpace(x.base, x.etale) == x and calls == {"_Content": 1}
+    assert basechange.RLESpace(x.base, x.etale) == x and calls == {"verify_rl_bundle": 8}
 
 
 def test_corpus_parse_reads_each_lattice_order_once(monkeypatch):
