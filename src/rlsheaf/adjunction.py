@@ -227,12 +227,13 @@ def lift_compact_open_rl(b: FiniteSpace, a: TopologicalRL) -> tuple[TopologicalR
 
 def gamma_topological_rl(rb: RLBundle) -> TopologicalRL:
     """Gamma(base, -) lifted: pointwise algebra on global sections, subspace topology.  The algebra is
-    verified as it is built, so only the continuity of its operations is checked here."""
+    verified as it is built, so only the continuity of its operations is checked here: an RL-bundle
+    whose section operations are not continuous is refused with a ValueError."""
     sa = bnd.pointwise_rl_on_sections(rb, rb.base.points)
     trl = TopologicalRL(sa.algebra, _section_space(rb.bundle, sa.sections))
     bad = _discontinuous(trl)
     if bad:
-        raise AssertionError(f"section algebra failed: {bad[0]}")
+        raise ValueError(f"section algebra failed: {bad[0]}")
     return trl
 
 

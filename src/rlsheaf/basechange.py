@@ -96,13 +96,16 @@ class RLESpace:
 
     Building one runs `verify_rl_bundle` on the etale.  A workspace builds its
     `rle_spaces` entries by `_admitted_rle_space` instead, on `rl_bundles`
-    entries that passed that check when they were admitted.  `pullback` builds
-    each pullback of the etale once per base map and keeps it on this object.
+    entries that passed that check when they were admitted.  Two derived
+    structures are built on first use and kept on this object: `pullback`
+    builds each pullback of the etale once per base map, and
+    `section_functor_object` builds the section algebra Gamma once.
     """
 
     base: FiniteSpace
     etale: RLBundle
     _pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gamma: SectionAlgebra | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_over_base()
@@ -127,7 +130,7 @@ def _admitted_rle_space(base: FiniteSpace, etale: RLBundle) -> RLESpace:
     """`RLESpace(base, etale)` for an etale that has passed `verify_rl_bundle` already: the base and
     local-homeomorphism checks run, and the RL-bundle check does not."""
     x = object.__new__(RLESpace)
-    x.base, x.etale, x._pullbacks = base, etale, {}
+    x.base, x.etale, x._pullbacks, x._gamma = base, etale, {}, None
     x._check_over_base()
     return x
 
@@ -175,7 +178,10 @@ def compose_rle_inv(m1: RLEInvMorphism, m2: RLEInvMorphism) -> RLEInvMorphism:
 
 
 def section_functor_object(x: RLESpace) -> SectionAlgebra:
-    return bnd.pointwise_rl_on_sections(x.etale, x.base.points)
+    """Gamma(x): the global sections under pointwise operations, built on the first call for x and kept on x."""
+    if x._gamma is None:
+        x._gamma = bnd.pointwise_rl_on_sections(x.etale, x.base.points)
+    return x._gamma
 
 
 def section_functor_morphism(m: RLEInvMorphism) -> rlcore.RLMorphism:

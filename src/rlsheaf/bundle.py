@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fintop, rlcore
@@ -23,11 +23,12 @@ Subset = frozenset[str]
 
 @dataclass
 class Bundle:
-    """A continuous projection total -> base."""
+    """A continuous projection total -> base.  `sheafify.germ_space` keeps its germ space on it."""
 
     total: FiniteSpace
     base: FiniteSpace
     proj: SpaceMap
+    _germ_space: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.proj.dom != self.total or self.proj.cod != self.base:

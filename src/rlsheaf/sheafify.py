@@ -93,6 +93,13 @@ def etale_of(b: Bundle) -> GermSpace:
     return GermSpace(b, e.total, e.proj, germs)
 
 
+def germ_space(b: Bundle) -> GermSpace:
+    """`etale_of(b)`, built on the first call for b and kept on b."""
+    if b._germ_space is None:
+        b._germ_space = etale_of(b)
+    return b._germ_space
+
+
 def counit(b: Bundle, gs: GermSpace | None = None) -> SpaceMap:
     """epsilon: germ space -> total, a germ goes to its representative's value."""
     gs = gs or etale_of(b)
@@ -137,8 +144,8 @@ def coreflect_morphism(h: BundleMorphism) -> SpaceMap:
     """E(h): the one etale morphism from the germ space of h.src to that of h.dst with counit . E(h) =
     h . counit, the couniversal factorization of h after the counit of h.src, which is read off each
     germ's value; [s]_b goes to [h s]_b."""
-    gs = etale_of(h.src)
-    return _factor_through_germs(gs.space, gs.proj.mapping, lambda k: h(gs.germs[k].value()), etale_of(h.dst))
+    gs = germ_space(h.src)
+    return _factor_through_germs(gs.space, gs.proj.mapping, lambda k: h(gs.germs[k].value()), germ_space(h.dst))
 
 
 def couniversal_factorization(h: BundleMorphism, gs: GermSpace | None = None) -> SpaceMap:

@@ -372,22 +372,18 @@ def section_functor_census():
     return len(morphisms), composites, +failures
 
 
-def memoize_section_functor_object(monkeypatch):
-    """`basechange.section_functor_object` built once per `RLESpace` object."""
-    built, build = {}, basechange.section_functor_object
-
-    def memo(x):
-        if id(x) not in built:
-            built[id(x)] = x, build(x)
-        return built[id(x)][1]
-
-    monkeypatch.setattr(basechange, "section_functor_object", memo)
-
-
-def test_the_section_functor_is_a_contravariant_functor_on_every_small_rle_space(monkeypatch):
+def test_the_section_functor_is_a_contravariant_functor_on_every_small_rle_space():
     """Settled here so that `section_functor_morphism` need not check that each pulled section is one."""
-    memoize_section_functor_object(monkeypatch)
     assert section_functor_census() == (364, 7964, {})
+
+
+def test_the_section_functor_census_builds_each_section_algebra_once(monkeypatch):
+    """`section_functor_object` keeps Gamma on its `RLESpace`: over the census, whose RLE-spaces are built
+    afresh, each on its own RL-etale, `pointwise_rl_on_sections` runs at most once per RL-etale."""
+    built, build = [], bundle.pointwise_rl_on_sections
+    monkeypatch.setattr(bundle, "pointwise_rl_on_sections", lambda rb, *args: built.append(rb) or build(rb, *args))
+    assert section_functor_census() == (364, 7964, {})
+    assert len(built) == len(set(map(id, built))) > 0
 
 
 def section_functor_morphism_without_alpha(m):
@@ -402,6 +398,5 @@ def section_functor_morphism_without_alpha(m):
 
 
 def test_the_section_functor_census_fails_when_alpha_is_dropped(monkeypatch):
-    memoize_section_functor_object(monkeypatch)
     monkeypatch.setattr(basechange, "section_functor_morphism", section_functor_morphism_without_alpha)
     assert section_functor_census()[2] == {"literal": 311, "composite": 7833}

@@ -506,24 +506,34 @@ def coreflector_census():
     return identities, composites, failures
 
 
-def memoize_etale_of(monkeypatch):
-    """`sheafify.etale_of` built once per bundle object."""
-    built, etale_of = {}, sheafify.etale_of
-
-    def memo(b):
-        if id(b) not in built:
-            built[id(b)] = b, etale_of(b)
-        return built[id(b)][1]
-
-    monkeypatch.setattr(sheafify, "etale_of", memo)
-
-
-def test_the_coreflector_keeps_identities_and_composites_on_every_small_bundle(monkeypatch):
-    memoize_etale_of(monkeypatch)
+def test_the_coreflector_keeps_identities_and_composites_on_every_small_bundle():
     assert coreflector_census() == (69, 11287, {})
 
 
+def test_the_coreflector_census_lifts_through_one_germ_space_per_bundle(monkeypatch):
+    """`coreflect_morphism` keeps each end's germ space on its bundle: over the census, whose
+    `small_bundles` are built afresh, the lifts call `etale_of` at most once per bundle object."""
+    built, lifting = [], []
+    etale_of, coreflect_morphism = sheafify.etale_of, sheafify.coreflect_morphism
+
+    def counted(b):
+        if lifting:
+            built.append(b)
+        return etale_of(b)
+
+    def lift(h):
+        lifting.append(h)
+        try:
+            return coreflect_morphism(h)
+        finally:
+            lifting.pop()
+
+    monkeypatch.setattr(sheafify, "etale_of", counted)
+    monkeypatch.setattr(sheafify, "coreflect_morphism", lift)
+    assert coreflector_census() == (69, 11287, {})
+    assert len(built) == len(set(map(id, built))) > 0
+
+
 def test_the_coreflector_census_fails_when_the_lift_repeats_each_value(monkeypatch):
-    memoize_etale_of(monkeypatch)
     monkeypatch.setattr(sheafify, "_factor_through_germs", factor_through_constant_germs)
     assert coreflector_census()[2] == {"identity": 6, "composite": 196}
