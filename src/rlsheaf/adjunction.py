@@ -125,15 +125,6 @@ def uncurry(k: SpaceMap, p1: SpaceMap, p2: SpaceMap, fs: FunctionSpace) -> Space
     return fintop._settled_map(prod, fs.cod, tuple(zip(prod.sorted_points, _regrouping(p1, p2)[1](flat))))
 
 
-def corestrict_to_sections(b: Bundle, h: SpaceMap, p1: SpaceMap, p2: SpaceMap) -> dict[str, Section]:
-    """For h: BxX -> total over the base, the family x -> (curried section)."""
-    pts, proj = p1.cod.sorted_points, b.proj.mapping
-    slices = dict(zip(p2.cod.sorted_points, _slices(h.table, p1, p2)))
-    if any(proj[v] != bpt for sl in slices.values() for bpt, v in zip(pts, sl)):
-        raise ValueError("h does not commute with the projections")
-    return {xpt: Section(b, frozenset(b.base.points), dict(zip(pts, sl))) for xpt, sl in slices.items()}
-
-
 def gamma_space(b: Bundle) -> tuple[FiniteSpace, dict[str, Section]]:
     """Global sections with the subspace topology inherited from C(base, total).
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -71,23 +70,6 @@ def lambda_iso(f: SpaceMap, g: SpaceMap, e: Bundle) -> SpaceMap:
     if not fintop.is_homeomorphism(m):
         raise AssertionError("lambda comparison map is not a homeomorphism")
     return m
-
-
-def lambda_uniqueness_witnesses(f: SpaceMap, g: SpaceMap, e: Bundle) -> list[SpaceMap]:
-    """All maps between the two pullback totals commuting with both cone legs."""
-    gf = fintop.compose(g, f)
-    outer = pullback_etale(gf, e)
-    inner = pullback_etale(g, e)
-    nested = pullback_etale(f, inner.result)
-    upper = fintop.compose(inner.fprime, nested.fprime)  # nested -> e total
-    # Both conditions are pointwise, so each point ranges over its own admissible values.
-    pts = outer.result.total.sorted_points
-    choices = [
-        [v for v in nested.result.total.sorted_points
-         if nested.result.proj(v) == outer.result.proj(k) and upper(v) == outer.fprime(k)]
-        for k in pts
-    ]
-    return [fintop.space_map(outer.result.total, nested.result.total, dict(zip(pts, combo))) for combo in itertools.product(*choices)]
 
 
 @dataclass

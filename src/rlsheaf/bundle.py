@@ -66,23 +66,8 @@ def stalk(b: Bundle, p: str) -> FiniteSpace:
     return fintop.subspace(b.total, b.stalk_points(p))
 
 
-@dataclass
-class KernelPair:
-    """The kernel pair T x_B T of a bundle, with its two projections onto the total space."""
-
-    parent: Bundle
-    space: FiniteSpace
-    p1: SpaceMap
-    p2: SpaceMap
-
-
 def kernel_pair_points(b: Bundle) -> dict[str, tuple[str, str]]:
     return fintop.pullback_pairs(b.proj, b.proj)
-
-
-def kernel_pair(b: Bundle) -> KernelPair:
-    space, p1, p2 = fintop.pullback_space(b.proj, b.proj)
-    return KernelPair(b, space, p1, p2)
 
 
 @dataclass
@@ -170,23 +155,6 @@ def stalk_rl(rb: RLBundle, b: str) -> rlcore.ResiduatedLattice:
         sorted(rb.bundle.stalk_points(b)), dict(rb.ops.join[b]), dict(rb.ops.meet[b]), dict(rb.ops.mul[b]),
         dict(rb.ops.imp[b]), rb.ops.zero[b], rb.ops.one[b],
     )
-
-
-def proper_map_from_stalk_ops(b: Bundle, ops: StalkOps, name: str) -> dict[str, str]:
-    """Collapse per-stalk tables into one map on kernel-pair ids."""
-    tabs = ops.op(name)
-    out: dict[str, str] = {}
-    for k, (t1, t2) in kernel_pair_points(b).items():
-        out[k] = tabs[b.proj(t1)][t1, t2]
-    return out
-
-
-def stalk_ops_from_proper_map(b: Bundle, rho: Mapping[str, str]) -> dict[str, dict[tuple[str, str], str]]:
-    """Slice a kernel-pair map back into per-stalk binary tables."""
-    out: dict[str, dict[tuple[str, str], str]] = {p: {} for p in b.base.points}
-    for k, (t1, t2) in kernel_pair_points(b).items():
-        out[b.proj(t1)][t1, t2] = rho[k]
-    return out
 
 
 def verify_rl_bundle(rb: RLBundle) -> ValidationReport:
@@ -363,19 +331,6 @@ def sections(b: Bundle, x: Iterable[str]) -> list[Section]:
     return sorted((_settled_section(b, dom, t) for t in tables), key=lambda s: s.id_str)
 
 
-def section_through_point(e: Bundle, t: str) -> tuple[Subset, Section]:
-    """A basis-open witness (U, sigma) with sigma(proj(t)) = t; requires an etale.
-
-    At an etale the projection maps U_t onto U_proj(t) bijectively, so sigma
-    is its inverse there, over the least open U that can carry it.
-    """
-    if not is_etale(e):
-        raise ValueError("bundle is not an etale")
-    v = e.total.min_nbhd_map[t]
-    u = e.proj.image(v)
-    return u, Section(e, u, {e.proj(s): s for s in v})
-
-
 def equalizer(s1: Section, s2: Section) -> tuple[Subset, dict[str, bool]]:
     """Agreement set of two sections plus topology facts about it."""
     if s1.parent.base != s2.parent.base:
@@ -521,23 +476,3 @@ def rl_bundle_morphism_violations(h: SpaceMap, src: RLBundle, dst: RLBundle) -> 
         bad = rlcore.rl_morphism_violations(table, stalk_rl(src, b), stalk_rl(dst, b))
         out.extend(f"stalk {b}: {w}" for w in bad[:1])
     return out
-
-
-def proper_square_commutes(h: SpaceMap, src: RLBundle, dst: RLBundle) -> bool:
-    """The kernel-pair square definition of an RL-bundle morphism.
-
-    Covers the four proper binary maps plus the two global-section squares
-    (the nullary operations), which the stalkwise reading also demands.
-    """
-    pairs = kernel_pair_points(src.bundle)
-    for name in StalkOps.OPS:
-        rho_src = proper_map_from_stalk_ops(src.bundle, src.ops, name)
-        rho_dst = proper_map_from_stalk_ops(dst.bundle, dst.ops, name)
-        for k, (t1, t2) in pairs.items():
-            if h(rho_src[k]) != rho_dst[pair_id(h(t1), h(t2))]:
-                return False
-    for src_tab, dst_tab in [(src.ops.zero, dst.ops.zero), (src.ops.one, dst.ops.one)]:
-        for b in src.base.points:
-            if h(src_tab[b]) != dst_tab[b]:
-                return False
-    return True

@@ -6,7 +6,9 @@ from . import bundle, fintop, rlcore
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    """A DOT quoted string naming `s`: a backslash is doubled before each quote is escaped, so no name can
+    end its string early and no two names share one."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def lattice_dot(name: str, lat: rlcore.ResiduatedLattice) -> str:

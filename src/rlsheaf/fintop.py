@@ -453,11 +453,6 @@ def subspace(s: FiniteSpace, carrier: Iterable[str]) -> FiniteSpace:
     return FiniteSpace(sub, {p: mins[p] & sub for p in sub})
 
 
-def restrict_map(m: SpaceMap, carrier: Iterable[str]) -> SpaceMap:
-    sub = subspace(m.dom, carrier)
-    return space_map(sub, m.cod, {p: m(p) for p in sub.points})
-
-
 def is_continuous(m: SpaceMap) -> bool:
     """f(U_x) inside U_f(x) for every x: f is monotone for the specialization preorders."""
     cod, f = m.cod.min_nbhd_map, m.mapping
@@ -467,11 +462,6 @@ def is_continuous(m: SpaceMap) -> bool:
 def is_open_map(m: SpaceMap) -> bool:
     """Every f(U_x) is open; images of unions are unions of images."""
     return all(m.cod.is_open(m.image(u)) for _, u in m.dom.min_nbhds)
-
-
-def is_locally_injective(m: SpaceMap) -> bool:
-    """f is injective on each U_x, the least open neighbourhood of x."""
-    return all(len(m.image(u)) == len(u) for _, u in m.dom.min_nbhds)
 
 
 def _homeo_opens(m: SpaceMap) -> Iterator[int]:
@@ -524,18 +514,6 @@ def is_homeomorphism(m: SpaceMap) -> bool:
     specialization preorders, which is continuous, open and bijective."""
     img = m.image(m.dom.points)
     return len(img) == len(m.dom.points) and img == m.cod.points and is_local_homeomorphism(m)
-
-
-def local_homeo_basis(m: SpaceMap) -> list[PointSet]:
-    """Opens on which m restricts to a homeomorphism onto an open image (`_homeo_opens`), by `set_key`.
-
-    Requires m to be a local homeomorphism; the result is a basis of dom, that is, it holds every U_x
-    (settled by the tests on small spaces, not re-checked here).
-    """
-    if not is_local_homeomorphism(m):
-        raise ValueError("map is not a local homeomorphism")
-    pts = m.dom.sorted_points
-    return sorted((_from_mask(u, pts) for u in set(_homeo_opens(m))), key=set_key)
 
 
 def minimal_neighborhood(s: FiniteSpace, p: str) -> PointSet:
@@ -610,23 +588,6 @@ def pullback_space(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, Spa
     p1 = space_map(space, f.dom, {k: v[0] for k, v in pairs.items()})
     p2 = space_map(space, g.dom, {k: v[1] for k, v in pairs.items()})
     return space, p1, p2
-
-
-def pullback_universal_check(
-    f: SpaceMap, g: SpaceMap, z1: SpaceMap, z2: SpaceMap
-) -> SpaceMap:
-    """Mediating map for a commuting cone (z1, z2); unique by construction of pair ids."""
-    if z1.dom != z2.dom:
-        raise ValueError("cone legs have different domains")
-    if any(f(z1(p)) != g(z2(p)) for p in z1.dom.points):
-        raise ValueError("cone does not commute")
-    space, p1, p2 = pullback_space(f, g)
-    u = space_map(z1.dom, space, {p: pair_id(z1(p), z2(p)) for p in z1.dom.points})
-    if not is_continuous(u):
-        raise AssertionError("mediating map is not continuous")
-    if compose(p1, u).table != z1.table or compose(p2, u).table != z2.table:
-        raise AssertionError("mediating map does not commute")
-    return u
 
 
 def _monotone_search(

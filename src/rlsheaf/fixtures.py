@@ -199,11 +199,6 @@ def identity_bundle(space: fintop.FiniteSpace) -> bundle.Bundle:
     return bundle.Bundle(space, space, fintop.identity_map(space))
 
 
-def morphism_a6_to_a4() -> rlcore.RLMorphism:
-    table = {"0": "0", "a": "a", "b": "a", "c": "b", "d": "1", "1": "1"}
-    return rlcore.RLMorphism(rl_a6(), rl_a4(), table)
-
-
 def etale_fixtures() -> dict[str, bundle.RLBundle]:
     return {
         "etspecha4": et_spec_h_a4(),

@@ -82,7 +82,7 @@ class _Order:
     `rows[i][j]` says x_i <= x_j, `cols[j]` is column j as 0/1 bytes (the down-set of x_j), `up`/`down` are
     bitmask rows, and `partial` says whether the relation is a partial order on the carrier.  Every bound
     is read off `up` or `down`: whole tables of joins, meets and residuals on the happy paths, and one
-    extremum at a time (`extremum`) for `lub`, `glb` and the walks that name a failure."""
+    extremum at a time (`extremum`) for the walks that name a failure."""
 
     def __init__(self, n: int, le: list[bool]):
         powers = [1 << i for i in range(n)]
@@ -115,28 +115,6 @@ class _Order:
 @lru_cache(maxsize=64)
 def _order_of(elems: tuple[str, ...], leq: frozenset[tuple[str, str]]) -> _Order:
     return _Order(len(elems), list(map(leq.__contains__, product(elems, repeat=2))))
-
-
-def _bound(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str], side: str) -> str | None:
-    """The extremum, on the `side` ("up" or "down") of the carrier's `_Order`, of the carrier elements that
-    bound every x.  Arguments outside the carrier are read into that order after it, so the row of each holds
-    the carrier elements that `leq` relates it to."""
-    elems = list(dict.fromkeys(carrier))
-    xs = list(xs)
-    named = list(dict.fromkeys([*elems, *xs]))
-    rows = getattr(_Order.of(named, leq), side)
-    pos = {x: i for i, x in enumerate(named)}
-    i = _Order.extremum(rows, reduce(and_, (rows[pos[x]] for x in xs), (1 << len(elems)) - 1))
-    return None if i is None else elems[i]
-
-
-def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    """Least upper bound of a subset, None when it does not exist."""
-    return _bound(carrier, leq, xs, "up")
-
-
-def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
-    return _bound(carrier, leq, xs, "down")
 
 
 def _positions(elems: tuple[str, ...] | list[str], tab: Mapping[tuple[str, str], str]) -> list[int | None]:
@@ -415,10 +393,6 @@ def generated_filter(lat: ResiduatedLattice, xs: Iterable[str]) -> Subset:
     return frozenset(y for y in lat.carrier if lat.le(e, y))
 
 
-def filter_join(lat: ResiduatedLattice, filters: Iterable[Iterable[str]]) -> Subset:
-    return generated_filter(lat, itertools.chain.from_iterable(filters))
-
-
 @dataclass(frozen=True)
 class FilterFlags:
     """What `all_filters` settles about one filter."""
@@ -504,30 +478,6 @@ def congruence_of_filter(lat: ResiduatedLattice, f: Iterable[str]) -> Congruence
     return Congruence(lat, tuple(map(frozenset, fibres.values())))
 
 
-def _congruence_violations(lat: ResiduatedLattice, cong: Congruence) -> list[str]:
-    out = []
-    bo = cong.block_of
-    for op_name, tab in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]:
-        for b in cong.blocks:
-            for x, x2 in itertools.product(b, repeat=2):
-                for y in lat.carrier:
-                    if bo[tab[x, y]] != bo[tab[x2, y]]:
-                        out.append(f"{op_name}({x}~{x2},{y})")
-                    if bo[tab[y, x]] != bo[tab[y, x2]]:
-                        out.append(f"{op_name}({y},{x}~{x2})")
-    return out
-
-
-def is_congruence(lat: ResiduatedLattice, blocks: Iterable[Iterable[str]]) -> bool:
-    cong = Congruence(lat, tuple(frozenset(b) for b in blocks))
-    return not _congruence_violations(lat, cong)
-
-
-def filter_of_congruence(lat: ResiduatedLattice, cong: Congruence) -> Subset:
-    """Kernel class of the top element."""
-    return cong.block_of[lat.top]
-
-
 def block_id(b: Iterable[str]) -> str:
     return "[" + "|".join(sorted(b)) + "]"
 
@@ -567,10 +517,6 @@ def rl_morphism_violations(table: Mapping[str, str], dom: ResiduatedLattice, cod
 
 def is_rl_morphism(table: Mapping[str, str], dom: ResiduatedLattice, cod: ResiduatedLattice) -> bool:
     return not rl_morphism_violations(table, dom, cod)
-
-
-def coker(table: Mapping[str, str], cod_top: str) -> Subset:
-    return frozenset(x for x, v in table.items() if v == cod_top)
 
 
 def quotient(lat: ResiduatedLattice, f: Iterable[str]) -> tuple[ResiduatedLattice, RLMorphism]:

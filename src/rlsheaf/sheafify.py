@@ -17,7 +17,6 @@ from . import bundle as bnd
 from . import fintop
 from .bundle import Bundle, BundleMorphism, RLBundle, Section
 from .fintop import FiniteSpace, SpaceMap, cached_attribute
-from .report import fmt_set
 
 
 def germ_id(base_point: str, table: dict[str, str]) -> str:
@@ -43,24 +42,6 @@ class Germ:
 
     def value(self) -> str:
         return self.rep(self.base_point)
-
-
-def germ_at(b: Bundle, s: Section, p: str) -> Germ:
-    """Germ of a section over an open set at a point of that set."""
-    if not b.base.is_open(s.domain):
-        raise ValueError(f"section domain {fmt_set(s.domain)} is not open")
-    if p not in s.domain:
-        raise ValueError(f"{p} is outside the section domain")
-    rep = s.restrict(fintop.minimal_neighborhood(b.base, p))
-    return Germ(p, rep)
-
-
-def germs_equivalent_exists_w(b: Bundle, s: Section, t: Section, p: str) -> bool:
-    """The textual definition: some open W containing p inside both domains where they agree."""
-    for w in b.base.opens:
-        if p in w and w <= s.domain and w <= t.domain and all(s(q) == t(q) for q in w):
-            return True
-    return False
 
 
 @dataclass

@@ -36,20 +36,6 @@ def hull(cfg: SpectrumConfig, xs: Iterable[str]) -> tuple[Subset, ...]:
     return tuple(p for p in cfg.pi if x <= p)
 
 
-def dual(cfg: SpectrumConfig, xs: Iterable[str]) -> tuple[Subset, ...]:
-    h = set(hull(cfg, xs))
-    return tuple(p for p in cfg.pi if p not in h)
-
-
-def kernel(cfg: SpectrumConfig, members: Iterable[Subset]) -> Subset:
-    """Intersection of the chosen filters; the empty family meets to the whole carrier."""
-    members = list(members)
-    out = set(cfg.parent.carrier)
-    for m in members:
-        out &= m
-    return frozenset(out)
-
-
 def default_names(pi: Iterable[Subset]) -> dict[Subset, str]:
     ordered = sorted(set(pi), key=set_key)
     return {f: fmt_set(f) for f in ordered}

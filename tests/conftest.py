@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import functools
 import itertools
+import operator
 import os
 import pathlib
 import subprocess
 import sys
+from typing import Iterable, Mapping
 
 import pytest
 
-from rlsheaf import adjunction, basechange, bundle, cli, fintop, fixtures, rlcore, sheafify, workspace
+from rlsheaf import adjunction, basechange, bundle, cli, fintop, fixtures, rlcore, sheafify, spectra, workspace
 from rlsheaf.report import Violation, fmt_set, set_key
 
 
@@ -432,7 +435,7 @@ def uncurry_literal(k: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap
 
 
 def corestrict_to_sections_literal(b: bundle.Bundle, h: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap) -> dict:
-    """Oracle: `adjunction.corestrict_to_sections` scanning all of BxX for every x."""
+    """Oracle: `corestrict_to_sections` scanning all of BxX for every x."""
     if any(b.proj(h(k)) != p1(k) for k in h.dom.points):
         raise ValueError("h does not commute with the projections")
     out: dict[str, bundle.Section] = {}
@@ -524,7 +527,7 @@ def check_section_adjunction_literal(b: bundle.Bundle, x, explore_nondiscrete: b
     rhs = fintop.continuous_maps(x, g_space)
     sent = set()
     for h in lhs:
-        fam = adjunction.corestrict_to_sections(b, h, p1, p2)
+        fam = corestrict_to_sections(b, h, p1, p2)
         k = fintop.space_map(x, g_space, {xp: fam[xp].id_str for xp in x.points})
         if not fintop.is_continuous(k):
             raise AssertionError("corestriction is not continuous")
@@ -589,13 +592,13 @@ def section_functor_morphism_literal(m: basechange.RLEInvMorphism) -> rlcore.RLM
 
 def couniversal_factorization_literal(h: bundle.BundleMorphism, gs: sheafify.GermSpace | None = None) -> fintop.SpaceMap:
     """Oracle: `sheafify.couniversal_factorization` pushing the section through each point that
-    `bundle.section_through_point` builds."""
+    `section_through_point` builds."""
     if not bundle.is_etale(h.src):
         raise ValueError("source bundle is not an etale")
     gs = gs or sheafify.etale_of(h.dst)
     table = {}
     for y in sorted(h.src.total.points):
-        u, s = bundle.section_through_point(h.src, y)
+        u, s = section_through_point(h.src, y)
         p = h.src.proj(y)
         pushed = {q: h(s(q)) for q in fintop.minimal_neighborhood(h.src.base, p)}
         table[y] = sheafify.germ_id(p, pushed)
@@ -693,7 +696,7 @@ def is_local_homeomorphism_direct_literal(m: fintop.SpaceMap) -> bool:
 
 
 def local_homeo_basis_literal(m: fintop.SpaceMap) -> list[frozenset[str]]:
-    """Oracle: `fintop.local_homeo_basis` as it was on frozensets, over the opens `opens_literal` lists:
+    """Oracle: `local_homeo_basis` as it was on frozensets, over the opens `opens_literal` lists:
     the ValueError unless `is_local_homeomorphism_direct_literal` holds, then every open u whose image
     is open and reached bijectively, with m|_u continuous and open for the subspace families, by
     `set_key`, checked to cover every open with unions of members."""
@@ -823,7 +826,7 @@ def counit_report_literal(b: bundle.Bundle, gs: sheafify.GermSpace) -> dict[str,
     rel_ok = True
     for u in b.base.sorted_opens():
         for s in bundle.sections(b, u):
-            img_basis = frozenset(sheafify.germ_at(b, s, p).id_str for p in u)
+            img_basis = frozenset(germ_at(b, s, p).id_str for p in u)
             if eps.image(img_basis) != s.image():
                 rel_ok = False
             section_images.add(s.image())
@@ -847,7 +850,7 @@ def etale_of_literal(b: bundle.Bundle) -> sheafify.GermSpace:
         for s in bundle.sections(b, fintop.minimal_neighborhood(b.base, p)):
             g = sheafify.Germ(p, s)
             germs[g.id_str] = g
-            mins[g.id_str] = frozenset(sheafify.germ_at(b, s, q).id_str for q in s.domain)
+            mins[g.id_str] = frozenset(germ_at(b, s, q).id_str for q in s.domain)
     space = fintop.FiniteSpace(frozenset(germs), mins)
     proj = fintop.space_map(space, b.base, {k: g.base_point for k, g in germs.items()})
     return sheafify.GermSpace(b, space, proj, germs)
@@ -906,9 +909,9 @@ def verify_rl_bundle_literal(rb: bundle.RLBundle) -> tuple[Violation, ...]:
 
     mins_t = b.total.min_nbhd_map
     for name in bundle.StalkOps.OPS:
-        rho = bundle.proper_map_from_stalk_ops(b, rb.ops, name)
+        rho = proper_map_from_stalk_ops(b, rb.ops, name)
         witness = next(
-            (f"{k} -> {kk}" for k, nb in bundle.kernel_pair(b).space.min_nbhds
+            (f"{k} -> {kk}" for k, nb in kernel_pair(b).space.min_nbhds
              for kk in sorted(nb) if rho[kk] not in mins_t[rho[k]]),
             None,
         )
@@ -930,6 +933,227 @@ def verify_rl_bundle_literal(rb: bundle.RLBundle) -> tuple[Violation, ...]:
         bad.append(Violation("projection-not-surjective", fmt_set(b.base.points - b.proj.image(b.total.points))))
 
     return tuple(bad)
+
+
+def _bound(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str], side: str) -> str | None:
+    """The extremum, on the `side` ("up" or "down") of the carrier's `_Order`, of the carrier elements that
+    bound every x.  Arguments outside the carrier are read into that order after it, so the row of each holds
+    the carrier elements that `leq` relates it to."""
+    elems = list(dict.fromkeys(carrier))
+    xs = list(xs)
+    named = list(dict.fromkeys([*elems, *xs]))
+    rows = getattr(rlcore._Order.of(named, leq), side)
+    pos = {x: i for i, x in enumerate(named)}
+    i = rlcore._Order.extremum(rows, functools.reduce(operator.and_, (rows[pos[x]] for x in xs), (1 << len(elems)) - 1))
+    return None if i is None else elems[i]
+
+
+def lub(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
+    """Least upper bound of a subset, None when it does not exist."""
+    return _bound(carrier, leq, xs, "up")
+
+
+def glb(carrier: Iterable[str], leq: frozenset[tuple[str, str]], xs: Iterable[str]) -> str | None:
+    return _bound(carrier, leq, xs, "down")
+
+
+def filter_join(lat: rlcore.ResiduatedLattice, filters: Iterable[Iterable[str]]) -> rlcore.Subset:
+    return rlcore.generated_filter(lat, itertools.chain.from_iterable(filters))
+
+
+def _congruence_violations(lat: rlcore.ResiduatedLattice, cong: rlcore.Congruence) -> list[str]:
+    out = []
+    bo = cong.block_of
+    for op_name, tab in [("join", lat.join), ("meet", lat.meet), ("mul", lat.mul), ("imp", lat.imp)]:
+        for b in cong.blocks:
+            for x, x2 in itertools.product(b, repeat=2):
+                for y in lat.carrier:
+                    if bo[tab[x, y]] != bo[tab[x2, y]]:
+                        out.append(f"{op_name}({x}~{x2},{y})")
+                    if bo[tab[y, x]] != bo[tab[y, x2]]:
+                        out.append(f"{op_name}({y},{x}~{x2})")
+    return out
+
+
+def is_congruence(lat: rlcore.ResiduatedLattice, blocks: Iterable[Iterable[str]]) -> bool:
+    cong = rlcore.Congruence(lat, tuple(frozenset(b) for b in blocks))
+    return not _congruence_violations(lat, cong)
+
+
+def filter_of_congruence(lat: rlcore.ResiduatedLattice, cong: rlcore.Congruence) -> rlcore.Subset:
+    """Kernel class of the top element."""
+    return cong.block_of[lat.top]
+
+
+def coker(table: Mapping[str, str], cod_top: str) -> rlcore.Subset:
+    return frozenset(x for x, v in table.items() if v == cod_top)
+
+
+def dual(cfg: spectra.SpectrumConfig, xs: Iterable[str]) -> tuple[spectra.Subset, ...]:
+    h = set(spectra.hull(cfg, xs))
+    return tuple(p for p in cfg.pi if p not in h)
+
+
+def kernel(cfg: spectra.SpectrumConfig, members: Iterable[spectra.Subset]) -> spectra.Subset:
+    """Intersection of the chosen filters; the empty family meets to the whole carrier."""
+    members = list(members)
+    out = set(cfg.parent.carrier)
+    for m in members:
+        out &= m
+    return frozenset(out)
+
+
+def restrict_map(m: fintop.SpaceMap, carrier: Iterable[str]) -> fintop.SpaceMap:
+    sub = fintop.subspace(m.dom, carrier)
+    return fintop.space_map(sub, m.cod, {p: m(p) for p in sub.points})
+
+
+def is_locally_injective(m: fintop.SpaceMap) -> bool:
+    """f is injective on each U_x, the least open neighbourhood of x."""
+    return all(len(m.image(u)) == len(u) for _, u in m.dom.min_nbhds)
+
+
+def local_homeo_basis(m: fintop.SpaceMap) -> list[fintop.PointSet]:
+    """Opens on which m restricts to a homeomorphism onto an open image (`_homeo_opens`), by `set_key`.
+
+    Requires m to be a local homeomorphism; the result is a basis of dom, that is, it holds every U_x
+    (settled by the tests on small spaces, not re-checked here).
+    """
+    if not fintop.is_local_homeomorphism(m):
+        raise ValueError("map is not a local homeomorphism")
+    pts = m.dom.sorted_points
+    return sorted((fintop._from_mask(u, pts) for u in set(fintop._homeo_opens(m))), key=set_key)
+
+
+def pullback_universal_check(
+    f: fintop.SpaceMap, g: fintop.SpaceMap, z1: fintop.SpaceMap, z2: fintop.SpaceMap
+) -> fintop.SpaceMap:
+    """Mediating map for a commuting cone (z1, z2); unique by construction of pair ids."""
+    if z1.dom != z2.dom:
+        raise ValueError("cone legs have different domains")
+    if any(f(z1(p)) != g(z2(p)) for p in z1.dom.points):
+        raise ValueError("cone does not commute")
+    space, p1, p2 = fintop.pullback_space(f, g)
+    u = fintop.space_map(z1.dom, space, {p: fintop.pair_id(z1(p), z2(p)) for p in z1.dom.points})
+    if not fintop.is_continuous(u):
+        raise AssertionError("mediating map is not continuous")
+    if fintop.compose(p1, u).table != z1.table or fintop.compose(p2, u).table != z2.table:
+        raise AssertionError("mediating map does not commute")
+    return u
+
+
+@dataclasses.dataclass
+class KernelPair:
+    """The kernel pair T x_B T of a bundle, with its two projections onto the total space."""
+
+    parent: bundle.Bundle
+    space: fintop.FiniteSpace
+    p1: fintop.SpaceMap
+    p2: fintop.SpaceMap
+
+
+def kernel_pair(b: bundle.Bundle) -> KernelPair:
+    space, p1, p2 = fintop.pullback_space(b.proj, b.proj)
+    return KernelPair(b, space, p1, p2)
+
+
+def proper_map_from_stalk_ops(b: bundle.Bundle, ops: bundle.StalkOps, name: str) -> dict[str, str]:
+    """Collapse per-stalk tables into one map on kernel-pair ids."""
+    tabs = ops.op(name)
+    out: dict[str, str] = {}
+    for k, (t1, t2) in bundle.kernel_pair_points(b).items():
+        out[k] = tabs[b.proj(t1)][t1, t2]
+    return out
+
+
+def stalk_ops_from_proper_map(b: bundle.Bundle, rho: Mapping[str, str]) -> dict[str, dict[tuple[str, str], str]]:
+    """Slice a kernel-pair map back into per-stalk binary tables."""
+    out: dict[str, dict[tuple[str, str], str]] = {p: {} for p in b.base.points}
+    for k, (t1, t2) in bundle.kernel_pair_points(b).items():
+        out[b.proj(t1)][t1, t2] = rho[k]
+    return out
+
+
+def section_through_point(e: bundle.Bundle, t: str) -> tuple[bundle.Subset, bundle.Section]:
+    """A basis-open witness (U, sigma) with sigma(proj(t)) = t; requires an etale.
+
+    At an etale the projection maps U_t onto U_proj(t) bijectively, so sigma
+    is its inverse there, over the least open U that can carry it.
+    """
+    if not bundle.is_etale(e):
+        raise ValueError("bundle is not an etale")
+    v = e.total.min_nbhd_map[t]
+    u = e.proj.image(v)
+    return u, bundle.Section(e, u, {e.proj(s): s for s in v})
+
+
+def proper_square_commutes(h: fintop.SpaceMap, src: bundle.RLBundle, dst: bundle.RLBundle) -> bool:
+    """The kernel-pair square definition of an RL-bundle morphism.
+
+    Covers the four proper binary maps plus the two global-section squares
+    (the nullary operations), which the stalkwise reading also demands.
+    """
+    pairs = bundle.kernel_pair_points(src.bundle)
+    for name in bundle.StalkOps.OPS:
+        rho_src = proper_map_from_stalk_ops(src.bundle, src.ops, name)
+        rho_dst = proper_map_from_stalk_ops(dst.bundle, dst.ops, name)
+        for k, (t1, t2) in pairs.items():
+            if h(rho_src[k]) != rho_dst[fintop.pair_id(h(t1), h(t2))]:
+                return False
+    for src_tab, dst_tab in [(src.ops.zero, dst.ops.zero), (src.ops.one, dst.ops.one)]:
+        for b in src.base.points:
+            if h(src_tab[b]) != dst_tab[b]:
+                return False
+    return True
+
+
+def germ_at(b: bundle.Bundle, s: bundle.Section, p: str) -> sheafify.Germ:
+    """Germ of a section over an open set at a point of that set."""
+    if not b.base.is_open(s.domain):
+        raise ValueError(f"section domain {fmt_set(s.domain)} is not open")
+    if p not in s.domain:
+        raise ValueError(f"{p} is outside the section domain")
+    rep = s.restrict(fintop.minimal_neighborhood(b.base, p))
+    return sheafify.Germ(p, rep)
+
+
+def germs_equivalent_exists_w(b: bundle.Bundle, s: bundle.Section, t: bundle.Section, p: str) -> bool:
+    """The textual definition: some open W containing p inside both domains where they agree."""
+    for w in b.base.opens:
+        if p in w and w <= s.domain and w <= t.domain and all(s(q) == t(q) for q in w):
+            return True
+    return False
+
+
+def lambda_uniqueness_witnesses(f: fintop.SpaceMap, g: fintop.SpaceMap, e: bundle.Bundle) -> list[fintop.SpaceMap]:
+    """All maps between the two pullback totals commuting with both cone legs."""
+    gf = fintop.compose(g, f)
+    outer = basechange.pullback_etale(gf, e)
+    inner = basechange.pullback_etale(g, e)
+    nested = basechange.pullback_etale(f, inner.result)
+    upper = fintop.compose(inner.fprime, nested.fprime)  # nested -> e total
+    # Both conditions are pointwise, so each point ranges over its own admissible values.
+    pts = outer.result.total.sorted_points
+    choices = [
+        [v for v in nested.result.total.sorted_points
+         if nested.result.proj(v) == outer.result.proj(k) and upper(v) == outer.fprime(k)]
+        for k in pts
+    ]
+    return [fintop.space_map(outer.result.total, nested.result.total, dict(zip(pts, combo))) for combo in itertools.product(*choices)]
+
+
+def corestrict_to_sections(b: bundle.Bundle, h: fintop.SpaceMap, p1: fintop.SpaceMap, p2: fintop.SpaceMap) -> dict[str, bundle.Section]:
+    """For h: BxX -> total over the base, the family x -> (curried section)."""
+    pts, proj = p1.cod.sorted_points, b.proj.mapping
+    slices = dict(zip(p2.cod.sorted_points, adjunction._slices(h.table, p1, p2)))
+    if any(proj[v] != bpt for sl in slices.values() for bpt, v in zip(pts, sl)):
+        raise ValueError("h does not commute with the projections")
+    return {xpt: bundle.Section(b, frozenset(b.base.points), dict(zip(pts, sl))) for xpt, sl in slices.items()}
+
+
+def morphism_a6_to_a4() -> rlcore.RLMorphism:
+    table = {"0": "0", "a": "a", "b": "a", "c": "b", "d": "1", "1": "1"}
+    return rlcore.RLMorphism(fixtures.rl_a6(), fixtures.rl_a4(), table)
 
 
 def three_chain(mm: str) -> rlcore.ResiduatedLattice:

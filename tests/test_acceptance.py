@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import rl_isomorphic, rl_product
+from conftest import coker, lambda_uniqueness_witnesses, morphism_a6_to_a4, rl_isomorphic, rl_product
 from rlsheaf import (
     adjunction,
     basechange,
@@ -100,9 +100,9 @@ def test_criterion_03_spectral_topologies_table6():
 
 
 def test_criterion_04_example_morphism_and_injectivity_law():
-    m = fixtures.morphism_a6_to_a4()
+    m = morphism_a6_to_a4()
     ok = rlcore.is_rl_morphism(m.table, A6, A4)
-    ok &= rlcore.coker(m.table, A4.top) == frozenset({"d", "1"})
+    ok &= coker(m.table, A4.top) == frozenset({"d", "1"})
     morphisms = [(m.table, A6, A4), ({x: x for x in A4.carrier}, A4, A4)]
     for lat in [A4, A6, A8]:
         for f in rlcore.all_filters(lat).filters:
@@ -110,7 +110,7 @@ def test_criterion_04_example_morphism_and_injectivity_law():
             morphisms.append((proj.table, lat, q))
     for table, dom, cod in morphisms:
         injective = len(set(table.values())) == len(table)
-        ok &= injective == (rlcore.coker(table, cod.top) == frozenset({dom.top}))
+        ok &= injective == (coker(table, cod.top) == frozenset({dom.top}))
     report(4, "example morphism verified; coker={d,1}; injectivity iff coker={1}", ok)
 
 
@@ -232,7 +232,7 @@ def test_criterion_09_base_change_suite():
     # lambda isomorphism, verified and unique
     g = fintop.identity_map(spec_base)
     lam = basechange.lambda_iso(f, g, ET4.bundle)
-    wits = basechange.lambda_uniqueness_witnesses(f, g, ET4.bundle)
+    wits = lambda_uniqueness_witnesses(f, g, ET4.bundle)
     ok &= len(wits) == 1 and wits[0].table == lam.table
 
     # RLE_inv category laws on a 3-chain

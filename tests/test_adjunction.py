@@ -15,6 +15,7 @@ from conftest import (
     check_projection_adjunction_literal,
     check_section_adjunction_literal,
     check_triangle_identities_literal,
+    corestrict_to_sections,
     corestrict_to_sections_literal,
     curry_literal,
     is_continuous_literal,
@@ -143,7 +144,7 @@ def test_corestrict_to_sections_picks_global_sections():
     prod, p1, p2 = fintop.product(ET4.base, PT)
     for h in fintop.continuous_maps(prod, ET4.total):
         if all(ET4.proj(h(k)) == p1(k) for k in prod.points):
-            fam = adjunction.corestrict_to_sections(ET4.bundle, h, p1, p2)
+            fam = corestrict_to_sections(ET4.bundle, h, p1, p2)
             assert set(fam) == {"pt"}
             assert fam["pt"].id_str in {s.id_str for s in bundle.sections(ET4.bundle, ET4.base.points)}
 
@@ -153,7 +154,7 @@ def test_corestrict_rejects_non_triangle_maps():
     table = {k: "0_1" for k in prod.points}
     h = fintop.space_map(prod, ET4.total, table)
     with pytest.raises(ValueError):
-        adjunction.corestrict_to_sections(ET4.bundle, h, p1, p2)
+        corestrict_to_sections(ET4.bundle, h, p1, p2)
 
 
 def test_section_adjunction_counts():
@@ -382,11 +383,11 @@ def test_curry_uncurry_and_corestriction_match_the_literal_bodies(b, x, t, rng):
     total, q1, _ = fintop.product(b, t)
     target = bundle.Bundle(total, b, q1)
     for hm in bundle.bundle_morphisms(bundle.Bundle(prod, b, p1), target):
-        fam = adjunction.corestrict_to_sections(target, hm.map, p1, p2)
+        fam = corestrict_to_sections(target, hm.map, p1, p2)
         assert {xp: s.table for xp, s in fam.items()} == table_or_error(corestrict_to_sections_literal, target, hm.map, p1, p2)
     for h in random_maps(rng, prod, total, 12):
         args = (target, h, p1, p2)
-        assert table_or_error(adjunction.corestrict_to_sections, *args) == table_or_error(corestrict_to_sections_literal, *args)
+        assert table_or_error(corestrict_to_sections, *args) == table_or_error(corestrict_to_sections_literal, *args)
 
 
 EMPTY = fintop.discrete([])

@@ -4,7 +4,13 @@ from importlib import resources
 
 import pytest
 
-from conftest import quotient_etales, rl_isomorphic, section_functor_morphism_literal, small_spaces
+from conftest import (
+    lambda_uniqueness_witnesses,
+    quotient_etales,
+    rl_isomorphic,
+    section_functor_morphism_literal,
+    small_spaces,
+)
 from rlsheaf import basechange, bundle, fintop, fixtures, rlcore, workspace
 
 ET4 = fixtures.et_spec_h_a4()
@@ -116,7 +122,7 @@ def test_lambda_iso_renesting_and_uniqueness():
     for k, v in lam.table:
         b = k.split("|")[0].lstrip("(")
         assert v.startswith(f"({b}|({f(b)}|")
-    wits = basechange.lambda_uniqueness_witnesses(f, g, ET4.bundle)
+    wits = lambda_uniqueness_witnesses(f, g, ET4.bundle)
     assert len(wits) == 1
     assert wits[0].table == lam.table
 

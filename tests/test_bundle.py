@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    kernel_pair,
     mixed_chain_bundle,
     pointwise_rl_literal,
+    proper_map_from_stalk_ops,
+    proper_square_commutes,
     quotient_etales,
     rl_isomorphic,
     rl_product,
     section_test_bundles,
+    section_through_point,
     sections_literal,
     small_spaces,
     source_mentions,
+    stalk_ops_from_proper_map,
     three_chain,
     verify_rl_bundle_literal,
 )
@@ -38,7 +43,7 @@ def test_bundle_constructor_rejects_discontinuous_projection():
 
 
 def test_kernel_pair_of_etspecha4_has_eight_points():
-    kp = bundle.kernel_pair(ET4.bundle)
+    kp = kernel_pair(ET4.bundle)
     assert len(kp.space.points) == 8
     assert fintop.is_continuous(kp.p1) and fintop.is_continuous(kp.p2)
 
@@ -46,13 +51,13 @@ def test_kernel_pair_of_etspecha4_has_eight_points():
 def test_kernel_pair_of_identity_bundle_is_diagonal():
     s = fixtures.space_sierpinski()
     b = fixtures.identity_bundle(s)
-    kp = bundle.kernel_pair(b)
+    kp = kernel_pair(b)
     assert kp.space.points == {fintop.pair_id(p, p) for p in s.points}
 
 
 def test_kernel_pair_over_point_base_is_full_square():
     b = fixtures.a2_over_point().bundle
-    kp = bundle.kernel_pair(b)
+    kp = kernel_pair(b)
     assert len(kp.space.points) == len(b.total.points) ** 2
 
 
@@ -75,10 +80,10 @@ def test_plain_bundle_may_have_empty_stalk():
 def test_stalk_ops_proper_map_round_trip():
     for rb in [ET4, ET6, INDIS]:
         for name in bundle.StalkOps.OPS:
-            rho = bundle.proper_map_from_stalk_ops(rb.bundle, rb.ops, name)
-            back = bundle.stalk_ops_from_proper_map(rb.bundle, rho)
+            rho = proper_map_from_stalk_ops(rb.bundle, rb.ops, name)
+            back = stalk_ops_from_proper_map(rb.bundle, rho)
             assert back == rb.ops.op(name)
-            again = bundle.proper_map_from_stalk_ops(
+            again = proper_map_from_stalk_ops(
                 rb.bundle,
                 bundle.StalkOps(join=back, meet=back, mul=back, imp=back, zero=rb.ops.zero, one=rb.ops.one),
                 "join",
@@ -128,9 +133,9 @@ def test_identity_bundle_with_degenerate_stalks_is_valid_rl_bundle():
     )
     rb = bundle.RLBundle(b, ops)
     assert bundle.verify_rl_bundle(rb).ok
-    rho = bundle.proper_map_from_stalk_ops(b, ops, "mul")
+    rho = proper_map_from_stalk_ops(b, ops, "mul")
     assert rho == {fintop.pair_id(p, p): p for p in s.points}
-    assert bundle.stalk_ops_from_proper_map(b, rho) == ops.mul
+    assert stalk_ops_from_proper_map(b, rho) == ops.mul
 
 
 def test_is_etale_examples():
@@ -149,15 +154,15 @@ def test_sections_counts():
 
 def test_section_through_point():
     for t in sorted(ET4.total.points):
-        u, sec = bundle.section_through_point(ET4.bundle, t)
+        u, sec = section_through_point(ET4.bundle, t)
         assert sec(ET4.proj(t)) == t
         assert u in ET4.base.opens
         assert sec.domain == u
     ident = fixtures.identity_bundle(fixtures.space_sierpinski())
-    u, sec = bundle.section_through_point(ident, "x")
+    u, sec = section_through_point(ident, "x")
     assert sec.table == {p: p for p in u}
     with pytest.raises(ValueError):
-        bundle.section_through_point(INDIS.bundle, "(pt|0)")
+        section_through_point(INDIS.bundle, "(pt|0)")
 
 
 def test_equalizer_examples():
@@ -251,7 +256,7 @@ def test_broken_etale_fails_both_gamma_and_bundle_check():
 def test_is_rl_bundle_morphism_identity_and_broken_swap():
     ident = fintop.identity_map(ET4.total)
     assert bundle.is_rl_bundle_morphism(ident, ET4, ET4)
-    assert bundle.proper_square_commutes(ident, ET4, ET4)
+    assert proper_square_commutes(ident, ET4, ET4)
     # 0/1-preserving stalk swap cannot break A2, so collapse a stalk instead:
     # send both points of the F2 stalk to the unit, breaking meet at (0_1,0_1)? it
     # preserves everything iff the stalk map is a morphism; constant-to-one fails bot.
@@ -260,7 +265,7 @@ def test_is_rl_bundle_morphism_identity_and_broken_swap():
     )
     bad = bundle.rl_bundle_morphism_violations(swap, ET4, ET4)
     assert bad and any("stalk F2" in w for w in bad)
-    assert not bundle.proper_square_commutes(swap, ET4, ET4)
+    assert not proper_square_commutes(swap, ET4, ET4)
 
 
 def test_rl_bundle_morphism_square_equivalence():
@@ -269,7 +274,7 @@ def test_rl_bundle_morphism_square_equivalence():
     for table in bundle.base_compatible_tables(src.bundle, dst.bundle):
         m = fintop.space_map(src.total, dst.total, table)
         stalkwise = bundle.is_rl_bundle_morphism(m, src, dst)
-        square = bundle.proper_square_commutes(m, src, dst) and fintop.is_continuous(m)
+        square = proper_square_commutes(m, src, dst) and fintop.is_continuous(m)
         assert stalkwise == square
 
 

@@ -156,6 +156,39 @@ def test_export_dot():
     assert run_cli("export-dot", "nothing").returncode == 2
 
 
+def dot_strings(line):
+    """The quoted strings of one DOT line, each read by DOT's rules: `\\"` is a quote and `\\\\` one
+    backslash.  A string the line leaves open fails the test."""
+    out, i = [], line.find('"')
+    while i != -1:
+        chars, i = [], i + 1
+        while i < len(line) and line[i] != '"':
+            step = 2 if line[i] == "\\" and line[i + 1:i + 2] in ('"', "\\") else 1
+            chars.append(line[i + step - 1])
+            i += step
+        assert i < len(line), f"unclosed string in {line!r}"
+        out.append("".join(chars))
+        i = line.find('"', i + 1)
+    return out
+
+
+def test_export_dot_quotes_names_holding_backslashes_and_quotes(tmp_path):
+    lat, bot, top = 'L"\\', '0"', "1\\"
+    space, pts = "S\\", ["p\\", 'q"']
+    bun = 'B\\"'
+    doc = {
+        "lattices": {lat: {"carrier": [bot, top], "leq": [[bot, top]], "bot": bot, "top": top,
+                           "mul": {f"{bot},{bot}": bot, f"{bot},{top}": bot, f"{top},{top}": top}}},
+        "spaces": {space: {"points": pts, "opens": [[], [pts[0]], pts]}},
+        "bundles": {bun: {"total": space, "base": space, "proj": {p: p for p in pts}}},
+    }
+    names = {lat: {lat, bot, top}, space: {space, *pts}, bun: {bun, *(f"{k}:{p}" for k in "tb" for p in pts)}}
+    for name, expected in names.items():
+        rc, out, err = run_with_output(doc, ["export-dot", name], tmp_path)
+        assert (rc, err) == (0, "")
+        assert {s for line in out.splitlines() for s in dot_strings(line)} == expected
+
+
 def test_seed_env_variable_accepted():
     r = run_cli("law-suite", env_extra={"RLSHEAF_SEED": "12345"})
     assert r.returncode == 0

@@ -15,12 +15,16 @@ from conftest import (
     finite_space_literal,
     is_homeomorphism_literal,
     is_local_homeomorphism_direct_literal,
+    is_locally_injective,
     lattice_closure,
+    local_homeo_basis,
     local_homeo_basis_literal,
     monotone_tables_literal,
     opens_literal,
     outputs_under_hash_seeds,
     pullback_pairs_literal,
+    pullback_universal_check,
+    restrict_map,
     small_spaces,
     space_rows_literal,
     topology_from_subbasis_literal,
@@ -204,9 +208,9 @@ def test_constant_map_openness_depends_on_codomain_topology():
 def test_local_injectivity_of_folds():
     pt = fixtures.space_point()
     fold_discrete = fintop.space_map(disc("t1", "t2"), pt, {"t1": "pt", "t2": "pt"})
-    assert fintop.is_locally_injective(fold_discrete)
+    assert is_locally_injective(fold_discrete)
     fold_indiscrete = fintop.space_map(fintop.indiscrete(["t1", "t2"]), pt, {"t1": "pt", "t2": "pt"})
-    assert not fintop.is_locally_injective(fold_indiscrete)
+    assert not is_locally_injective(fold_indiscrete)
 
 
 def test_indiscrete_over_point_is_not_local_homeo():
@@ -292,33 +296,33 @@ def test_local_homeo_composition_and_restriction():
     comp = fintop.compose(fold, proj)
     assert fintop.is_local_homeomorphism(fold)
     assert fintop.is_local_homeomorphism(comp)
-    restricted = fintop.restrict_map(proj, ["0_1", "1_1"])
+    restricted = restrict_map(proj, ["0_1", "1_1"])
     assert fintop.is_local_homeomorphism(restricted)
 
 
 def test_bijective_local_homeo_is_homeo():
     rb = fixtures.et_spec_h_a4()
-    sub = fintop.restrict_map(rb.proj, ["0_1", "0_2"])
+    sub = restrict_map(rb.proj, ["0_1", "0_2"])
     assert fintop.is_local_homeomorphism(sub)
     assert fintop.is_homeomorphism(sub)
 
 
 def test_local_homeo_basis_identity_on_sierpinski():
     s = fixtures.space_sierpinski()
-    fam = fintop.local_homeo_basis(fintop.identity_map(s))
+    fam = local_homeo_basis(fintop.identity_map(s))
     assert set(fam) == set(s.opens)
 
 
 def test_local_homeo_basis_discrete_fold():
     pt = fixtures.space_point()
     fold = fintop.space_map(disc("t1", "t2"), pt, {"t1": "pt", "t2": "pt"})
-    fam = fintop.local_homeo_basis(fold)
+    fam = local_homeo_basis(fold)
     assert set(fam) == {frozenset(), frozenset({"t1"}), frozenset({"t2"})}
 
 
 def test_local_homeo_basis_etale_projection():
     rb = fixtures.et_spec_h_a4()
-    fam = set(fintop.local_homeo_basis(rb.proj))
+    fam = set(local_homeo_basis(rb.proj))
     # oracle: opens on which the projection is injective
     expected = {u for u in rb.total.opens if len(rb.proj.image(u)) == len(u)}
     assert fam == expected
@@ -327,7 +331,7 @@ def test_local_homeo_basis_etale_projection():
 def test_local_homeo_basis_requires_local_homeo():
     rb = fixtures.indiscrete_a2_over_point()
     with pytest.raises(ValueError):
-        fintop.local_homeo_basis(rb.proj)
+        local_homeo_basis(rb.proj)
 
 
 def test_minimal_neighborhoods():
@@ -495,7 +499,7 @@ def test_pullback_universal_property():
     fold = fintop.space_map(rb.base, fixtures.space_point(), {p: "pt" for p in rb.base.points})
     proj_pt = fintop.space_map(rb.total, fixtures.space_point(), {t: "pt" for t in rb.total.points})
     # cone from the total space itself
-    u = fintop.pullback_universal_check(fold, proj_pt, rb.proj, fintop.identity_map(rb.total))
+    u = pullback_universal_check(fold, proj_pt, rb.proj, fintop.identity_map(rb.total))
     assert fintop.is_continuous(u)
 
 
@@ -949,7 +953,7 @@ def basis_and_homeomorphy_verdicts(maps) -> collections.Counter:
     the maps by (local homeomorphism, homeomorphism)."""
     verdicts = collections.Counter()
     for m in maps:
-        basis = basis_or_refusal(fintop.local_homeo_basis, m)
+        basis = basis_or_refusal(local_homeo_basis, m)
         assert basis == basis_or_refusal(local_homeo_basis_literal, m), m.table
         homeo = fintop.is_homeomorphism(m)
         assert homeo == is_homeomorphism_literal(m), m.table
@@ -983,7 +987,7 @@ def local_homeo_basis_census():
     counts, failures = collections.Counter(), collections.Counter()
     for dom, cod in itertools.product(spaces, repeat=2):
         for m in fintop.continuous_maps(dom, cod):
-            basis = basis_or_refusal(fintop.local_homeo_basis, m)
+            basis = basis_or_refusal(local_homeo_basis, m)
             failures["literal"] += basis != basis_or_refusal(local_homeo_basis_literal, m)
             if isinstance(basis, list):
                 counts["bases"] += 1
@@ -1018,7 +1022,7 @@ def test_the_pullback_check_refuses_a_mediating_map_that_is_not_continuous(monke
     monkeypatch.setattr(fintop, "pullback_space", discrete_pullback_space)
     ident = fintop.identity_map(fintop.sierpinski())
     with pytest.raises(AssertionError, match="^mediating map is not continuous$"):
-        fintop.pullback_universal_check(ident, ident, ident, ident)
+        pullback_universal_check(ident, ident, ident, ident)
 
 
 def test_the_pullback_check_refuses_a_mediating_map_that_does_not_commute(monkeypatch):
@@ -1029,4 +1033,4 @@ def test_the_pullback_check_refuses_a_mediating_map_that_does_not_commute(monkey
     s, t, pt = fintop.sierpinski("x", "y"), fintop.sierpinski("u", "v"), fixtures.space_point()
     f, g = (fintop.space_map(x, pt, dict.fromkeys(x.points, "pt")) for x in (s, t))
     with pytest.raises(AssertionError, match="^mediating map does not commute$"):
-        fintop.pullback_universal_check(f, g, fintop.identity_map(s), fintop.space_map(s, t, {"x": "u", "y": "v"}))
+        pullback_universal_check(f, g, fintop.identity_map(s), fintop.space_map(s, t, {"x": "u", "y": "v"}))

@@ -6,6 +6,7 @@ A row is a call and what it gives: `("refuses", message)` for a ValueError with 
 
 import pytest
 
+from conftest import pullback_universal_check
 from rlsheaf import adjunction, basechange, bundle, fintop, fixtures, sheafify
 
 ET4 = fixtures.et_spec_h_a4()
@@ -89,11 +90,11 @@ REFUSALS = {
         ("refuses", "unknown point zz"),
     ),
     "fintop.pullback_universal_check-legs": (
-        lambda: fintop.pullback_universal_check(SWAP, SWAP, fintop.identity_map(TWO), fintop.identity_map(PT)),
+        lambda: pullback_universal_check(SWAP, SWAP, fintop.identity_map(TWO), fintop.identity_map(PT)),
         ("refuses", "cone legs have different domains"),
     ),
     "fintop.pullback_universal_check-commute": (
-        lambda: fintop.pullback_universal_check(fintop.identity_map(TWO), fintop.identity_map(TWO), fintop.identity_map(TWO), SWAP),
+        lambda: pullback_universal_check(fintop.identity_map(TWO), fintop.identity_map(TWO), fintop.identity_map(TWO), SWAP),
         ("refuses", "cone does not commute"),
     ),
     "fintop.FiniteSpace.opens-on-the-class": (

@@ -11,10 +11,17 @@ from conftest import (
     all_partitions,
     brute_force_filters,
     classify_filters_literal,
+    coker,
     congruence_of_filter_literal,
     derive_residual_literal,
+    filter_join,
+    filter_of_congruence,
+    glb,
+    is_congruence,
     is_prime_filter_literal,
     leq_from_hasse_literal,
+    lub,
+    morphism_a6_to_a4,
     outputs_under_hash_seeds,
     residual_by_formula,
     rl_isomorphic,
@@ -87,7 +94,7 @@ def test_derive_residual_raises_on_non_residuated_input():
     hasse = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]
     leq = rlcore._leq_from_hasse(carrier, hasse)
     meet = {
-        (x, y): rlcore.glb(carrier, leq, [x, y]) for x in carrier for y in carrier
+        (x, y): glb(carrier, leq, [x, y]) for x in carrier for y in carrier
     }
     with pytest.raises(rlcore.NotResiduated):
         rlcore.derive_residual(carrier, leq, meet)
@@ -154,11 +161,11 @@ def test_generated_filter_is_least_filter_containing_seed(xs):
 
 
 def test_filter_join_examples():
-    assert rlcore.filter_join(A4, [{"a", "1"}, {"b", "1"}]) == frozenset(A4.carrier)
+    assert filter_join(A4, [{"a", "1"}, {"b", "1"}]) == frozenset(A4.carrier)
     f3 = frozenset({"c", "d", "1"})
-    assert rlcore.filter_join(A6, [f3, frozenset({"d", "1"})]) == f3
+    assert filter_join(A6, [f3, frozenset({"d", "1"})]) == f3
     for f in brute_force_filters(A6):
-        assert rlcore.filter_join(A6, [f, {"1"}]) == f
+        assert filter_join(A6, [f, {"1"}]) == f
 
 
 TABLE5 = {
@@ -213,7 +220,7 @@ def test_congruence_of_principal_filter_matches_relation_oracle():
 def test_quotient_by_trivial_filter_is_isomorphic():
     q, proj = rlcore.quotient(A4, {"1"})
     assert rl_isomorphic(A4, q)
-    assert rlcore.coker(proj.table, q.top) == frozenset({"1"})
+    assert coker(proj.table, q.top) == frozenset({"1"})
 
 
 def test_quotient_by_whole_is_degenerate():
@@ -226,7 +233,7 @@ def test_quotient_a6_by_f4():
     q, proj = rlcore.quotient(A6, {"d", "1"})
     assert rlcore.verify_rl(q).ok
     assert 2 <= len(q.carrier) < len(A6.carrier)
-    assert rlcore.coker(proj.table, q.top) == frozenset({"d", "1"})
+    assert coker(proj.table, q.top) == frozenset({"d", "1"})
 
 
 @pytest.mark.parametrize("name", ["A4", "A6", "A8"])
@@ -234,9 +241,9 @@ def test_quotient_projection_coker_equals_filter(name):
     lat = FIXTURE_LATTICES[name]
     for f in rlcore.all_filters(lat).filters:
         q, proj = rlcore.quotient(lat, f)
-        assert rlcore.coker(proj.table, q.top) == f
+        assert coker(proj.table, q.top) == f
         cong = rlcore.congruence_of_filter(lat, f)
-        assert rlcore.filter_of_congruence(lat, cong) == f
+        assert filter_of_congruence(lat, cong) == f
 
 
 NON_FILTER = r"""
@@ -260,18 +267,18 @@ def test_a_set_that_is_no_filter_gets_the_congruence_of_the_filter_it_generates_
 
 
 def test_example_morphism_a6_to_a4():
-    m = fixtures.morphism_a6_to_a4()
+    m = morphism_a6_to_a4()
     assert rlcore.is_rl_morphism(m.table, A6, A4)
-    assert rlcore.coker(m.table, A4.top) == frozenset({"d", "1"})
+    assert coker(m.table, A4.top) == frozenset({"d", "1"})
 
 
 def test_identity_morphism_and_injectivity_law():
     ident = {x: x for x in A4.carrier}
     assert rlcore.is_rl_morphism(ident, A4, A4)
-    assert rlcore.coker(ident, A4.top) == frozenset({"1"})
+    assert coker(ident, A4.top) == frozenset({"1"})
     # injectivity iff coker == {1}, across the fixture morphisms
     morphisms = [
-        (fixtures.morphism_a6_to_a4().table, A6, A4),
+        (morphism_a6_to_a4().table, A6, A4),
         (ident, A4, A4),
     ]
     for name, lat in FIXTURE_LATTICES.items():
@@ -280,7 +287,7 @@ def test_identity_morphism_and_injectivity_law():
             morphisms.append((proj.table, lat, q))
     for table, dom, cod in morphisms:
         injective = len(set(table.values())) == len(table)
-        assert injective == (rlcore.coker(table, cod.top) == frozenset({dom.top}))
+        assert injective == (coker(table, cod.top) == frozenset({dom.top}))
 
 
 def test_rl_morphism_constructor_rejects_bad_maps():
@@ -295,9 +302,9 @@ def test_filter_lattice_satisfies_jid(name):
     for a in fam:
         for r in range(len(fam) + 1):
             for combo in itertools.combinations(fam, r):
-                big_join = rlcore.filter_join(lat, combo) if combo else frozenset({lat.top})
+                big_join = filter_join(lat, combo) if combo else frozenset({lat.top})
                 lhs = a & big_join
-                rhs = rlcore.filter_join(lat, [a & s for s in combo]) if combo else frozenset({lat.top})
+                rhs = filter_join(lat, [a & s for s in combo]) if combo else frozenset({lat.top})
                 assert lhs == rhs
 
 
@@ -307,7 +314,7 @@ def test_filter_congruence_order_isomorphism(name, lat):
     congruences = {
         frozenset(frozenset(b) for b in part)
         for part in all_partitions(list(lat.carrier))
-        if rlcore.is_congruence(lat, part)
+        if is_congruence(lat, part)
     }
     image = {}
     for f in filters:
@@ -336,17 +343,17 @@ PAIRS = st.tuples(st.sampled_from(UNIVERSE), st.sampled_from(UNIVERSE))
 @settings(max_examples=400, deadline=None)
 def test_bounds_agree_with_the_literal_scan(carrier, leq, xs):
     """Any relation, transitive and antisymmetric or not, and elements inside or outside the carrier."""
-    assert rlcore.lub(carrier, leq, xs) == scan_lub(carrier, leq, xs)
-    assert rlcore.glb(carrier, leq, xs) == scan_glb(carrier, leq, xs)
+    assert lub(carrier, leq, xs) == scan_lub(carrier, leq, xs)
+    assert glb(carrier, leq, xs) == scan_glb(carrier, leq, xs)
 
 
 def test_bounds_read_a_repeated_carrier_once_and_a_mutable_relation_afresh():
     """A carrier element listed twice is one bound, and a `leq` given as a set is read on every call, so
     changing it between calls changes the answer."""
     carrier, leq = ["0", "a", "1", "a"], {("0", "0"), ("0", "a"), ("0", "1"), ("a", "a"), ("a", "1"), ("1", "1")}
-    assert (rlcore.lub(carrier, leq, ["0", "a"]), rlcore.glb(carrier, leq, ["a", "1"])) == ("a", "a")
+    assert (lub(carrier, leq, ["0", "a"]), glb(carrier, leq, ["a", "1"])) == ("a", "a")
     leq -= {("a", "a")}
-    assert (rlcore.lub(carrier, leq, ["0", "a"]), rlcore.glb(carrier, leq, ["a", "1"])) == ("1", "0")
+    assert (lub(carrier, leq, ["0", "a"]), glb(carrier, leq, ["a", "1"])) == ("1", "0")
 
 
 @given(hasse=st.lists(PAIRS, max_size=12))
@@ -610,7 +617,7 @@ def test_every_filter_is_classified_and_quotiented_as_the_literal_bodies_do(name
     for f in fl.filters:
         cong = rlcore.congruence_of_filter(lat, f)
         assert cong.blocks == congruence_of_filter_literal(lat, f).blocks
-        assert rlcore.filter_of_congruence(lat, cong) == f
+        assert filter_of_congruence(lat, cong) == f
 
 
 @pytest.mark.parametrize("name", sorted({*FIXTURE_LATTICES, *SMALL_PRODUCTS, *BUILT_LATTICES}))
@@ -680,7 +687,7 @@ def test_the_congruence_of_every_filter_of_the_named_lattices_is_compatible(name
     else:
         lat = small_product(name) if name in SMALL_PRODUCTS else built_lattice(name)
     for f in rlcore.all_filters(lat).filters:
-        assert rlcore.is_congruence(lat, rlcore.congruence_of_filter(lat, f).blocks)
+        assert is_congruence(lat, rlcore.congruence_of_filter(lat, f).blocks)
 
 
 def test_the_brute_force_finds_every_labelled_residuated_lattice_of_at_most_5_elements():
@@ -704,9 +711,9 @@ def congruence_census():
             cong = rlcore.congruence_of_filter(lat, f)
             if cong.blocks != congruence_of_filter_literal(lat, f).blocks:
                 failures.append(("blocks", i, f))
-            if not rlcore.is_congruence(lat, cong.blocks):
+            if not is_congruence(lat, cong.blocks):
                 failures.append(("not-a-congruence", i, f))
-            if rlcore.filter_of_congruence(lat, cong) != f:
+            if filter_of_congruence(lat, cong) != f:
                 failures.append(("kernel", i, f))
         for r in range(1, len(lat.carrier) + 1):
             for xs in itertools.combinations(lat.carrier, r):

@@ -13,6 +13,8 @@ from conftest import (
     couniversal_factorization_literal,
     equalizers_are_open_literal,
     etale_of_literal,
+    germ_at,
+    germs_equivalent_exists_w,
     rl_isomorphic,
     section_image_basis_literal,
     sections_final_topology_literal,
@@ -33,7 +35,7 @@ def sierpinski_counterexample_bundle():
 
 def test_germ_at_discrete_base_is_the_value():
     sec = bundle.sections(ET4.bundle, ET4.base.points)[0]
-    g = sheafify.germ_at(ET4.bundle, sec, "F2")
+    g = germ_at(ET4.bundle, sec, "F2")
     assert g.rep.domain == frozenset({"F2"})
     assert g.value() == sec("F2")
 
@@ -41,7 +43,7 @@ def test_germ_at_discrete_base_is_the_value():
 def test_germ_at_sierpinski_base_keeps_both_values():
     b = sierpinski_counterexample_bundle()
     secs = bundle.sections(b, b.base.points)
-    g = sheafify.germ_at(b, secs[0], "y")
+    g = germ_at(b, secs[0], "y")
     assert g.rep.domain == frozenset({"x", "y"})
     assert set(g.rep.table) == {"x", "y"}
 
@@ -50,21 +52,21 @@ def test_sections_agreeing_at_point_with_discrete_base_share_germ():
     secs = {s.id_str: s for s in bundle.sections(ET4.bundle, ET4.base.points)}
     s1 = secs["{F2:0_1,F3:0_2}"]
     s2 = secs["{F2:0_1,F3:1_2}"]
-    assert sheafify.germ_at(ET4.bundle, s1, "F2").id_str == sheafify.germ_at(ET4.bundle, s2, "F2").id_str
-    assert sheafify.germ_at(ET4.bundle, s1, "F3").id_str != sheafify.germ_at(ET4.bundle, s2, "F3").id_str
+    assert germ_at(ET4.bundle, s1, "F2").id_str == germ_at(ET4.bundle, s2, "F2").id_str
+    assert germ_at(ET4.bundle, s1, "F3").id_str != germ_at(ET4.bundle, s2, "F3").id_str
 
 
 def test_germ_at_rejects_bad_arguments():
     sec = bundle.sections(ET4.bundle, ET4.base.points)[0]
     with pytest.raises(ValueError):
-        sheafify.germ_at(ET4.bundle, sec, "zzz")
+        germ_at(ET4.bundle, sec, "zzz")
     sub = sec.restrict(frozenset({"F2"}))
     # restriction to a non-open subset would be needed to trigger the open check
     # on this discrete base every subset is open, so use the Sierpinski bundle
     b = sierpinski_counterexample_bundle()
     s = bundle.sections(b, {"y"})[0]
     with pytest.raises(ValueError):
-        sheafify.germ_at(b, s, "y")
+        germ_at(b, s, "y")
 
 
 def test_germ_equality_matches_exists_w_definition():
@@ -75,10 +77,10 @@ def test_germ_equality_matches_exists_w_definition():
                     for t in bundle.sections(b, v):
                         for p in u & v:
                             canonical = (
-                                sheafify.germ_at(b, s, p).id_str
-                                == sheafify.germ_at(b, t, p).id_str
+                                germ_at(b, s, p).id_str
+                                == germ_at(b, t, p).id_str
                             )
-                            assert canonical == sheafify.germs_equivalent_exists_w(b, s, t, p)
+                            assert canonical == germs_equivalent_exists_w(b, s, t, p)
 
 
 def test_etale_of_indiscrete_bundle():
@@ -136,7 +138,7 @@ def test_germ_topology_is_final_topology_of_su_maps():
         for u in b.base.sorted_opens():
             sub = fintop.subspace(b.base, u)
             for s in bundle.sections(b, u):
-                table = {p: sheafify.germ_at(b, s, p).id_str for p in u}
+                table = {p: germ_at(b, s, p).id_str for p in u}
                 fam.append((sub, table))
         fin = fintop.final_topology(gs.space.points, fam)
         assert fin.opens == gs.space.opens

